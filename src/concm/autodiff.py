@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import InvalidInput, OrderError, ShapeError
+from .errors import DegenerateInput, InvalidInput, OrderError, ShapeError
 
 
 def _as_value(x, what: str = "value") -> np.ndarray:
@@ -54,12 +54,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _expit(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic sigmoid without overflow: exp only ever sees -|x|."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 @dataclass
@@ -75,9 +73,12 @@ class Tape:
     def __init__(self):
         self._nodes: list[_Node] = []
         self._values: list[np.ndarray | None] = []
+        # whether a node depends on some param, i.e. may carry an adjoint
+        self._needs_grad: list[bool] = []
         self._params: dict[str, int] = {}
         self._param_values: dict[str, np.ndarray] = {}
         self._inputs: dict[str, int] = {}
+        self._defaults: dict[str, np.ndarray] = {}
         self._forward_done = False
 
     # ---- node constructors -------------------------------------------------
@@ -88,15 +89,21 @@ class Tape:
                 raise OrderError(f"node argument {a} does not exist yet")
         self._nodes.append(_Node(op, args, payload))
         self._values.append(None)
+        self._needs_grad.append(op == "param"
+                                or any(self._needs_grad[a] for a in args))
         self._forward_done = False
         return len(self._nodes) - 1
 
     def constant(self, value) -> int:
         return self._push("const", (), _as_value(value, "constant"))
 
-    def input(self, name: str) -> int:
+    def input(self, name: str, default=None) -> int:
+        """A value fed to forward() by name; ``default`` is used when the
+        feed omits it."""
         if name in self._inputs:
             raise OrderError(f"duplicate input name {name!r}")
+        if default is not None:
+            self._defaults[name] = _as_value(default, f"input {name!r}")
         nid = self._push("input", (), name)
         self._inputs[name] = nid
         return nid
@@ -169,13 +176,24 @@ class Tape:
         self._param_values[name] = new.copy()
         self._forward_done = False
 
+    def update_param(self, name: str, delta: np.ndarray) -> None:
+        """Subtract ``delta`` from a parameter in place.
+
+        Raises InvalidInput naming the parameter if it turns non-finite.
+        """
+        value = self._param_values[name]
+        value -= delta
+        self._forward_done = False
+        if not np.all(np.isfinite(value)):
+            raise InvalidInput(f"param {name!r} contains non-finite entries")
+
     # ---- execution -----------------------------------------------------
 
     def forward(self, feeds: dict[str, Any] | None = None) -> None:
         """Evaluate all nodes in order; stores values for backward()."""
         feeds = feeds or {}
         for name in self._inputs:
-            if name not in feeds:
+            if name not in feeds and name not in self._defaults:
                 raise OrderError(f"missing feed for input {name!r}")
         vals = self._values
         for i, node in enumerate(self._nodes):
@@ -183,7 +201,8 @@ class Tape:
             if op == "const":
                 vals[i] = pay
             elif op == "input":
-                vals[i] = _as_value(feeds[pay], f"input {pay!r}")
+                vals[i] = _as_value(feeds[pay], f"input {pay!r}") \
+                    if pay in feeds else self._defaults[pay]
             elif op == "param":
                 vals[i] = self._param_values[pay]
             else:
@@ -222,7 +241,8 @@ class Tape:
             x = a[0]
             n = np.sqrt((x * x).sum(axis=pay, keepdims=True))
             if np.any(n < 1e-300):
-                raise InvalidInput("l2_normalize: zero-norm row")
+                rows = np.flatnonzero(n.ravel() < 1e-300).tolist()
+                raise DegenerateInput(f"l2_normalize: zero-norm row(s) {rows}")
             return x / n
         if op == "sum":
             return np.asarray(a[0].sum()) if pay is None else a[0].sum(axis=pay, keepdims=True)
@@ -243,7 +263,13 @@ class Tape:
         return self._values[node]
 
     def backward(self, loss: int) -> dict[str, np.ndarray]:
-        """Adjoint pass from a scalar loss node; returns parameter gradients."""
+        """Adjoint pass from a scalar loss node; returns parameter gradients.
+
+        Only nodes that depend on some parameter get an adjoint: a
+        contribution to a constant, an input, or anything computed from
+        those alone is never formed.  The adjoints that are formed use the
+        same operations, accumulated in the same order, as a full pass.
+        """
         if not self._forward_done:
             raise OrderError("backward() before forward()")
         if self._values[loss].shape != ():
@@ -251,17 +277,18 @@ class Tape:
         adj: list[np.ndarray | None] = [None] * len(self._nodes)
         adj[loss] = np.asarray(1.0)
         vals = self._values
+        needs = self._needs_grad
         for i in range(loss, -1, -1):
             g = adj[i]
             if g is None:
                 continue
             node = self._nodes[i]
             op, args, pay = node.op, node.args, node.payload
-            if op in ("const", "input", "param"):
+            if not args:
                 continue
+            want = [needs[a] for a in args]
             ins = [vals[a] for a in args]
-            out = vals[i]
-            contribs = self._grads(op, ins, out, g, pay)
+            contribs = self._grads(op, ins, vals[i], g, pay, want)
             for a, ga in zip(args, contribs):
                 if ga is None:
                     continue
@@ -272,16 +299,24 @@ class Tape:
             grads[name] = np.zeros_like(self._param_values[name]) if g is None else g
         return grads
 
-    def _grads(self, op, ins, out, g, pay):
-        if op == "add":
-            return (_unbroadcast(g, ins[0].shape), _unbroadcast(g, ins[1].shape))
-        if op == "sub":
-            return (_unbroadcast(g, ins[0].shape), _unbroadcast(-g, ins[1].shape))
-        if op == "mul":
-            return (_unbroadcast(g * ins[1], ins[0].shape),
-                    _unbroadcast(g * ins[0], ins[1].shape))
-        if op == "matmul":
-            return (g @ ins[1].T, ins[0].T @ g)
+    def _grads(self, op, ins, out, g, pay, want):
+        """Adjoint contributions to each argument; None where ``want`` is
+        False.  Unary ops are only reached when their argument is wanted."""
+        if op in ("add", "sub", "mul", "matmul", "inner"):
+            wa, wb = want
+            x, y = ins
+            if op == "add":
+                return (_unbroadcast(g, x.shape) if wa else None,
+                        _unbroadcast(g, y.shape) if wb else None)
+            if op == "sub":
+                return (_unbroadcast(g, x.shape) if wa else None,
+                        _unbroadcast(-g, y.shape) if wb else None)
+            if op == "mul":
+                return (_unbroadcast(g * y, x.shape) if wa else None,
+                        _unbroadcast(g * x, y.shape) if wb else None)
+            if op == "matmul":
+                return (g @ y.T if wa else None, x.T @ g if wb else None)
+            return (g * y if wa else None, g * x if wb else None)
         if op == "transpose":
             return (g.T,)
         if op == "softplus":
@@ -301,14 +336,10 @@ class Tape:
             dot = (g * out).sum(axis=pay, keepdims=True)
             return ((g - out * dot) / n,)
         if op == "sum":
-            if pay is None:
-                return (np.broadcast_to(g, ins[0].shape).copy(),)
             return (np.broadcast_to(g, ins[0].shape).copy(),)
         if op == "mean":
             count = ins[0].size if pay is None else ins[0].shape[pay]
             return (np.broadcast_to(g / count, ins[0].shape).copy(),)
-        if op == "inner":
-            return (g * ins[1], g * ins[0])
         if op == "scale":
             return (g * pay,)
         raise ShapeError(f"unknown op {op!r}")  # pragma: no cover

@@ -21,6 +21,9 @@ def cosine_lr(step: int, total_steps: int, lr_max: float, warmup_steps: int) -> 
 
 
 def sgd_step(tape: Tape, grads: dict[str, np.ndarray], lr: float) -> None:
-    """In-place SGD update of every tape parameter."""
+    """In-place SGD update of every tape parameter.
+
+    Raises InvalidInput naming the first parameter that turns non-finite.
+    """
     for name, g in grads.items():
-        tape.set_param(name, tape.param_value(name) - lr * g)
+        tape.update_param(name, lr * g)

@@ -20,7 +20,7 @@ from . import rng
 from .autodiff import Tape
 from .errors import (DegenerateBatch, DegenerateInput, InvalidConfig,
                      InvalidInput, LabelOutOfRange, TrainingDiverged)
-from .optim import cosine_lr
+from .optim import cosine_lr, sgd_step
 from .structure import StructureMatrix
 
 logger = logging.getLogger("concm.projector")
@@ -92,21 +92,54 @@ class TrainBatch:
     anchored_classes: frozenset[int] = field(default_factory=frozenset)
 
 
-def _check_labels(labels: np.ndarray, n_classes: int) -> None:
+def _onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise LabelOutOfRange(f"labels must lie in [0, {n_classes})")
+    onehot = np.zeros((labels.size, n_classes))
+    onehot[np.arange(labels.size), labels] = 1.0
+    return onehot
+
+
+def batch_masks(labels: np.ndarray, structure: StructureMatrix,
+                anchored_classes: frozenset[int]) -> dict[str, np.ndarray]:
+    """The per-batch inputs of the projector losses, by tape input name.
+
+    For a batch of b samples: ``onehot`` (b, N) picks each sample's logit;
+    ``allow`` (b, b) keeps every pair but the sample itself in the
+    contrastive denominator; ``pos`` (b, b) marks the other same-class
+    samples; ``anchor_cols`` (d_g, n_a) holds the structure columns of the
+    anchored classes present in the batch (n_a may be 0), and ``own``
+    (b, n_a) marks each sample's own anchor; ``inv_pos`` (b, 1) is 1/|P| of
+    each sample's positive set.  Raises LabelOutOfRange, and DegenerateBatch
+    if any sample has no positive.
+    """
+    onehot = _onehot(labels, structure.num_classes)
+    b = labels.size
+    off_diag = ~np.eye(b, dtype=bool)
+    pos = ((labels[:, None] == labels[None, :]) & off_diag).astype(np.float64)
+    anchored = np.asarray(sorted(set(anchored_classes) & set(labels.tolist())),
+                          dtype=np.int64)
+    own = (labels[:, None] == anchored[None, :]).astype(np.float64)
+    pos_counts = pos.sum(axis=1) + own.sum(axis=1)
+    if np.any(pos_counts == 0):
+        bad = labels[pos_counts == 0]
+        raise DegenerateBatch(f"empty positive set for labels {sorted(set(bad.tolist()))}")
+    return {"onehot": onehot, "allow": off_diag.astype(np.float64), "pos": pos,
+            "anchor_cols": structure.columns[:, anchored], "own": own,
+            "inv_pos": (1.0 / pos_counts).reshape(-1, 1)}
 
 
 def build_matching_loss(tape: Tape, z_node: int, labels: np.ndarray,
                         structure: StructureMatrix) -> int:
-    """Mean softmax cross-entropy of <z, column_j> logits at each label."""
-    n = structure.num_classes
-    _check_labels(labels, n)
+    """Mean softmax cross-entropy of <z, column_j> logits at each label.
+
+    The label one-hot is the tape input ``onehot``, which defaults to that
+    of ``labels``.
+    """
+    onehot = _onehot(labels, structure.num_classes)
     logits = tape.matmul(z_node, tape.constant(structure.columns))
     ls = tape.log_softmax(logits, axis=1)
-    onehot = np.zeros((labels.size, n))
-    onehot[np.arange(labels.size), labels] = 1.0
-    picked = tape.sum(tape.mul(ls, tape.constant(onehot)), axis=1)
+    picked = tape.sum(tape.mul(ls, tape.input("onehot", onehot)), axis=1)
     return tape.scale(tape.mean(picked), -1.0)
 
 
@@ -130,38 +163,23 @@ def build_contrastive_loss(tape: Tape, z_node: int, labels: np.ndarray,
     For sample i, the positive set holds all other same-class samples, plus
     the class's structure column when the class is anchored; the
     denominator runs over every other sample plus the sample's own anchor.
+    The masks are the tape inputs named by ``batch_masks``, which default
+    to those of ``labels``; so one graph serves every batch of a session.
     Raises DegenerateBatch if any sample ends up with no positives.
     """
     if tau <= 0.0:
         raise InvalidConfig(f"temperature must be positive, got {tau}")
-    b = labels.size
-    _check_labels(labels, structure.num_classes)
-    same = labels[:, None] == labels[None, :]
-    off_diag = ~np.eye(b, dtype=bool)
-    pos_s = (same & off_diag).astype(np.float64)
-    allow_s = off_diag.astype(np.float64)
-
-    anchored = sorted(set(anchored_classes) & set(labels.tolist()))
-    pos_counts = pos_s.sum(axis=1)
+    masks = {name: tape.input(name, value) for name, value in
+             batch_masks(labels, structure, anchored_classes).items()
+             if name != "onehot"}
     sims = tape.scale(tape.matmul(z_node, tape.transpose(z_node)), 1.0 / tau)
-    denom = tape.sum(tape.mul(tape.exp(sims), tape.constant(allow_s)), axis=1)
-    pos_sum = tape.sum(tape.mul(sims, tape.constant(pos_s)), axis=1)
-
-    if anchored:
-        cols = structure.columns[:, anchored]          # (d_g, n_a)
-        own = (labels[:, None] == np.asarray(anchored)[None, :]).astype(np.float64)
-        asims = tape.scale(tape.matmul(z_node, tape.constant(cols)), 1.0 / tau)
-        denom = tape.add(denom, tape.sum(tape.mul(tape.exp(asims),
-                                                  tape.constant(own)), axis=1))
-        pos_sum = tape.add(pos_sum, tape.sum(tape.mul(asims, tape.constant(own)),
-                                             axis=1))
-        pos_counts = pos_counts + own.sum(axis=1)
-
-    if np.any(pos_counts == 0):
-        bad = labels[pos_counts == 0]
-        raise DegenerateBatch(f"empty positive set for labels {sorted(set(bad.tolist()))}")
-    inv = tape.constant((1.0 / pos_counts).reshape(-1, 1))
-    per_sample = tape.sub(tape.log(denom), tape.mul(pos_sum, inv))
+    denom = tape.sum(tape.mul(tape.exp(sims), masks["allow"]), axis=1)
+    pos_sum = tape.sum(tape.mul(sims, masks["pos"]), axis=1)
+    asims = tape.scale(tape.matmul(z_node, masks["anchor_cols"]), 1.0 / tau)
+    denom = tape.add(denom, tape.sum(tape.mul(tape.exp(asims), masks["own"]),
+                                     axis=1))
+    pos_sum = tape.add(pos_sum, tape.sum(tape.mul(asims, masks["own"]), axis=1))
+    per_sample = tape.sub(tape.log(denom), tape.mul(pos_sum, masks["inv_pos"]))
     return tape.mean(per_sample)
 
 
@@ -194,20 +212,19 @@ def _balanced_batches(labels: np.ndarray, batch_size: int, seed: int, epoch: int
     gen = rng.stream(seed, "batches", epoch)
     classes = np.unique(labels)
     order = classes[rng.permutation(gen, classes.size)]
-    streams = {c: np.flatnonzero(labels == c)[rng.permutation(
-        gen, int((labels == c).sum()))] for c in order}
-    interleaved: list[int] = []
-    cursors = {c: 0 for c in order}
-    remaining = sum(s.size for s in streams.values())
-    while remaining:
-        for c in order:
-            if cursors[c] < streams[c].size:
-                interleaved.append(int(streams[c][cursors[c]]))
-                cursors[c] += 1
-                remaining -= 1
+    streams = [np.flatnonzero(labels == c)[rng.permutation(
+        gen, int((labels == c).sum()))] for c in order]
+    if not streams:
+        return []
+    # round robin: the r-th sample of every class, classes in draw order
+    sizes = [s.size for s in streams]
+    flat = np.concatenate(streams)
+    slot = np.repeat(np.arange(len(streams)), sizes)
+    rank = np.arange(flat.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    interleaved = flat[np.lexsort((slot, rank))]
     batches = []
-    for start in range(0, len(interleaved), batch_size):
-        idx = np.asarray(interleaved[start:start + batch_size])
+    for start in range(0, interleaved.size, batch_size):
+        idx = interleaved[start:start + batch_size]
         batch_labels = labels[idx]
         uniq, counts = np.unique(batch_labels, return_counts=True)
         lonely = {int(c) for c, n in zip(uniq, counts)
@@ -220,6 +237,13 @@ def _balanced_batches(labels: np.ndarray, batch_size: int, seed: int, epoch: int
     return batches
 
 
+def _zero_norm_cause(features: np.ndarray, idx: np.ndarray) -> str:
+    zero = idx[np.sqrt((features * features).sum(axis=1)) < 1e-300]
+    if zero.size:
+        return f"zero-norm feature rows {zero.tolist()} in the training data"
+    return "zero-norm projected row (hidden activation)"
+
+
 def train_projector(params: ProjectorParams, structure: StructureMatrix,
                     anchored_classes: frozenset[int], schedule: TrainSchedule,
                     epoch_data, tau: float = 0.07) -> tuple[ProjectorParams, list[float]]:
@@ -228,8 +252,23 @@ def train_projector(params: ProjectorParams, structure: StructureMatrix,
     ``epoch_data(epoch)`` returns the (features, labels) arrays to train on
     during that epoch (augmented samples are redrawn each epoch by the
     caller).  Returns updated parameters and the per-epoch mean loss.
+
+    The loss graph is built once per call, by the same builders that serve
+    a single batch: the batch features (input ``x``) and the masks of
+    ``batch_masks`` are tape inputs fed at each step.  A step is one forward
+    pass, one backward pass that forms only the adjoints a parameter needs,
+    and an in-place SGD update of the tape's parameters.  A zero-norm
+    feature or projected row raises DegenerateInput, a non-finite loss or
+    parameter TrainingDiverged, each naming the step.
     """
-    params = ProjectorParams(**{n: getattr(params, n).copy() for n in _PARAM_FIELDS})
+    tape = Tape()
+    pnodes = _register(tape, params)
+    z = projection_nodes(tape, pnodes, tape.input("x"))
+    # the builders' default masks (of no labels) are always overridden
+    no_labels = np.zeros(0, dtype=np.int64)
+    loss = tape.add(build_matching_loss(tape, z, no_labels, structure),
+                    build_contrastive_loss(tape, z, no_labels, structure,
+                                           anchored_classes, tau=tau))
     first_x, first_y = epoch_data(0)
     steps_per_epoch = max(1, math.ceil(first_y.size / schedule.batch_size))
     total_steps = schedule.epochs * steps_per_epoch
@@ -241,15 +280,13 @@ def train_projector(params: ProjectorParams, structure: StructureMatrix,
         epoch_losses = []
         for idx in _balanced_batches(y, schedule.batch_size, schedule.seed,
                                      epoch, anchored_classes):
+            feeds = batch_masks(y[idx], structure, anchored_classes)
+            feeds["x"] = x[idx]
             try:
-                tape = Tape()
-                pnodes = _register(tape, params)
-                z = projection_nodes(tape, pnodes, tape.constant(x[idx]))
-                match = build_matching_loss(tape, z, y[idx], structure)
-                cont = build_contrastive_loss(tape, z, y[idx], structure,
-                                              anchored_classes, tau=tau)
-                loss = tape.add(match, cont)
-                tape.forward({})
+                tape.forward(feeds)
+            except DegenerateInput as exc:
+                raise DegenerateInput(f"{_zero_norm_cause(feeds['x'], idx)} "
+                                      f"at step {step} (epoch {epoch})") from exc
             except InvalidInput as exc:
                 raise TrainingDiverged(f"non-finite state at step {step}: {exc}") \
                     from exc
@@ -259,12 +296,14 @@ def train_projector(params: ProjectorParams, structure: StructureMatrix,
             grads = tape.backward(loss)
             lr = cosine_lr(step, total_steps, schedule.lr_max,
                            schedule.warmup_steps)
-            for name, g in grads.items():
-                setattr(params, name, tape.param_value(name) - lr * g)
+            try:
+                sgd_step(tape, grads, lr)
+            except InvalidInput as exc:
+                raise TrainingDiverged(f"step {step}: {exc}") from exc
             epoch_losses.append(value)
             step += 1
         trace.append(float(np.mean(epoch_losses)) if epoch_losses else float("nan"))
     logger.info("projector: %d epochs, loss %.4f -> %.4f", schedule.epochs,
                 trace[0] if trace else float("nan"),
                 trace[-1] if trace else float("nan"))
-    return params, trace
+    return ProjectorParams(**{n: tape.param_value(n) for n in _PARAM_FIELDS}), trace

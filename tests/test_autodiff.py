@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from concm.autodiff import Tape, grad_check
-from concm.errors import OrderError, ShapeError
+from concm.autodiff import Tape, _expit, grad_check
+from concm.errors import DegenerateInput, InvalidInput, OrderError, ShapeError
+from concm.optim import sgd_step
 
 
 def test_linear_identity_weights_passthrough():
@@ -129,3 +130,79 @@ def test_missing_feed_raises():
     t.input("x")
     with pytest.raises(OrderError):
         t.forward({})
+
+
+def test_input_default_used_unless_fed():
+    t = Tape()
+    x = t.input("x", np.ones((1, 2)))
+    t.forward({})
+    np.testing.assert_array_equal(t.value(x), [[1.0, 1.0]])
+    t.forward({"x": np.zeros((3, 2))})
+    np.testing.assert_array_equal(t.value(x), np.zeros((3, 2)))
+
+
+def test_l2_normalize_zero_row_is_degenerate_input():
+    t = Tape()
+    t.l2_normalize(t.constant(np.array([[1.0, 0.0], [0.0, 0.0]])))
+    with pytest.raises(DegenerateInput, match=r"row\(s\) \[1\]"):
+        t.forward({})
+
+
+def expit_masked(x):
+    """The masked-index formula _expit replaced."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_expit_bitwise_equal_to_masked_formula():
+    gen = np.random.default_rng(4)
+    special = [800.0, -800.0, 0.0, -0.0, 745.0, -745.0, 1e-300, -1e-300]
+    for scale in (1.0, 30.0, 1000.0):
+        x = np.concatenate([gen.standard_normal(120) * scale, special])
+        x = x.reshape(8, 16)
+        assert _expit(x).tobytes() == expit_masked(x).tobytes()
+
+
+def test_parameter_free_subgraph_gets_no_adjoint(monkeypatch, unpruned_backward):
+    gen = np.random.default_rng(9)
+    t = Tape()
+    xn = t.l2_normalize(t.input("x"))
+    scale = t.exp(t.constant(gen.standard_normal((1, 3))))
+    w = t.param("w", gen.standard_normal((4, 3)))
+    loss = t.sum(t.softplus(t.mul(t.matmul(xn, w), scale)))
+    t.forward({"x": gen.standard_normal((5, 4))})
+    want = unpruned_backward(t, loss)
+
+    calls = []
+    real = Tape._grads
+
+    def spy(self, op, ins, out, g, pay, wanted):
+        contribs = real(self, op, ins, out, g, pay, wanted)
+        calls.append((op, out, contribs))
+        return contribs
+
+    monkeypatch.setattr(Tape, "_grads", spy)
+    got = t.backward(loss)
+    assert [op for op, _, _ in calls] == ["sum", "softplus", "mul", "matmul"]
+    free = (t.value(xn), t.value(scale))
+    assert not any(out is v for _, out, _ in calls for v in free)
+    by_op = {op: contribs for op, _, contribs in calls}
+    assert by_op["mul"][1] is None and by_op["matmul"][0] is None
+    assert got["w"].tobytes() == want["w"].tobytes()
+
+
+def test_sgd_step_updates_in_place_and_names_non_finite_param():
+    t = Tape()
+    t.param("a", np.array([[1.0, 2.0]]))
+    t.param("b", np.array([[3.0]]))
+    a = t.param_value("a")
+    g = {"a": np.array([[0.5, -0.25]]), "b": np.array([[1.0]])}
+    sgd_step(t, g, 0.1)
+    assert t.param_value("a") is a
+    assert a.tobytes() == (np.array([[1.0, 2.0]]) - 0.1 * g["a"]).tobytes()
+    with np.errstate(all="ignore"), pytest.raises(InvalidInput, match="'b'"):
+        sgd_step(t, {"a": np.zeros((1, 2)), "b": np.array([[np.inf]])}, 1.0)

@@ -165,6 +165,21 @@ def test_meta_loss_gradient_check():
     assert grad_check(tape, feeds, loss) <= 1e-4
 
 
+def test_meta_backward_pruning_keeps_gradients_bitwise(unpruned_backward):
+    # the meta graph of acceptance criterion 4, against a pass that forms
+    # every adjoint
+    kn = knowledge_fixture(seed=200)
+    tape, loss = build_meta_tape(init_calibration_params(8, 5, seed=300), kn,
+                                 ["x", "y"])
+    gen = np.random.default_rng(1)
+    tape.forward({f"{kind}_{name}": gen.standard_normal((1, 8))
+                  for kind in ("p_meta", "target") for name in ("x", "y")})
+    got, want = tape.backward(loss), unpruned_backward(tape, loss)
+    assert got.keys() == want.keys()
+    for name in got:
+        assert got[name].tobytes() == want[name].tobytes()
+
+
 def test_one_step_descends():
     from concm.optim import sgd_step
     kn = knowledge_fixture(seed=9)

@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concm import rng
 from concm.autodiff import Tape, grad_check
 from concm.errors import (DegenerateBatch, DegenerateInput, InvalidConfig,
                           LabelOutOfRange, TrainingDiverged)
-from concm.projector import (TrainBatch, TrainSchedule, build_contrastive_loss,
+from concm.optim import cosine_lr
+from concm.projector import (ProjectorParams, TrainBatch, TrainSchedule,
+                             batch_masks, build_contrastive_loss,
                              build_matching_loss, contrastive_loss,
                              init_projector_params, matching_loss, project,
                              projection_nodes, train_projector)
-from concm.projector import _register
+from concm.projector import _balanced_batches, _register
 from concm.structure import random_optimal_structure
 
 
@@ -238,3 +242,213 @@ def test_train_divergence_detected():
                           seed=0)
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
         train_projector(p, s, frozenset(), sched, training_data())
+
+
+def test_pruned_backward_bitwise_equal_on_loss_graphs(unpruned_backward):
+    # the projector graphs of acceptance criterion 4
+    labels = np.array([0, 0, 1, 1, 2, 2])
+    for point in range(3):
+        s = random_optimal_structure(3, 6, seed=point)
+        x = rng.gaussian(rng.stream(point, "acceptance-grad-x"), (6, 8))
+        p = init_projector_params(8, 8, 6, seed=100 + point)
+        graphs = []
+        t = Tape()
+        z = projection_nodes(t, _register(t, p), t.constant(x))
+        graphs.append((t, build_matching_loss(t, z, labels, s)))
+        t = Tape()
+        z = projection_nodes(t, _register(t, p), t.constant(x[:4]))
+        graphs.append((t, build_contrastive_loss(t, z, labels[:4], s,
+                                                 frozenset({1}), tau=0.07)))
+        t = Tape()
+        z = projection_nodes(t, _register(t, p), t.constant(x))
+        graphs.append((t, t.add(build_matching_loss(t, z, labels, s),
+                                build_contrastive_loss(t, z, labels, s,
+                                                       frozenset({2}), 0.07))))
+        for t, loss in graphs:
+            t.forward({})
+            got, want = t.backward(loss), unpruned_backward(t, loss)
+            for name in ("w1", "b1", "w2", "b2"):
+                assert got[name].tobytes() == want[name].tobytes()
+
+
+def session_graph(params, labels, structure, anchored, tau=0.07):
+    """The once-built training graph: features and masks are tape inputs."""
+    t = Tape()
+    z = projection_nodes(t, _register(t, params), t.input("x"))
+    loss = t.add(build_matching_loss(t, z, labels, structure),
+                 build_contrastive_loss(t, z, labels, structure, anchored, tau))
+    return t, loss
+
+
+def test_graph_built_once_serves_another_batch():
+    s = random_optimal_structure(4, 5, seed=20)
+    gen = rng.stream(20, "feed")
+    p = params_fixture(4, 4, 5, seed=21)
+    y1, a1 = np.array([0, 0, 1, 1, 2, 2]), frozenset({1})
+    y2, a2 = np.array([3, 0, 0, 2]), frozenset({2, 3})
+    x1, x2 = rng.gaussian(gen, (6, 4)), rng.gaussian(gen, (4, 4))
+    t, loss = session_graph(p, y1, s, a1)
+    assert grad_check(t, {"x": x1, **batch_masks(y1, s, a1)}, loss) <= 1e-4
+    feeds2 = {"x": x2, **batch_masks(y2, s, a2)}
+    assert grad_check(t, feeds2, loss) <= 1e-4
+    # the fed graph computes what a graph built for the second batch does
+    fresh = Tape()
+    z = projection_nodes(fresh, _register(fresh, p), fresh.constant(x2))
+    fresh_loss = fresh.add(build_matching_loss(fresh, z, y2, s),
+                           build_contrastive_loss(fresh, z, y2, s, a2, 0.07))
+    fresh.forward({})
+    t.forward(feeds2)
+    assert float(t.value(loss)) == float(fresh.value(fresh_loss))
+
+
+def test_batch_masks_checks():
+    s = random_optimal_structure(3, 5, seed=22)
+    with pytest.raises(LabelOutOfRange):
+        batch_masks(np.array([0, 3]), s, frozenset())
+    with pytest.raises(DegenerateBatch):
+        batch_masks(np.array([0, 0, 1]), s, frozenset())
+    m = batch_masks(np.array([0, 0, 1]), s, frozenset({1, 2}))
+    assert m["anchor_cols"].shape == (5, 1) and m["own"].shape == (3, 1)
+    np.testing.assert_array_equal(m["inv_pos"].ravel(), [1.0, 1.0, 1.0])
+    m = batch_masks(np.array([0, 0]), s, frozenset({2}))
+    assert m["anchor_cols"].shape == (5, 0) and m["own"].shape == (2, 0)
+
+
+def reference_train(params, structure, anchored, schedule, epoch_data, tau):
+    """train_projector as a new tape per batch, built by the public
+    builders, with copying SGD."""
+    p = ProjectorParams(**{n: getattr(params, n).copy()
+                           for n in ("w1", "b1", "w2", "b2")})
+    first_x, first_y = epoch_data(0)
+    total = schedule.epochs * max(1, math.ceil(first_y.size / schedule.batch_size))
+    step, trace = 0, []
+    for epoch in range(schedule.epochs):
+        x, y = epoch_data(epoch)
+        losses = []
+        for idx in _balanced_batches(y, schedule.batch_size, schedule.seed,
+                                     epoch, anchored):
+            t = Tape()
+            z = projection_nodes(t, _register(t, p), t.constant(x[idx]))
+            loss = t.add(build_matching_loss(t, z, y[idx], structure),
+                         build_contrastive_loss(t, z, y[idx], structure,
+                                                anchored, tau))
+            t.forward({})
+            losses.append(float(t.value(loss)))
+            grads = t.backward(loss)
+            lr = cosine_lr(step, total, schedule.lr_max, schedule.warmup_steps)
+            for name, g in grads.items():
+                setattr(p, name, t.param_value(name) - lr * g)
+            step += 1
+        trace.append(float(np.mean(losses)))
+    return p, trace
+
+
+def uneven_data(seed=0, counts=(14, 11, 7, 1), d=6):
+    centers = rng.gaussian(rng.stream(seed, "centers"), (len(counts), d)) * 2.0
+
+    def epoch_data(epoch):
+        gen = rng.stream(seed, "epoch", epoch)
+        x = np.vstack([c + 0.3 * rng.gaussian(gen, (n, d))
+                       for c, n in zip(centers, counts)])
+        return x, np.repeat(np.arange(len(counts)), counts)
+
+    return epoch_data
+
+
+@pytest.mark.parametrize("anchored", [frozenset({0, 1, 2, 3}),  # all present
+                                      frozenset({3, 4}),         # some present
+                                      frozenset({4})])           # none present
+def test_train_matches_tape_per_batch_reference(anchored):
+    s = random_optimal_structure(5, 8, seed=23)
+    p = params_fixture(6, 6, 8, seed=24)
+    sched = TrainSchedule(lr_max=0.2, epochs=3, warmup_steps=2, batch_size=10,
+                          seed=5)
+    got, got_trace = train_projector(p, s, anchored, sched, uneven_data(), tau=0.1)
+    want, want_trace = reference_train(p, s, anchored, sched, uneven_data(), 0.1)
+    assert got_trace == want_trace
+    for name in ("w1", "b1", "w2", "b2"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert not np.array_equal(getattr(got, name), getattr(p, name))
+
+
+def test_train_zero_norm_feature_row_names_cause_and_step():
+    s = random_optimal_structure(3, 8, seed=25)
+    data = training_data()
+
+    def with_zero_row(epoch):
+        x, y = data(epoch)
+        x = x.copy()
+        if epoch == 1:
+            x[5] = 0.0
+        return x, y
+
+    sched = TrainSchedule(lr_max=0.1, epochs=2, warmup_steps=0, batch_size=48,
+                          seed=0)
+    with pytest.raises(DegenerateInput, match=r"feature rows \[5\].*step 1"):
+        train_projector(params_fixture(6, 6, 8), s, frozenset(), sched,
+                        with_zero_row)
+
+
+def test_train_zero_norm_projection_names_cause():
+    s = random_optimal_structure(3, 8, seed=26)
+    p = params_fixture(6, 6, 8)
+    p.w2[:] = 0.0
+    sched = TrainSchedule(lr_max=0.1, epochs=1, warmup_steps=0, batch_size=48,
+                          seed=0)
+    with pytest.raises(DegenerateInput, match="projected row.*step 0"):
+        train_projector(p, s, frozenset(), sched, training_data())
+
+
+def test_train_non_finite_parameter_names_it():
+    s = random_optimal_structure(3, 8, seed=27)
+    sched = TrainSchedule(lr_max=math.inf, epochs=1, warmup_steps=0,
+                          batch_size=24, seed=0)
+    with np.errstate(all="ignore"), \
+            pytest.raises(TrainingDiverged, match="step 0: param 'w1'"):
+        train_projector(params_fixture(6, 6, 8), s, frozenset(), sched,
+                        training_data())
+
+
+def balanced_batches_loop(labels, batch_size, seed, epoch, anchored):
+    """The per-sample round-robin loop _balanced_batches replaced."""
+    gen = rng.stream(seed, "batches", epoch)
+    classes = np.unique(labels)
+    order = classes[rng.permutation(gen, classes.size)]
+    streams = {c: np.flatnonzero(labels == c)[rng.permutation(
+        gen, int((labels == c).sum()))] for c in order}
+    interleaved = []
+    cursors = {c: 0 for c in order}
+    remaining = sum(s.size for s in streams.values())
+    while remaining:
+        for c in order:
+            if cursors[c] < streams[c].size:
+                interleaved.append(int(streams[c][cursors[c]]))
+                cursors[c] += 1
+                remaining -= 1
+    batches = []
+    for start in range(0, len(interleaved), batch_size):
+        idx = np.asarray(interleaved[start:start + batch_size])
+        batch_labels = labels[idx]
+        uniq, counts = np.unique(batch_labels, return_counts=True)
+        lonely = {int(c) for c, n in zip(uniq, counts)
+                  if n == 1 and int(c) not in anchored}
+        if lonely:
+            idx = idx[~np.isin(batch_labels, sorted(lonely))]
+        if idx.size >= 2:
+            batches.append(idx)
+    return batches
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=st.lists(st.integers(0, 7), max_size=60),
+       anchored=st.frozensets(st.integers(0, 9), max_size=4),
+       batch_size=st.integers(1, 25), seed=st.integers(0, 3),
+       epoch=st.integers(0, 3))
+def test_balanced_batches_match_round_robin_loop(labels, anchored, batch_size,
+                                                 seed, epoch):
+    labels = np.asarray(labels, dtype=np.int64)
+    got = _balanced_batches(labels, batch_size, seed, epoch, anchored)
+    want = balanced_batches_loop(labels, batch_size, seed, epoch, anchored)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)

@@ -140,8 +140,15 @@ class Tape:
     def log(self, a: int) -> int:
         return self._push("log", (a,))
 
-    def softmax(self, a: int, axis: int = 1) -> int:
-        return self._push("softmax", (a,), axis)
+    def softmax(self, a: int, axis: int = 1, mask=None) -> int:
+        """Softmax along ``axis``; entries where the boolean ``mask`` is
+        False get weight exactly 0.  Every slice must keep one entry."""
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
+            if mask.ndim != 2 or not mask.any(axis=axis).all():
+                raise InvalidInput("softmax mask must be 2-D and leave every "
+                                   "slice an unmasked entry")
+        return self._push("softmax", (a,), (axis, mask))
 
     def log_softmax(self, a: int, axis: int = 1) -> int:
         return self._push("log_softmax", (a,), axis)
@@ -160,6 +167,10 @@ class Tape:
 
     def scale(self, a: int, c: float) -> int:
         return self._push("scale", (a,), float(c))
+
+    def stack(self, nodes: list[int]) -> int:
+        """Row-wise concatenation of 2-D nodes with equal column counts."""
+        return self._push("stack", tuple(nodes))
 
     # ---- parameter access --------------------------------------------------
 
@@ -229,10 +240,15 @@ class Tape:
         if op == "log":
             return np.log(a[0])
         if op == "softmax":
+            axis, mask = pay
             x = a[0]
-            sh = x - x.max(axis=pay, keepdims=True)
+            if mask is not None:
+                if mask.shape != x.shape:
+                    raise ShapeError(f"softmax: mask shape {mask.shape} != {x.shape}")
+                x = np.where(mask, x, -np.inf)
+            sh = x - x.max(axis=axis, keepdims=True)
             e = np.exp(sh)
-            return e / e.sum(axis=pay, keepdims=True)
+            return e / e.sum(axis=axis, keepdims=True)
         if op == "log_softmax":
             x = a[0]
             sh = x - x.max(axis=pay, keepdims=True)
@@ -255,6 +271,10 @@ class Tape:
             return np.asarray((x * y).sum())
         if op == "scale":
             return a[0] * pay
+        if op == "stack":
+            if any(x.ndim != 2 or x.shape[1] != a[0].shape[1] for x in a):
+                raise ShapeError(f"stack: incompatible shapes {[x.shape for x in a]}")
+            return np.vstack(a)
         raise ShapeError(f"unknown op {op!r}")  # pragma: no cover
 
     def value(self, node: int) -> np.ndarray:
@@ -326,7 +346,8 @@ class Tape:
         if op == "log":
             return (g / ins[0],)
         if op == "softmax":
-            dot = (g * out).sum(axis=pay, keepdims=True)
+            # masked entries have out == 0, so they get no adjoint
+            dot = (g * out).sum(axis=pay[0], keepdims=True)
             return (out * (g - dot),)
         if op == "log_softmax":
             sm = np.exp(out)
@@ -342,6 +363,9 @@ class Tape:
             return (np.broadcast_to(g / count, ins[0].shape).copy(),)
         if op == "scale":
             return (g * pay,)
+        if op == "stack":
+            parts = np.split(g, np.cumsum([x.shape[0] for x in ins])[:-1])
+            return tuple(p if w else None for p, w in zip(parts, want))
         raise ShapeError(f"unknown op {op!r}")  # pragma: no cover
 
 

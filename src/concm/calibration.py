@@ -4,10 +4,15 @@ A few-shot prototype is calibrated by cross-attention over the attribute
 pool: relevance scores combine a semantic term (word-embedding similarity
 between attribute and class, scaled by 1/(2 sqrt(d_s))) and a visual term
 (similarity between attribute prototype and class prototype, scaled by
-1/(2 sqrt(d_f))), masked to the class's associated attributes.  The
-encoder output of the prototype plus the softmax-weighted encoder outputs
-of the associated attribute prototypes feed a linear decoder that emits
-the calibrated prototype.
+1/(2 sqrt(d_f))).  The encoder output of the prototype plus the
+softmax-weighted encoder outputs of the associated attribute prototypes
+feed a linear decoder that emits the calibrated prototype.
+
+One graph serves C classes at once: the scores form a C x N_a matrix
+(two matmul chains), the softmax over each class's associated attributes
+is a softmax masked by the transposed association matrix R^T, and
+aggregation and decoding are one matmul each.  Meta-training builds it for
+all base classes; ``calibrate`` builds it for the one queried class.
 
 Training is episodic on base classes: every episode draws K shots per
 class, and the network regresses the shot prototypes onto the exact base
@@ -23,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .attributes import SemanticKnowledge
+from .attributes import AttributePool, SemanticKnowledge
 from .autodiff import Tape
 from .data import FeatureSet
 from .errors import AllMasked, InsufficientSamples, InvalidConfig, ShapeError
@@ -98,43 +103,42 @@ def _read_params(tape: Tape, params: CalibrationParams) -> CalibrationParams:
     return replace(params, **{name: tape.param_value(name) for name in _PARAM_FIELDS})
 
 
-def _selected(knowledge: SemanticKnowledge, class_name: str) -> np.ndarray:
-    col = knowledge.assoc.column(class_name)
-    sel = np.flatnonzero(col)
-    if sel.size == 0:
-        raise AllMasked(f"class {class_name!r} has no associated pool attribute")
-    return sel
+def _mask(knowledge: SemanticKnowledge, class_names: list[str]) -> np.ndarray:
+    """(C, N_a) rows of R^T for the classes; an empty row raises AllMasked."""
+    mask = np.array([knowledge.assoc.column(name) for name in class_names],
+                    dtype=bool)
+    for name, row in zip(class_names, mask):
+        if not row.any():
+            raise AllMasked(f"class {name!r} has no associated pool attribute")
+    return mask
 
 
-def _calibration_nodes(tape: Tape, pnodes: dict[str, int], proto_node: int,
-                       class_name: str, knowledge: SemanticKnowledge
-                       ) -> tuple[int, int]:
-    """Append the calibration subgraph; returns (score node, output node).
+def _calibration_nodes(tape: Tape, pnodes: dict[str, int], protos: int,
+                       class_semantic: np.ndarray, mask: np.ndarray,
+                       pool: AttributePool) -> tuple[int, int]:
+    """Append the calibration graph of C classes; returns (scores, out).
 
-    The score node is (1, n_sel): relevance scores of the class's associated
-    attributes in pool order.  The output node is the (1, d_f) calibrated
-    prototype.
+    ``protos`` is a (C, d_f) node of class prototypes, ``class_semantic``
+    the (C, d_s) class embeddings and ``mask`` the (C, N_a) associations.
+    The score node is (C, N_a): relevance scores over the whole pool.  The
+    output node is (C, d_f): the calibrated prototypes.
     """
-    pool = knowledge.pool
-    sel = _selected(knowledge, class_name)
-    s_sel = tape.constant(pool.semantic[sel])
-    f_sel = tape.constant(pool.visual[sel])
-    s_cls = tape.constant(knowledge.class_semantic[class_name].reshape(1, -1))
+    s_pool = tape.constant(pool.semantic)
+    f_pool = tape.constant(pool.visual)
+    sem = tape.matmul(
+        tape.matmul(tape.constant(class_semantic), pnodes["g_sem_cls"]),
+        tape.transpose(tape.matmul(s_pool, pnodes["g_sem_attr"])))
+    vis = tape.matmul(tape.matmul(protos, pnodes["g_vis_cls"]),
+                      tape.transpose(tape.matmul(f_pool, pnodes["g_vis_attr"])))
+    scores = tape.add(tape.scale(sem, 1.0 / (2.0 * math.sqrt(pool.d_s))),
+                      tape.scale(vis, 1.0 / (2.0 * math.sqrt(pool.d_f))))
 
-    sem = tape.matmul(tape.matmul(s_sel, pnodes["g_sem_attr"]),
-                      tape.transpose(tape.matmul(s_cls, pnodes["g_sem_cls"])))
-    sem = tape.scale(sem, 1.0 / (2.0 * math.sqrt(pool.d_s)))
-    vis = tape.matmul(tape.matmul(f_sel, pnodes["g_vis_attr"]),
-                      tape.transpose(tape.matmul(proto_node, pnodes["g_vis_cls"])))
-    vis = tape.scale(vis, 1.0 / (2.0 * math.sqrt(pool.d_f)))
-    scores = tape.transpose(tape.add(sem, vis))        # (1, n_sel)
-
-    weights = tape.softmax(scores, axis=1)
-    enc_attr = tape.softplus(tape.add(tape.matmul(f_sel, pnodes["w_enc"]),
+    def encode(x: int) -> int:
+        return tape.softplus(tape.add(tape.matmul(x, pnodes["w_enc"]),
                                       pnodes["b_enc"]))
-    enc_proto = tape.softplus(tape.add(tape.matmul(proto_node, pnodes["w_enc"]),
-                                       pnodes["b_enc"]))
-    agg = tape.add(enc_proto, tape.matmul(weights, enc_attr))
+
+    weights = tape.softmax(scores, axis=1, mask=mask)
+    agg = tape.add(encode(protos), tape.matmul(weights, encode(f_pool)))
     out = tape.add(tape.matmul(agg, pnodes["w_dec"]), pnodes["b_dec"])
     return scores, out
 
@@ -150,45 +154,35 @@ def _check_dims(proto: Prototype, s_k: np.ndarray, knowledge: SemanticKnowledge,
         raise ShapeError("calibration params do not match the pool dimensions")
 
 
+def _calibrate_one(proto: Prototype, s_k, knowledge: SemanticKnowledge,
+                   params: CalibrationParams) -> tuple[Tape, int, int, np.ndarray]:
+    """Evaluated single-class graph, with s_k as the class embedding;
+    returns (tape, score node, output node, mask)."""
+    s_k = np.asarray(s_k, dtype=np.float64)
+    _check_dims(proto, s_k, knowledge, params)
+    mask = _mask(knowledge, [proto.class_name])
+    tape = Tape()
+    scores, out = _calibration_nodes(
+        tape, _register_params(tape, params),
+        tape.constant(proto.mean.reshape(1, -1)), s_k.reshape(1, -1), mask,
+        knowledge.pool)
+    tape.forward({})
+    return tape, scores, out, mask
+
+
 def relevance_weights(proto: Prototype, s_k: np.ndarray,
                       knowledge: SemanticKnowledge,
                       params: CalibrationParams) -> np.ndarray:
     """Masked relevance scores over the whole pool; masked entries are 0."""
-    s_k = np.asarray(s_k, dtype=np.float64)
-    _check_dims(proto, s_k, knowledge, params)
-    kn = _scoped_knowledge(knowledge, proto.class_name, s_k)
-    sel = _selected(kn, proto.class_name)
-    tape = Tape()
-    pnodes = _register_params(tape, params)
-    p_node = tape.constant(proto.mean.reshape(1, -1))
-    scores, _ = _calibration_nodes(tape, pnodes, p_node, proto.class_name, kn)
-    tape.forward({})
-    full = np.zeros(kn.pool.size)
-    full[sel] = tape.value(scores).ravel()
-    return full
+    tape, scores, _, mask = _calibrate_one(proto, s_k, knowledge, params)
+    return np.where(mask, tape.value(scores), 0.0).ravel()
 
 
 def calibrate(proto: Prototype, s_k: np.ndarray, knowledge: SemanticKnowledge,
               params: CalibrationParams) -> Prototype:
     """Calibrated prototype via encode, attribute aggregation, decode."""
-    s_k = np.asarray(s_k, dtype=np.float64)
-    _check_dims(proto, s_k, knowledge, params)
-    kn = _scoped_knowledge(knowledge, proto.class_name, s_k)
-    tape = Tape()
-    pnodes = _register_params(tape, params)
-    p_node = tape.constant(proto.mean.reshape(1, -1))
-    _, out = _calibration_nodes(tape, pnodes, p_node, proto.class_name, kn)
-    tape.forward({})
+    tape, _, out, _ = _calibrate_one(proto, s_k, knowledge, params)
     return replace(proto, mean=tape.value(out).ravel(), source="calibrated")
-
-
-def _scoped_knowledge(knowledge: SemanticKnowledge, class_name: str,
-                      s_k: np.ndarray) -> SemanticKnowledge:
-    """Knowledge view where class_name's embedding is the supplied one."""
-    merged = dict(knowledge.class_semantic)
-    merged[class_name] = s_k
-    return SemanticKnowledge(pool=knowledge.pool, class_semantic=merged,
-                             assoc=knowledge.assoc)
 
 
 def blend(raw: Prototype, calibrated: Prototype, alpha: float) -> Prototype:
@@ -210,21 +204,19 @@ class MetaTrainConfig:
 
 def build_meta_tape(params: CalibrationParams, knowledge: SemanticKnowledge,
                     class_names: list[str]) -> tuple[Tape, int]:
-    """Tape computing the mean per-class MSE between calibrated shot
-    prototypes (inputs ``p_meta_<name>``) and exact means (``target_<name>``)."""
+    """Tape computing the MSE between calibrated shot prototypes (inputs
+    ``p_meta_<name>``, one row each) and exact means (``target_<name>``),
+    averaged over all classes and dimensions."""
     tape = Tape()
-    pnodes = _register_params(tape, params)
-    losses = []
-    for name in class_names:
-        p_node = tape.input(f"p_meta_{name}")
-        target = tape.input(f"target_{name}")
-        _, out = _calibration_nodes(tape, pnodes, p_node, name, knowledge)
-        diff = tape.sub(out, target)
-        losses.append(tape.mean(tape.mul(diff, diff)))
-    total = losses[0]
-    for node in losses[1:]:
-        total = tape.add(total, node)
-    return tape, tape.scale(total, 1.0 / len(losses))
+    protos = tape.stack([tape.input(f"p_meta_{name}") for name in class_names])
+    targets = tape.stack([tape.input(f"target_{name}") for name in class_names])
+    semantic = np.array([knowledge.class_semantic[name] for name in class_names],
+                        dtype=np.float64)
+    _, out = _calibration_nodes(tape, _register_params(tape, params), protos,
+                                semantic, _mask(knowledge, class_names),
+                                knowledge.pool)
+    diff = tape.sub(out, targets)
+    return tape, tape.mean(tape.mul(diff, diff))
 
 
 def meta_train(base_features: FeatureSet, knowledge: SemanticKnowledge,

@@ -1,8 +1,9 @@
 """Feature sets and file formats.
 
 Feature CSV: header ``label,class_name,f0,...,f{d-1}``; labels are
-nonnegative integers, contiguous from 0 within a file; floats are written
-with repr() so a write-read round trip is exact.
+nonnegative integers, contiguous from 0 within a file; a row needs one
+nonzero feature, since a zero vector has no direction to project; floats
+are written with repr() so a write-read round trip is exact.
 
 Manifest JSON: ``{"base": path, "sessions": [path, ...], "attributes":
 path, "semantic": path}`` plus optional ``"tests"`` (one file per session,
@@ -91,6 +92,8 @@ def load_features(path) -> FeatureSet:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if label < 0:
             raise SchemaError(f"{path}:{lineno}: negative label")
+        if not any(vec):
+            raise SchemaError(f"{path}:{lineno}: all-zero feature row")
         if dim is None:
             dim = len(vec)
         rows.append((label, row[1], vec))

@@ -17,18 +17,6 @@ class InvalidConfig(ValidationError):
     """Configuration value out of its documented range."""
 
 
-class NoConvergence(ConcmError):
-    """Iterative routine exhausted its iteration cap.
-
-    Carries the cap and tolerance so callers can report them.
-    """
-
-    def __init__(self, message: str, cap: int, tol: float):
-        super().__init__(f"{message} (cap={cap}, tol={tol:g})")
-        self.cap = cap
-        self.tol = tol
-
-
 class ShapeError(ConcmError):
     """Array shapes are inconsistent with the requested operation."""
 

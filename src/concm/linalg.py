@@ -1,23 +1,14 @@
-"""Dense linear-algebra kernels: validation helpers and a compact SVD.
+"""Dense linear-algebra kernels: input validation and a compact SVD.
 
-The SVD is a one-sided Jacobi iteration (Hestenes): columns of the input
-are rotated pairwise until mutually orthogonal, at which point the column
-norms are the singular values.  Pairs are scheduled round-robin so each
-round touches disjoint columns and can be applied as one vectorized
-update.  The factorization is made deterministic by a sign convention on
-the right-singular vectors and by completing any null columns of W with a
-fixed Gram-Schmidt procedure, so W is always column-orthonormal even for
-rank-deficient input.
+The SVD is LAPACK's, through ``np.linalg.svd``; its factors depend on the
+numpy/BLAS build, like every matmul.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInput, NoConvergence
-
-_SWEEP_CAP = 60
-_PAIR_TOL = 1e-14
+from .errors import InvalidInput
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -30,125 +21,18 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _round_robin_rounds(n: int) -> list[np.ndarray]:
-    """Column-pair schedule: n-1 rounds (n even) of disjoint pairs."""
-    m = n if n % 2 == 0 else n + 1
-    idx = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = [
-            (min(idx[i], idx[m - 1 - i]), max(idx[i], idx[m - 1 - i]))
-            for i in range(m // 2)
-            if idx[i] < n and idx[m - 1 - i] < n
-        ]
-        rounds.append(np.asarray(pairs, dtype=np.intp).reshape(-1, 2))
-        idx = [idx[0], idx[-1]] + idx[1:-1]
-    return rounds
-
-
-def _complete_orthonormal(w: np.ndarray, null_cols: np.ndarray) -> None:
-    """Fill null columns of w with unit vectors orthogonal to all others.
-
-    Candidates are taken from the standard basis in index order, making the
-    completion deterministic.  Modifies w in place.
-    """
-    d = w.shape[0]
-    known = [w[:, j] for j in range(w.shape[1]) if j not in set(null_cols.tolist())]
-    for j in null_cols:
-        for i in range(d):
-            v = np.zeros(d)
-            v[i] = 1.0
-            for u in known:
-                v -= (u @ v) * u
-            nv = np.linalg.norm(v)
-            if nv > 0.1:
-                v /= nv
-                # one re-orthogonalization pass for numerical safety
-                for u in known:
-                    v -= (u @ v) * u
-                v /= np.linalg.norm(v)
-                w[:, j] = v
-                known.append(v)
-                break
-        else:  # pragma: no cover - d independent unit vectors always exist
-            raise InvalidInput("failed to complete orthonormal basis")
-
-
 def svd_compact(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Compact SVD of a d x n matrix with d >= n.
 
     Returns (w, lam, v) with w: d x n column-orthonormal, lam: length-n
     singular values sorted descending, v: n x n orthogonal, such that
-    w @ diag(lam) @ v.T reconstructs the input.  Each right-singular
-    vector's first non-negligible component is made positive, and null
-    columns of w are completed deterministically, so the factorization is
-    reproducible for identical inputs.
+    w @ diag(lam) @ v.T reconstructs the input.
 
-    Raises InvalidInput for non-finite input or d < n, NoConvergence if the
-    Jacobi sweeps do not orthogonalize the columns within the sweep cap.
+    Raises InvalidInput for non-finite or non-2-D input or d < n.
     """
     a = as_matrix(m)
     d, n = a.shape
     if d < n:
         raise InvalidInput(f"svd_compact requires d >= n, got {d} x {n}")
-    if n == 0:
-        return np.zeros((d, 0)), np.zeros(0), np.zeros((0, 0))
-
-    cols = a.copy()
-    v = np.eye(n)
-    rounds = _round_robin_rounds(n)
-    for _ in range(_SWEEP_CAP):
-        converged = True
-        for pairs in rounds:
-            if pairs.size == 0:
-                continue
-            p, q = pairs[:, 0], pairs[:, 1]
-            x, y = cols[:, p], cols[:, q]
-            alpha = np.einsum("ij,ij->j", x, x)
-            beta = np.einsum("ij,ij->j", y, y)
-            gamma = np.einsum("ij,ij->j", x, y)
-            scale = np.sqrt(alpha * beta)
-            need = np.abs(gamma) > _PAIR_TOL * scale
-            if not np.any(need):
-                continue
-            converged = False
-            pn, qn = p[need], q[need]
-            an, bn, gn = alpha[need], beta[need], gamma[need]
-            zeta = (bn - an) / (2.0 * gn)
-            sgn = np.where(zeta >= 0.0, 1.0, -1.0)
-            t = sgn / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = c * t
-            xn, yn = cols[:, pn], cols[:, qn]
-            cols[:, pn] = c * xn - s * yn
-            cols[:, qn] = s * xn + c * yn
-            xv, yv = v[:, pn], v[:, qn]
-            v[:, pn] = c * xv - s * yv
-            v[:, qn] = s * xv + c * yv
-        if converged:
-            break
-    else:
-        raise NoConvergence("one-sided Jacobi SVD did not converge",
-                            cap=_SWEEP_CAP, tol=_PAIR_TOL)
-
-    lam = np.linalg.norm(cols, axis=0)
-    order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    cols = cols[:, order]
-    v = v[:, order]
-
-    w = np.zeros((d, n))
-    null_tol = (lam[0] if lam[0] > 0.0 else 1.0) * 1e-12
-    nonnull = lam > null_tol
-    w[:, nonnull] = cols[:, nonnull] / lam[nonnull]
-    null_cols = np.flatnonzero(~nonnull)
-    if null_cols.size:
-        _complete_orthonormal(w, null_cols)
-
-    # sign convention: first non-negligible component of each v column positive
-    for j in range(n):
-        nz = np.flatnonzero(np.abs(v[:, j]) > 1e-12)
-        if nz.size and v[nz[0], j] < 0.0:
-            v[:, j] = -v[:, j]
-            w[:, j] = -w[:, j]
-    return w, lam, v
+    w, lam, vt = np.linalg.svd(a, full_matrices=False)
+    return w, lam, vt.T

@@ -5,8 +5,8 @@ a simplex equiangular tight frame (ETF): pairwise inner products equal to
 -1/(N-1).  Each session re-synthesizes the ETF closest to an initial
 structure (projected class means, with previous columns carried over
 unchanged) by solving the orthogonally constrained trace maximization via
-compact SVD.  The result keeps the target geometry optimal while changing
-the layout as little as possible.
+LAPACK's compact SVD.  The result keeps the target geometry optimal while
+changing the layout as little as possible.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .errors import (DegenerateEmbedding, DegenerateInput, DimensionTooSmall,
 from .linalg import as_matrix, svd_compact
 
 logger = logging.getLogger("concm.structure")
-
-_RANK_NOISE_SEED = 0x5EED
 
 
 @dataclass(frozen=True)
@@ -110,8 +108,9 @@ def nearest_optimal_structure(init: InitialStructure) -> StructureMatrix:
     maximizes trace(init^T target).
 
     Raises DimensionTooSmall unless dim > num_classes >= 2.  A centered
-    matrix of rank < N-1 (duplicate columns) is perturbed with seeded 1e-10
-    noise and flagged in the result.
+    matrix of rank < N-1 (duplicate columns) is flagged in the result; the
+    update is still an ETF of maximal trace, since W V^T has orthonormal
+    columns whatever null-space basis the SVD picks.
     """
     cols = as_matrix(init.columns, "initial structure")
     d, n = cols.shape
@@ -122,12 +121,10 @@ def nearest_optimal_structure(init: InitialStructure) -> StructureMatrix:
     m = centering(n)
     centered = cols @ m
     w, lam, v = svd_compact(centered)
-    deficient = bool(np.sum(lam > max(lam[0], 1e-300) * 1e-10) < n - 1)
+    # relative to the input's scale: the centered matrix may be all rounding
+    deficient = bool(np.sum(lam > 1e-10 * np.linalg.norm(cols)) < n - 1)
     if deficient:
-        logger.warning("centered initial structure is rank deficient; "
-                       "perturbing with 1e-10 noise")
-        noise = rng.gaussian(rng.stream(_RANK_NOISE_SEED, "rank-repair", d, n), (d, n))
-        w, lam, v = svd_compact(centered + 1e-10 * noise)
+        logger.warning("centered initial structure is rank deficient")
     u = w @ v.T
     scale = np.sqrt(n / (n - 1.0))
     out = scale * (u @ m)

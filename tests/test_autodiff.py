@@ -82,6 +82,51 @@ def test_normalize_softmax_log_chain_gradients():
     assert grad_check(t2, {}, loss2) <= 1e-6
 
 
+def test_masked_softmax_weights_and_gradients():
+    gen = np.random.default_rng(6)
+    x = gen.standard_normal((3, 5))
+    mask = np.array([[1, 0, 1, 1, 0], [0, 0, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=bool)
+    t = Tape()
+    p = t.param("p", x)
+    w = t.softmax(p, axis=1, mask=mask)
+    loss = t.sum(t.mul(w, t.constant(gen.standard_normal((3, 5)))))
+    t.forward({})
+    out = t.value(w)
+    assert np.all(out[~mask] == 0.0)
+    for i in range(3):
+        sel = x[i, mask[i]]
+        e = np.exp(sel - sel.max())
+        np.testing.assert_allclose(out[i, mask[i]], e / e.sum(), rtol=1e-15)
+    assert np.all(t.backward(loss)["p"][~mask] == 0.0)
+    assert grad_check(t, {}, loss) <= 1e-6
+
+
+def test_masked_softmax_rejects_empty_slice_and_bad_shape():
+    t = Tape()
+    a = t.constant(np.zeros((2, 3)))
+    with pytest.raises(InvalidInput):
+        t.softmax(a, mask=np.array([[1, 0, 0], [0, 0, 0]]))
+    t.softmax(a, mask=np.ones((2, 2)))
+    with pytest.raises(ShapeError):
+        t.forward({})
+
+
+def test_stack_rows_of_params():
+    gen = np.random.default_rng(8)
+    a, b = gen.standard_normal((1, 3)), gen.standard_normal((2, 3))
+    c = gen.standard_normal((1, 3))
+    t = Tape()
+    s = t.stack([t.param("a", a), t.constant(c), t.param("b", b)])
+    out = t.softplus(t.matmul(s, t.constant(gen.standard_normal((3, 4)))))
+    loss = t.mean(t.mul(out, out))
+    t.forward({})
+    np.testing.assert_array_equal(t.value(s), np.vstack([a, c, b]))
+    assert grad_check(t, {}, loss) <= 1e-7
+    t.stack([t.constant(a), t.constant(np.ones((1, 2)))])
+    with pytest.raises(ShapeError):
+        t.forward({})
+
+
 def test_backward_before_forward_raises():
     t = Tape()
     x = t.param("x", np.ones((1, 2)))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concm.attributes import AssociationMatrix, AttributePool, SemanticKnowledge
 from concm.autodiff import grad_check
@@ -34,6 +36,10 @@ def test_all_masked_raises():
     proto = Prototype(0, "x", np.ones(8), "raw", 5)
     with pytest.raises(AllMasked):
         relevance_weights(proto, kn.class_semantic["x"], kn, params)
+    # the all-class graph names the empty class when it is built
+    kn = knowledge_fixture(mask=np.array([[1, 0], [1, 0], [0, 0], [1, 0]]))
+    with pytest.raises(AllMasked, match="'y'"):
+        build_meta_tape(params, kn, ["x", "y"])
 
 
 def test_identity_attention_score_value():
@@ -62,6 +68,23 @@ def test_identity_attention_score_value():
     assert w2[0] == pytest.approx(expected + 2.0 * semantic_term, abs=1e-12)
 
 
+def untaped_calibrate(mean, s_k, sel, pool, params):
+    """Per-class reference: softmax over the class's associated attributes
+    (pool rows ``sel``), encode, aggregate, decode."""
+    def softplus(v):
+        return np.logaddexp(0.0, v)
+
+    s_sel, f_sel = pool.semantic[sel], pool.visual[sel]
+    sem = (s_sel @ params.g_sem_attr) @ (s_k @ params.g_sem_cls)
+    vis = (f_sel @ params.g_vis_attr) @ (mean @ params.g_vis_cls)
+    scores = sem / (2 * math.sqrt(pool.d_s)) + vis / (2 * math.sqrt(pool.d_f))
+    w = np.exp(scores - scores.max())
+    w /= w.sum()
+    enc = lambda m: softplus(m @ params.w_enc + params.b_enc)
+    xi = enc(mean[None]) + w[None] @ enc(f_sel)
+    return (xi @ params.w_dec + params.b_dec).ravel()
+
+
 def test_calibrate_matches_untaped_reimplementation():
     kn = knowledge_fixture(seed=3)
     params = init_calibration_params(8, 5, seed=1)
@@ -69,22 +92,51 @@ def test_calibrate_matches_untaped_reimplementation():
     proto = Prototype(0, "x", gen.standard_normal(8), "raw", 5)
     s_k = kn.class_semantic["x"]
     out = calibrate(proto, s_k, kn, params)
-
-    def softplus(v):
-        return np.logaddexp(0.0, v)
-
-    sel = np.flatnonzero(kn.assoc.column("x"))
-    s_sel, f_sel = kn.pool.semantic[sel], kn.pool.visual[sel]
-    sem = (s_sel @ params.g_sem_attr) @ (s_k @ params.g_sem_cls)
-    vis = (f_sel @ params.g_vis_attr) @ (proto.mean @ params.g_vis_cls)
-    scores = sem / (2 * math.sqrt(5)) + vis / (2 * math.sqrt(8))
-    w = np.exp(scores - scores.max())
-    w /= w.sum()
-    enc = lambda m: softplus(m @ params.w_enc + params.b_enc)
-    xi = enc(proto.mean[None]) + w[None] @ enc(f_sel)
-    manual = (xi @ params.w_dec + params.b_dec).ravel()
+    manual = untaped_calibrate(proto.mean, s_k,
+                               np.flatnonzero(kn.assoc.column("x")), kn.pool,
+                               params)
     np.testing.assert_allclose(out.mean, manual, rtol=1e-12, atol=1e-12)
     assert out.source == "calibrated"
+
+
+@st.composite
+def calibration_problems(draw):
+    n_cls, n_attr = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    d_f, d_s = draw(st.integers(2, 8)), draw(st.integers(1, 5))
+    rows = []
+    for _ in range(n_cls):
+        bits = draw(st.lists(st.booleans(), min_size=n_attr, max_size=n_attr))
+        bits[draw(st.integers(0, n_attr - 1))] = True  # at least one attribute
+        rows.append(bits)
+    classes = tuple(f"c{i}" for i in range(n_cls))
+    kn = knowledge_fixture(d_f=d_f, d_s=d_s, n_attr=n_attr, classes=classes,
+                           seed=draw(st.integers(0, 2 ** 16)),
+                           mask=np.array(rows).T)
+    return kn, classes, draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=calibration_problems())
+def test_one_graph_matches_per_class_reference(problem):
+    kn, classes, seed = problem
+    params = init_calibration_params(kn.pool.d_f, kn.pool.d_s, seed=seed % 97)
+    gen = np.random.default_rng(seed)
+    feeds = {f"{kind}_{name}": gen.standard_normal((1, kn.pool.d_f))
+             for kind in ("p_meta", "target") for name in classes}
+    tape, loss = build_meta_tape(params, kn, list(classes))
+    tape.forward(feeds)
+    per_class = []
+    for name in classes:
+        mean = feeds[f"p_meta_{name}"].ravel()
+        want = untaped_calibrate(mean, kn.class_semantic[name],
+                                 np.flatnonzero(kn.assoc.column(name)), kn.pool,
+                                 params)
+        got = calibrate(Prototype(0, name, mean, "raw", 5),
+                        kn.class_semantic[name], kn, params)
+        np.testing.assert_allclose(got.mean, want, rtol=1e-12, atol=1e-12)
+        per_class.append(np.mean((want - feeds[f"target_{name}"].ravel()) ** 2))
+    np.testing.assert_allclose(float(tape.value(loss)), np.mean(per_class),
+                               rtol=1e-12)
 
 
 def test_calibrate_single_attribute_weight_one():

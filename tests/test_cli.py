@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -120,6 +121,25 @@ def test_exit_codes(dataset, tmp_path, capsys):
                "--config", str(p2), "--out", str(tmp_path / "o2")])
     assert rc == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", ["base", "sessions", "tests"])
+def test_run_all_zero_feature_row_is_validation_error(dataset, tmp_path, kind,
+                                                      capsys):
+    # rejected at load with file:line, before any training
+    data = tmp_path / "data"
+    shutil.copytree(dataset / "data", data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    target = data / (manifest[kind] if kind == "base" else manifest[kind][-1])
+    lines = target.read_text().splitlines()
+    fields = lines[3].split(",")
+    lines[3] = ",".join(fields[:2] + ["0.0"] * (len(fields) - 2))
+    target.write_text("\n".join(lines) + "\n")
+    rc = main(["run", "--manifest", str(data / "manifest.json"),
+               "--config", str(dataset / "run_cfg.json"),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert f"{target.name}:4: all-zero feature row" in capsys.readouterr().err
 
 
 def test_report_missing_field_names_it(tmp_path, capsys):

@@ -83,3 +83,11 @@ def test_manifest_bad_json_reports_location(tmp_path):
     (tmp_path / "m.json").write_text('{"base": ')
     with pytest.raises(ParseError):
         load_manifest(tmp_path / "m.json")
+
+
+@pytest.mark.parametrize("row", ["0.0,0.0", "-0.0,0.0"])
+def test_all_zero_row_rejected_with_line(tmp_path, row):
+    p = tmp_path / "z.csv"
+    p.write_text(f"label,class_name,f0,f1\n0,x,1.0,0.0\n1,y,{row}\n")
+    with pytest.raises(SchemaError, match=r"z\.csv:3: all-zero feature row"):
+        load_features(p)

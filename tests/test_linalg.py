@@ -77,16 +77,12 @@ def test_zero_matrix():
     assert np.abs(w.T @ w - np.eye(2)).max() <= 1e-12
 
 
-def test_deterministic_and_sign_convention():
+def test_deterministic():
     a = rng.gaussian(rng.stream(9, "svd-det"), (9, 4))
     first = svd_compact(a)
     second = svd_compact(a.copy())
     for x, y in zip(first, second):
         assert np.array_equal(x, y)
-    v = first[2]
-    for j in range(v.shape[1]):
-        nz = np.flatnonzero(np.abs(v[:, j]) > 1e-12)
-        assert v[nz[0], j] > 0.0
 
 
 def test_invalid_inputs():
@@ -97,12 +93,3 @@ def test_invalid_inputs():
     with pytest.raises(InvalidInput):
         svd_compact(np.ones(3))  # not 2-D
 
-
-def test_sweep_cap_reports_cap_and_tolerance(monkeypatch):
-    import concm.linalg as linalg
-    from concm.errors import NoConvergence
-    monkeypatch.setattr(linalg, "_SWEEP_CAP", 1)
-    a = rng.gaussian(rng.stream(3, "svd-cap"), (8, 5))
-    with pytest.raises(NoConvergence) as exc:
-        linalg.svd_compact(a)
-    assert exc.value.cap == 1 and exc.value.tol > 0.0

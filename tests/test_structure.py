@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concm import rng
 from concm.errors import DimensionTooSmall, MissingClass, ShapeError
@@ -127,6 +129,38 @@ def test_rank_deficient_flagged(caplog):
     assert out.rank_deficient
     assert geometric_optimality_deviation(out) <= 1e-8
     assert any("rank deficient" in r.message for r in caplog.records)
+
+
+@st.composite
+def structures_with_duplicates(draw):
+    """Unit columns in which column j copies column src[j] when src[j] < j."""
+    n = draw(st.integers(2, 12))
+    d = draw(st.integers(n + 1, n + 8))
+    src = [draw(st.integers(0, j)) for j in range(n)]
+    cols = rng.gaussian(rng.stream(draw(st.integers(0, 2 ** 16)), "dup"), (d, n))
+    cols /= np.linalg.norm(cols, axis=0)
+    for j, k in enumerate(src):
+        cols[:, j] = cols[:, k]
+    distinct = sum(k == j for j, k in enumerate(src))
+    init = InitialStructure(columns=cols, class_ids=tuple(range(n)),
+                            historical=np.zeros(n, dtype=bool))
+    return init, distinct
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=structures_with_duplicates(), cand_seed=st.integers(0, 2 ** 16))
+def test_update_property_etf_optimal_and_rank_flag(problem, cand_seed):
+    init, distinct = problem
+    d, n = init.columns.shape
+    out = nearest_optimal_structure(init)
+    assert geometric_optimality_deviation(out) <= 1e-8
+    best = float(np.einsum("ij,ij->", init.columns, out.columns))
+    q, r = np.linalg.qr(rng.gaussian(rng.stream(cand_seed, "cands"), (200, d, n)))
+    q = q * np.where(np.diagonal(r, axis1=1, axis2=2)[:, None, :] < 0, -1.0, 1.0)
+    cands = np.sqrt(n / (n - 1.0)) * (q @ centering(n))
+    assert best >= np.einsum("ij,bij->b", init.columns, cands).max() - 1e-10
+    # generic distinct columns with d > n: the centered rank is distinct - 1
+    assert out.rank_deficient == (distinct - 1 < n - 1)
 
 
 def test_dimension_too_small():

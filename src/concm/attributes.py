@@ -11,14 +11,13 @@ intersection is empty.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureSet
+from .data import FeatureSet, read_json
 from .errors import (EmptyAttribute, MissingEmbedding, ParseError, SchemaError,
                      UnknownClass)
 
@@ -91,11 +90,7 @@ class SemanticKnowledge:
 
 
 def load_attribute_table(path) -> AttributeTable:
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    obj = read_json(path)
     if not isinstance(obj, dict) or "classes" not in obj:
         raise SchemaError(f"{path}: expected an object with a 'classes' key")
     classes = obj["classes"]
@@ -132,9 +127,12 @@ def load_semantic_embeddings(path) -> dict[str, np.ndarray]:
         if name in out:
             raise SchemaError(f"{path}:{lineno}: duplicate name {name!r}")
         try:
-            out[name] = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+            vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if not np.isfinite(vec).all():
+            raise SchemaError(f"{path}:{lineno}: non-finite value")
+        out[name] = vec
     return out
 
 

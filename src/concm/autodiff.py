@@ -162,9 +162,6 @@ class Tape:
     def mean(self, a: int, axis: int | None = None) -> int:
         return self._push("mean", (a,), axis)
 
-    def inner(self, a: int, b: int) -> int:
-        return self._push("inner", (a, b))
-
     def scale(self, a: int, c: float) -> int:
         return self._push("scale", (a,), float(c))
 
@@ -264,11 +261,6 @@ class Tape:
             return np.asarray(a[0].sum()) if pay is None else a[0].sum(axis=pay, keepdims=True)
         if op == "mean":
             return np.asarray(a[0].mean()) if pay is None else a[0].mean(axis=pay, keepdims=True)
-        if op == "inner":
-            x, y = a
-            if x.shape != y.shape:
-                raise ShapeError(f"inner: shapes differ {x.shape} vs {y.shape}")
-            return np.asarray((x * y).sum())
         if op == "scale":
             return a[0] * pay
         if op == "stack":
@@ -322,7 +314,7 @@ class Tape:
     def _grads(self, op, ins, out, g, pay, want):
         """Adjoint contributions to each argument; None where ``want`` is
         False.  Unary ops are only reached when their argument is wanted."""
-        if op in ("add", "sub", "mul", "matmul", "inner"):
+        if op in ("add", "sub", "mul", "matmul"):
             wa, wb = want
             x, y = ins
             if op == "add":
@@ -334,9 +326,7 @@ class Tape:
             if op == "mul":
                 return (_unbroadcast(g * y, x.shape) if wa else None,
                         _unbroadcast(g * x, y.shape) if wb else None)
-            if op == "matmul":
-                return (g @ y.T if wa else None, x.T @ g if wb else None)
-            return (g * y if wa else None, g * x if wb else None)
+            return (g @ y.T if wa else None, x.T @ g if wb else None)
         if op == "transpose":
             return (g.T,)
         if op == "softplus":

@@ -19,8 +19,9 @@ import os
 import sys
 from pathlib import Path
 
+from .data import load_config
 from .errors import ConcmError, InvalidConfig, ValidationError
-from .metrics import format_report_table, report_from_json, report_to_csv, report_to_json
+from .metrics import format_report_table, load_report, report_to_csv, report_to_json
 from .session import STRATEGIES, SessionConfig, run_from_files
 from .synth import GenConfig, generate_benchmark, write_benchmark
 
@@ -62,19 +63,6 @@ def _setup_logging(out_dir: Path | None = None) -> None:
         root.addHandler(fh)
 
 
-def _load_gen_config(path: str | None) -> GenConfig:
-    if path is None:
-        return GenConfig()
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(obj, dict):
-        raise InvalidConfig("generator config must be a JSON object")
-    known = {f.name for f in dataclasses.fields(GenConfig)}
-    unknown = set(obj) - known
-    if unknown:
-        raise InvalidConfig(f"unknown generator config keys: {sorted(unknown)}")
-    return GenConfig(**obj)
-
-
 def _suggested_run_config(cfg: GenConfig) -> dict:
     """Run config tuned for the synthetic benchmark scale."""
     run = SessionConfig(way=cfg.way, shot=cfg.shot, sessions=cfg.sessions,
@@ -87,8 +75,7 @@ def _suggested_run_config(cfg: GenConfig) -> dict:
 
 
 def cmd_gen(args) -> int:
-    cfg = _load_gen_config(args.config)
-    cfg.validate()
+    cfg = GenConfig() if args.config is None else load_config(GenConfig, args.config)
     out = Path(args.out)
     bench = generate_benchmark(cfg)
     manifest_path = write_benchmark(bench, out)
@@ -114,7 +101,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = report_from_json(Path(args.path).read_text(encoding="utf-8"))
+    report = load_report(args.path)
     print(format_report_table(report), end="")
     return EXIT_OK
 
@@ -161,7 +148,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         _error_record(exc)
         return EXIT_IO
-    except (ConcmError, json.JSONDecodeError, ValueError) as exc:
+    except (ConcmError, ValueError) as exc:
         _error_record(exc)
         return EXIT_RUNTIME
 

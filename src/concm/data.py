@@ -9,18 +9,25 @@ Manifest JSON: ``{"base": path, "sessions": [path, ...], "attributes":
 path, "semantic": path}`` plus optional ``"tests"`` (one file per session,
 index 0 = base) and ``"truth"`` keys.  Relative paths are resolved against
 the manifest's directory.
+
+Config JSON: one object whose keys name fields of a config dataclass.
+
+Every reader names the file in its errors; JSON syntax errors carry
+path:line:col.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+import math
+import typing
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInput, ParseError, SchemaError
+from .errors import InvalidConfig, InvalidInput, ParseError, SchemaError
 
 
 @dataclass
@@ -67,7 +74,7 @@ def load_features(path) -> FeatureSet:
     """Parse a feature CSV; raises ParseError/SchemaError, never partial data."""
     path = Path(path)
     rows: list[tuple[int, str, list[float]]] = []
-    dim: int | None = None
+    linenos: list[int] = []
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -94,13 +101,19 @@ def load_features(path) -> FeatureSet:
             raise SchemaError(f"{path}:{lineno}: negative label")
         if not any(vec):
             raise SchemaError(f"{path}:{lineno}: all-zero feature row")
-        if dim is None:
-            dim = len(vec)
         rows.append((label, row[1], vec))
+        linenos.append(lineno)
     if not rows:
         raise SchemaError(f"{path}: no data rows")
+    features = np.array([r[2] for r in rows], dtype=np.float64)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise SchemaError(f"{path}:{linenos[int(np.argmin(finite))]}: "
+                          "non-finite value")
+    n_classes = max(r[0] for r in rows) + 1
+    if n_classes > len(rows):
+        raise SchemaError(f"{path}: labels are not contiguous from 0")
     labels = np.array([r[0] for r in rows], dtype=np.int64)
-    n_classes = int(labels.max()) + 1
     names: list[str | None] = [None] * n_classes
     for label, name, _ in rows:
         if names[label] is None:
@@ -110,7 +123,6 @@ def load_features(path) -> FeatureSet:
                               f"{names[label]!r} and {name!r}")
     if any(n is None for n in names):
         raise SchemaError(f"{path}: labels are not contiguous from 0")
-    features = np.array([r[2] for r in rows], dtype=np.float64)
     return FeatureSet(features=features, labels=labels, class_names=tuple(names))
 
 
@@ -134,12 +146,52 @@ class Manifest:
     truth: Path | None = None
 
 
+def parse_json(text: str, source) -> object:
+    """``json.loads`` whose syntax errors are ParseErrors at source:line:col."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+
+
+def read_json(path) -> object:
+    return parse_json(Path(path).read_text(encoding="utf-8"), path)
+
+
+def load_config(cls, path):
+    """Read a config dataclass from JSON, checked before any work is done.
+
+    Keys must name fields of ``cls``; each value must have its field's
+    annotated type (an int passes for a float, and floats must be finite);
+    then ``validate()`` checks the ranges.  Every error names the file.
+    """
+    obj = read_json(path)
+    if not isinstance(obj, dict):
+        raise InvalidConfig(f"{path}: config must be a JSON object")
+    declared = {f.name: f for f in fields(cls)}
+    unknown = set(obj) - set(declared)
+    if unknown:
+        raise InvalidConfig(f"{path}: unknown config keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    for name, value in obj.items():
+        allowed = typing.get_args(hints[name]) or (hints[name],)
+        if float in allowed:
+            allowed += (int,)
+        if type(value) not in allowed or (type(value) is float
+                                          and not math.isfinite(value)):
+            raise InvalidConfig(f"{path}: {name} must be {declared[name].type}, "
+                                f"got {value!r}")
+    config = cls(**obj)
+    try:
+        config.validate()
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"{path}: {exc}") from exc
+    return config
+
+
 def load_manifest(path) -> Manifest:
     path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: manifest must be a JSON object")
     for key in ("base", "sessions", "attributes", "semantic"):

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .data import parse_json, read_json
 from .errors import SchemaError, ShapeError
 from .structure import StructureMatrix
 
@@ -164,16 +165,30 @@ def report_to_json(report: RunReport) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def load_report(path) -> RunReport:
+    """Read a report JSON file; every error names the file."""
+    return _report_from_obj(read_json(path), path)
+
+
 def report_from_json(text: str) -> RunReport:
-    obj = json.loads(text)
+    return _report_from_obj(parse_json(text, "report"), "report")
+
+
+def _report_from_obj(obj, source) -> RunReport:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{source}: report must be a JSON object")
     for key in _REQUIRED_RUN_FIELDS:
         if key not in obj:
-            raise SchemaError(f"report missing field {key!r}")
+            raise SchemaError(f"{source}: report missing field {key!r}")
+    if not isinstance(obj["sessions"], list) \
+            or not all(isinstance(rec, dict) for rec in obj["sessions"]):
+        raise SchemaError(f"{source}: 'sessions' must be a list of objects")
     sessions = []
     for i, rec in enumerate(obj["sessions"]):
         for key in _SESSION_FIELDS:
             if key not in rec:
-                raise SchemaError(f"session record {i} missing field {key!r}")
+                raise SchemaError(f"{source}: session record {i} missing "
+                                  f"field {key!r}")
         sessions.append(SessionRecord(**{k: rec[k] for k in _SESSION_FIELDS}))
     return RunReport(sessions=sessions, ahm=obj["ahm"], fa=obj["fa"],
                      pd=obj["pd"], base_acc=obj["base_acc"],

@@ -1,25 +1,23 @@
 """Session orchestration: base setup, incremental adaptation, evaluation.
 
 The base session builds the semantic knowledge set, trains the calibration
-net episodically, stores exact base-class statistics, synthesizes the
-first target structure from projected augmented means, and trains the
-projector.  Each incremental session calibrates and blends the novel
-prototypes, transfers covariances, extends the repository, re-synthesizes
-the structure (previous columns carried over unchanged), and fine-tunes
-the projector on freshly augmented data merged with the replay buffer.
+net episodically and stores exact base-class statistics; an incremental
+session calibrates and blends the novel prototypes, transfers covariances
+and extends the repository.  Every session then ends in one fit step:
+augmentation, an initial structure from the projected means (previous
+columns carried over unchanged), the strategy's structure and its SMR, and
+projector training on the augmented data plus the replay buffer.
 
 Strategies: ``concm`` is the full pipeline; ``rm`` replaces the structure
-update with a random optimal structure per session; ``fs`` pre-allocates
-one structure for the declared total class count and uses its prefix
-columns; ``frozen`` never trains the projector.
+update with a random optimal structure per session; ``fs`` uses the prefix
+columns of one random optimal structure for the declared total class
+count, derived from the seed; ``frozen`` never trains the projector.
 """
 
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,8 +29,8 @@ from .augment import (ClassStats, PrototypeRepository, SampleCounts,
                       shot_variance, transfer_weights)
 from .calibration import (CalibrationParams, MetaTrainConfig, Prototype, blend,
                           calibrate, init_calibration_params, meta_train)
-from .data import FeatureSet, Manifest, load_features, load_manifest
-from .errors import InvalidConfig, OrderError, ProtocolViolation
+from .data import FeatureSet, Manifest, load_config, load_features, load_manifest
+from .errors import InvalidConfig, ProtocolViolation
 from .metrics import (RunReport, SessionRecord, ncm_classify, run_metrics,
                       session_metrics, similarity_stats)
 from .projector import (ProjectorParams, TrainSchedule, init_projector_params,
@@ -44,6 +42,11 @@ from .structure import (InitialStructure, StructureMatrix, initial_structure,
 logger = logging.getLogger("concm.session")
 
 STRATEGIES = ("concm", "rm", "fs", "frozen")
+# Smallest valid value of each count in SessionConfig.
+_MINIMUM = dict(base_classes=2, way=1, shot=1, sessions=0, batch_size=2,
+                n_aug_base=1, n_aug_novel=1, meta_shots=1, epochs_base=0,
+                epochs_incremental=0, warmup_steps=0, meta_episodes=0,
+                meta_warmup=0, replay_per_class=0)
 
 
 @dataclass
@@ -74,10 +77,9 @@ class SessionConfig:
     d_attn: int | None = None
 
     def validate(self) -> None:
-        if self.base_classes < 2:
-            raise InvalidConfig("base_classes must be >= 2")
-        if self.shot < 1 or self.way < 1 or self.sessions < 0:
-            raise InvalidConfig("way/shot/sessions out of range")
+        for name, low in _MINIMUM.items():
+            if getattr(self, name) < low:
+                raise InvalidConfig(f"{name} must be >= {low}")
         if self.d_g <= self.total_classes:
             raise InvalidConfig(
                 f"d_g = {self.d_g} must exceed the total class count "
@@ -86,29 +88,16 @@ class SessionConfig:
             raise InvalidConfig("alpha must be in [0, 1]")
         if self.beta <= 0.0 or self.tau <= 0.0 or self.gamma <= 0.0:
             raise InvalidConfig("beta, tau and gamma must be positive")
-        if self.replay_per_class < 0:
-            raise InvalidConfig("replay_per_class must be >= 0")
+        if any(d is not None and d < 1 for d in (self.d_hidden, self.d_attn)):
+            raise InvalidConfig("d_hidden and d_attn must be >= 1 when set")
 
     @property
     def total_classes(self) -> int:
         return self.base_classes + self.way * self.sessions
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "SessionConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
-        if unknown:
-            raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**obj)
-        cfg.validate()
-        return cfg
-
-    @classmethod
     def from_json(cls, path) -> "SessionConfig":
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(obj, dict):
-            raise InvalidConfig("config file must hold a JSON object")
-        return cls.from_dict(obj)
+        return load_config(cls, path)
 
 
 @dataclass
@@ -125,7 +114,6 @@ class SessionState:
     theta_h: CalibrationParams
     knowledge: SemanticKnowledge
     replay: dict[int, np.ndarray] = field(default_factory=dict)
-    fixed_structure: StructureMatrix | None = None
 
     @property
     def n_classes(self) -> int:
@@ -137,8 +125,7 @@ class SessionState:
 
 
 def _strategy_structure(strategy: str, init: InitialStructure, t: int,
-                        config: SessionConfig,
-                        fixed: StructureMatrix | None) -> StructureMatrix:
+                        config: SessionConfig) -> StructureMatrix:
     if strategy in ("concm", "frozen"):
         return nearest_optimal_structure(init)
     if strategy == "rm":
@@ -146,10 +133,9 @@ def _strategy_structure(strategy: str, init: InitialStructure, t: int,
                                      rng.derive_seed(config.seed, "rm", t))
         return replace(s, class_ids=init.class_ids)
     if strategy == "fs":
-        if fixed is None:
-            raise OrderError("fixed structure missing for fs strategy")
-        n = init.num_classes
-        return StructureMatrix(columns=fixed.columns[:, :n],
+        fixed = random_optimal_structure(config.total_classes, config.d_g,
+                                         rng.derive_seed(config.seed, "fs"))
+        return StructureMatrix(columns=fixed.columns[:, :init.num_classes],
                                class_ids=init.class_ids)
     raise InvalidConfig(f"unknown strategy {strategy!r}")
 
@@ -169,6 +155,33 @@ def _train_pool(aug: FeatureSet, replay: dict[int, np.ndarray]) -> tuple[np.ndar
         feats.append(replay[cid])
         labels.append(np.full(replay[cid].shape[0], cid, dtype=np.int64))
     return np.vstack(feats), np.concatenate(labels)
+
+
+def _fit(config: SessionConfig, strategy: str, t: int, repo: PrototypeRepository,
+         prev: StructureMatrix | None, theta_g: ProjectorParams,
+         replay: dict[int, np.ndarray], anchored: frozenset[int]):
+    """Session t's (initial, structure, smr, theta_g); ``prev`` is None at t = 0."""
+    aug0 = _augmented_epoch(repo, config, t=t, epoch=0)
+    means = {cid: aug0.features[aug0.labels == cid].mean(axis=0)
+             for cid in range(len(repo))}
+    init = initial_structure(prev, lambda v: project(theta_g, v), means)
+    structure = _strategy_structure(strategy, init, t, config)
+    smr = structure_matching_rate(init, structure)
+
+    if strategy != "frozen":
+        epochs = config.epochs_base if t == 0 else config.epochs_incremental
+        schedule = TrainSchedule(lr_max=config.lr_projector, epochs=epochs,
+                                 warmup_steps=config.warmup_steps,
+                                 batch_size=config.batch_size,
+                                 seed=rng.derive_seed(config.seed, "train", t))
+
+        def epoch_data(epoch: int):
+            aug = aug0 if epoch == 0 else _augmented_epoch(repo, config, t, epoch)
+            return _train_pool(aug, replay)
+
+        theta_g, _ = train_projector(theta_g, structure, anchored, schedule,
+                                     epoch_data, tau=config.tau)
+    return init, structure, smr, theta_g
 
 
 def run_base_session(config: SessionConfig, base: FeatureSet,
@@ -200,36 +213,12 @@ def run_base_session(config: SessionConfig, base: FeatureSet,
     theta_g = init_projector_params(base.dim, d_hidden, config.d_g,
                                     seed=rng.derive_seed(config.seed, "projector"))
 
-    fixed = None
-    if strategy == "fs":
-        fixed = random_optimal_structure(config.total_classes, config.d_g,
-                                         rng.derive_seed(config.seed, "fs"))
-
-    aug0 = _augmented_epoch(repo, config, t=0, epoch=0)
-    means = {cid: aug0.features[aug0.labels == cid].mean(axis=0)
-             for cid in range(len(repo))}
-    init = initial_structure(None, lambda v: project(theta_g, v), means)
-    structure = _strategy_structure(strategy, init, 0, config, fixed)
-    smr = structure_matching_rate(init, structure)
-
-    if strategy != "frozen":
-        schedule = TrainSchedule(lr_max=config.lr_projector,
-                                 epochs=config.epochs_base,
-                                 warmup_steps=config.warmup_steps,
-                                 batch_size=config.batch_size,
-                                 seed=rng.derive_seed(config.seed, "train", 0))
-
-        def epoch_data(epoch: int):
-            aug = aug0 if epoch == 0 else _augmented_epoch(repo, config, 0, epoch)
-            return aug.features, aug.labels
-
-        theta_g, _ = train_projector(theta_g, structure, frozenset(), schedule,
-                                     epoch_data, tau=config.tau)
-
+    init, structure, smr, theta_g = _fit(config, strategy, 0, repo, None,
+                                         theta_g, {}, frozenset())
     return SessionState(t=0, config=config, strategy=strategy, class_names=names,
                         repository=repo, structure=structure, initial=init,
                         smr=smr, theta_g=theta_g, theta_h=theta_h,
-                        knowledge=knowledge, replay={}, fixed_structure=fixed)
+                        knowledge=knowledge)
 
 
 def _novel_prototype(state: SessionState, cid: int, name: str,
@@ -285,30 +274,9 @@ def run_incremental_session(state: SessionState, novel: FeatureSet,
         repo.add(ClassStats(class_id=cid, class_name=name, mean=proto.mean,
                             cov_diag=cov, exact=False))
 
-    aug0 = _augmented_epoch(repo, config, t=t, epoch=0)
-    means = {cid: aug0.features[aug0.labels == cid].mean(axis=0)
-             for cid in range(len(repo))}
-    theta_g = state.theta_g
-    init = initial_structure(state.structure, lambda v: project(theta_g, v), means)
-    structure = _strategy_structure(state.strategy, init, t, config,
-                                    state.fixed_structure)
-    smr = structure_matching_rate(init, structure)
-
-    if state.strategy != "frozen":
-        schedule = TrainSchedule(lr_max=config.lr_projector,
-                                 epochs=config.epochs_incremental,
-                                 warmup_steps=config.warmup_steps,
-                                 batch_size=config.batch_size,
-                                 seed=rng.derive_seed(config.seed, "train", t))
-        replay = state.replay
-
-        def epoch_data(epoch: int):
-            aug = aug0 if epoch == 0 else _augmented_epoch(repo, config, t, epoch)
-            return _train_pool(aug, replay)
-
-        anchored = frozenset(range(offset, offset + config.way))
-        theta_g, _ = train_projector(theta_g, structure, anchored, schedule,
-                                     epoch_data, tau=config.tau)
+    init, structure, smr, theta_g = _fit(
+        config, state.strategy, t, repo, state.structure, state.theta_g,
+        state.replay, frozenset(range(offset, offset + config.way)))
 
     new_replay = dict(state.replay)
     if config.replay_per_class > 0:
@@ -325,7 +293,7 @@ def run_incremental_session(state: SessionState, novel: FeatureSet,
                         class_names=names, repository=repo, structure=structure,
                         initial=init, smr=smr, theta_g=theta_g,
                         theta_h=state.theta_h, knowledge=knowledge,
-                        replay=new_replay, fixed_structure=state.fixed_structure)
+                        replay=new_replay)
 
 
 def evaluate_session(state: SessionState, features: np.ndarray,
@@ -405,30 +373,22 @@ def run_pipeline(inputs: PipelineInputs, strategy: str = "concm",
     accumulated training features.
     """
     config = inputs.config if seed is None else replace(inputs.config, seed=seed)
-    config.validate()
-    use_tests = bool(inputs.test_sets)
-    if not use_tests:
+    if not inputs.test_sets:
         logger.info("no test files in manifest; evaluating on training features")
+    eval_pool = inputs.test_sets or inputs.train_sets
 
-    state = run_base_session(config, inputs.train_sets[0], inputs.table,
-                             inputs.embeddings, strategy=strategy)
-    records = []
-    eval_pool = inputs.test_sets if use_tests else inputs.train_sets
-
-    def eval_state(state: SessionState) -> SessionRecord:
+    records, traces = [], []
+    for t in range(config.sessions + 1):
+        if t == 0:
+            state = run_base_session(config, inputs.train_sets[0], inputs.table,
+                                     inputs.embeddings, strategy=strategy)
+        else:
+            state = run_incremental_session(state, inputs.train_sets[t],
+                                            inputs.table, inputs.embeddings)
         name_to_id = {n: i for i, n in enumerate(state.class_names)}
-        parts = [_remap_labels(fs, name_to_id) for fs in eval_pool[:state.t + 1]]
-        feats = np.vstack([p[0] for p in parts])
-        labels = np.concatenate([p[1] for p in parts])
-        return evaluate_session(state, feats, labels)
-
-    records.append(eval_state(state))
-    traces = [SessionTrace(t=0, initial=state.initial, structure=state.structure,
-                           smr=state.smr)]
-    for t in range(1, config.sessions + 1):
-        state = run_incremental_session(state, inputs.train_sets[t],
-                                        inputs.table, inputs.embeddings)
-        records.append(eval_state(state))
+        parts = [_remap_labels(fs, name_to_id) for fs in eval_pool[:t + 1]]
+        records.append(evaluate_session(state, np.vstack([p[0] for p in parts]),
+                                        np.concatenate([p[1] for p in parts])))
         traces.append(SessionTrace(t=t, initial=state.initial,
                                    structure=state.structure, smr=state.smr))
         logger.info("session %d: top1=%.2f hm=%s", t, records[-1].top1,

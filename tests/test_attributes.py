@@ -127,3 +127,11 @@ def test_semantic_csv_round_trip(tmp_path):
     p.write_text("wrong,s0\nx,1.0\n")
     with pytest.raises(ParseError):
         load_semantic_embeddings(p)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-1e999"])
+def test_semantic_csv_non_finite_rejected_with_line(tmp_path, token):
+    p = tmp_path / "s.csv"
+    p.write_text(f"name,s0,s1\nbeak,0.5,-1.25\nwing,{token},3.5\n")
+    with pytest.raises(SchemaError, match=r"s\.csv:3: non-finite value"):
+        load_semantic_embeddings(p)

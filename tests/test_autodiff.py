@@ -48,15 +48,6 @@ def test_quadratic_loss_gradient_is_x():
     assert grad_check(t, {}, loss) <= 1e-7
 
 
-def test_inner_product_gradient_is_other_operand():
-    a = np.array([[2.0, 0.5, -1.0]])
-    t = Tape()
-    x = t.param("x", np.zeros((1, 3)))
-    loss = t.inner(t.constant(a), x)
-    t.forward({})
-    np.testing.assert_array_equal(t.backward(loss)["x"], a)
-
-
 def test_broadcast_gradients():
     gen = np.random.default_rng(3)
     t = Tape()

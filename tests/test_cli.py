@@ -1,10 +1,22 @@
+import contextlib
+import io
 import json
+import re
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from concm.attributes import load_semantic_embeddings
 from concm.cli import main
+from concm.data import load_config, load_features
+from concm.errors import ValidationError
 from concm.metrics import report_from_json
+from concm.session import SessionConfig
+from concm.synth import GenConfig
 
 
 GEN_CFG = dict(base_classes=6, sessions=2, way=3, shot=5, d_f=24, d_s=8,
@@ -170,3 +182,135 @@ def test_gen_with_default_config(tmp_path, capsys):
     run_cfg = json.loads((tmp_path / "d" / "config.json").read_text())
     assert run_cfg["d_g"] == 64 and run_cfg["base_classes"] == 10
     capsys.readouterr()
+
+
+def _error_message(err: str) -> str:
+    return json.loads(err.strip().splitlines()[-1])["message"]
+
+
+@pytest.mark.parametrize("command", ["run", "gen", "report"])
+def test_truncated_json_exits_1_with_path_line_col(dataset, tmp_path, command,
+                                                   capsys):
+    source = dataset / ("run_cfg.json" if command != "gen" else "gen.json")
+    bad = tmp_path / "trunc.json"
+    bad.write_text(source.read_text()[:25])
+    args = {"run": ["run", "--manifest", str(dataset / "data" / "manifest.json"),
+                    "--config", str(bad), "--out", str(tmp_path / "o")],
+            "gen": ["gen", "--config", str(bad), "--out", str(tmp_path / "g")],
+            "report": ["report", str(bad)]}[command]
+    assert main(args) == 1
+    message = _error_message(capsys.readouterr().err)
+    assert re.match(re.escape(str(bad)) + r":\d+:\d+: ", message), message
+
+
+@pytest.mark.parametrize("key,value", [
+    ("epochs_base", "30"), ("batch_size", 1), ("epochs_base", -1),
+    ("n_aug_novel", 0), ("meta_shots", 0), ("warmup_steps", -1),
+    ("lr_projector", float("nan")), ("d_hidden", True), ("seed", 1.5)])
+def test_bad_run_config_value_exits_1_before_loading(dataset, tmp_path, key,
+                                                     value, capsys):
+    cfg = json.loads((dataset / "run_cfg.json").read_text())
+    cfg[key] = value
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    rc = main(["run", "--manifest", str(dataset / "data" / "manifest.json"),
+               "--config", str(p), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    message = _error_message(capsys.readouterr().err)
+    assert message.startswith(f"{p}: ") and key in message
+
+
+# Replacement tokens for one CSV field: malformed numbers, non-finite
+# values, a huge label, an embedded separator, an empty field.
+_TOKENS = ["nan", "inf", "-Infinity", "1e999", "", "x", "0x1f", "1,2", "-1",
+           "9" * 24, "1.5", "0"]
+
+
+@st.composite
+def _mutated_csv(draw, text: str) -> str:
+    kind = draw(st.sampled_from(["replace", "drop", "truncate"]))
+    if kind == "truncate":
+        return text[:draw(st.integers(0, len(text)))]
+    lines = text.split("\n")
+    i = draw(st.one_of(st.just(0), st.integers(1, len(lines) - 2)))
+    fields = lines[i].split(",")
+    j = draw(st.one_of(st.sampled_from([0, 1]),
+                       st.integers(0, len(fields) - 1)))
+    if kind == "drop":
+        del fields[j]
+    else:
+        fields[j] = draw(st.sampled_from(_TOKENS))
+    lines[i] = ",".join(fields)
+    return "\n".join(lines)
+
+
+@st.composite
+def _mutated_config(draw, obj: dict) -> str:
+    kind = draw(st.sampled_from(["set", "delete", "truncate"]))
+    obj = dict(obj)
+    if kind == "delete":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif kind == "set":
+        key = draw(st.sampled_from(sorted(obj) + ["zzz"]))
+        obj[key] = draw(st.one_of(
+            st.integers(-3, 3), st.integers(-2 ** 63, 2 ** 63), st.floats(),
+            st.text(max_size=3), st.none(), st.booleans(), st.just([1])))
+    text = json.dumps(obj)
+    if kind == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+def _check_rejection(load, path: Path, cli_args: list[str]) -> None:
+    """A rejection by ``load`` is a ValidationError naming ``path`` first,
+    and the CLI given ``cli_args`` exits 1 with the same message."""
+    try:
+        load(path)
+    except ValidationError as exc:
+        assert str(exc).startswith(str(path)), str(exc)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(cli_args) == 1
+        assert _error_message(err.getvalue()) == str(exc)
+
+
+@pytest.mark.parametrize("target", ["base.csv", "session_02.csv",
+                                    "test_01.csv", "semantic.csv"])
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_csv_rejected_at_load_with_path(dataset, target, data):
+    text = (dataset / "data" / target).read_text()
+    mutated = data.draw(_mutated_csv(text))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "data"
+        shutil.copytree(dataset / "data", root)
+        path = root / target
+        path.write_text(mutated)
+        load = load_semantic_embeddings if target == "semantic.csv" \
+            else load_features
+        _check_rejection(load, path, [
+            "run", "--manifest", str(root / "manifest.json"),
+            "--config", str(dataset / "run_cfg.json"),
+            "--out", str(Path(tmp) / "o")])
+
+
+@pytest.mark.parametrize("command", ["run", "gen"])
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_config_rejected_at_load_with_path(dataset, command, data):
+    source = dataset / ("run_cfg.json" if command == "run" else "gen.json")
+    mutated = data.draw(_mutated_config(json.loads(source.read_text())))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(mutated)
+        out = Path(tmp) / "o"
+        if command == "run":
+            _check_rejection(lambda p: load_config(SessionConfig, p), path, [
+                "run", "--manifest", str(dataset / "data" / "manifest.json"),
+                "--config", str(path), "--out", str(out)])
+        else:
+            _check_rejection(lambda p: load_config(GenConfig, p), path,
+                             ["gen", "--config", str(path), "--out", str(out)])
+            assert not (out / "manifest.json").exists()

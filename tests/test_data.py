@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from concm.data import FeatureSet, load_features, load_manifest, save_features
+from concm.data import (FeatureSet, load_features, load_manifest, read_json,
+                        save_features)
 from concm.errors import ParseError, SchemaError
 
 
@@ -91,3 +95,55 @@ def test_all_zero_row_rejected_with_line(tmp_path, row):
     p.write_text(f"label,class_name,f0,f1\n0,x,1.0,0.0\n1,y,{row}\n")
     with pytest.raises(SchemaError, match=r"z\.csv:3: all-zero feature row"):
         load_features(p)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999", "NaN"])
+def test_non_finite_value_rejected_with_line(tmp_path, token):
+    p = tmp_path / "v.csv"
+    p.write_text(f"label,class_name,f0,f1\n0,x,1.0,2.0\n1,y,0.5,{token}\n")
+    with pytest.raises(SchemaError, match=r"v\.csv:3: non-finite value"):
+        load_features(p)
+
+
+@pytest.mark.parametrize("label", ["999999999999", "9" * 24])
+def test_huge_label_rejected_before_allocating(tmp_path, label):
+    p = tmp_path / "l.csv"
+    p.write_text(f"label,class_name,f0\n0,x,1.0\n{label},y,2.0\n")
+    with pytest.raises(SchemaError, match="not contiguous"):
+        load_features(p)
+
+
+def test_json_syntax_error_names_path_line_col(tmp_path):
+    p = tmp_path / "j.json"
+    p.write_text('{\n  "a": 1,\n  "b": ')
+    with pytest.raises(ParseError, match=r"j\.json:3:\d+: "):
+        read_json(p)
+
+
+@st.composite
+def feature_sets(draw):
+    n_classes = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=0,
+                           max_size=12))
+    labels = np.array(list(range(n_classes)) + labels, dtype=np.int64)
+    labels = labels[draw(st.permutations(range(labels.size)))]
+    dim = draw(st.integers(1, 5))
+    feats = draw(hnp.arrays(np.float64, (labels.size, dim),
+                            elements=st.floats(allow_nan=False,
+                                               allow_infinity=False,
+                                               allow_subnormal=True)))
+    feats[~feats.any(axis=1), 0] = 1.0
+    names = draw(st.lists(st.from_regex(r"[A-Za-z0-9_ .-]{1,8}", fullmatch=True),
+                          min_size=n_classes, max_size=n_classes, unique=True))
+    return FeatureSet(features=feats, labels=labels, class_names=tuple(names))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fs=feature_sets())
+def test_save_load_round_trip_is_exact(tmp_path_factory, fs):
+    path = tmp_path_factory.mktemp("rt") / "f.csv"
+    save_features(fs, path)
+    back = load_features(path)
+    assert back.features.tobytes() == fs.features.tobytes()
+    assert back.labels.tobytes() == fs.labels.tobytes()
+    assert back.class_names == fs.class_names

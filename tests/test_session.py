@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from concm import rng
 from concm.data import FeatureSet
 from concm.errors import InvalidConfig, ProtocolViolation
 from concm.metrics import report_to_json
@@ -137,6 +138,21 @@ def test_pipeline_strategies(bench):
         run_pipeline(inputs, strategy="nope")
 
 
+def test_fs_sessions_use_prefix_of_seeded_full_structure(bench):
+    cfg = tiny_cfg(epochs_base=2, epochs_incremental=1, meta_episodes=3)
+    inputs = PipelineInputs(config=cfg, train_sets=bench.train_sets,
+                            test_sets=bench.test_sets, table=bench.table,
+                            embeddings=bench.embeddings)
+    full = random_optimal_structure(cfg.total_classes, cfg.d_g,
+                                    rng.derive_seed(cfg.seed, "fs"))
+    traces = run_pipeline(inputs, strategy="fs").traces
+    assert [tr.structure.num_classes for tr in traces] == [6, 9, 12]
+    for tr in traces:
+        n = tr.structure.num_classes
+        assert np.array_equal(tr.structure.columns, full.columns[:, :n])
+        assert tr.structure.class_ids == tuple(range(n))
+
+
 def test_pipeline_without_test_files_falls_back_to_train(bench):
     cfg = tiny_cfg(epochs_base=4, epochs_incremental=2, meta_episodes=5)
     inputs = PipelineInputs(config=cfg, train_sets=bench.train_sets,
@@ -159,15 +175,17 @@ def test_pipeline_base_only_run(bench):
     assert report_from_json(report_to_json(result.report)).ahm is None
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(InvalidConfig):
         SessionConfig(base_classes=1).validate()
     with pytest.raises(InvalidConfig):
         SessionConfig(d_g=20, base_classes=10, way=5, sessions=4).validate()
     with pytest.raises(InvalidConfig):
         SessionConfig(alpha=1.5).validate()
+    path = tmp_path / "cfg.json"
+    path.write_text('{"nonsense": 1}')
     with pytest.raises(InvalidConfig):
-        SessionConfig.from_dict({"nonsense": 1})
+        SessionConfig.from_json(path)
 
 
 def test_config_json_round_trip(tmp_path):

@@ -23,9 +23,9 @@ from .metrics import (RunReport, SessionRecord, balanced_error_rate,
                       format_report_table, harmonic_mean, ncm_classify,
                       report_from_json, report_to_csv, report_to_json,
                       run_metrics, session_metrics, similarity_stats)
-from .projector import (ProjectorParams, TrainBatch, TrainSchedule,
-                        contrastive_loss, init_projector_params, matching_loss,
-                        project, train_projector)
+from .projector import (ProjectorParams, TrainSchedule, build_contrastive_loss,
+                        build_matching_loss, init_projector_params, project,
+                        train_projector)
 from .session import (STRATEGIES, PipelineInputs, RunResult, SessionConfig,
                       SessionState, SessionTrace, evaluate_session, load_inputs,
                       run_base_session, run_from_files, run_incremental_session,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureSet, read_json
+from .data import FeatureSet, read_json, read_lines
 from .errors import (EmptyAttribute, MissingEmbedding, ParseError, SchemaError,
                      UnknownClass)
 
@@ -107,32 +107,34 @@ def load_attribute_table(path) -> AttributeTable:
 def load_semantic_embeddings(path) -> dict[str, np.ndarray]:
     """Parse the name,s0,...,s{d-1} CSV of word embeddings."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ParseError(f"{path}:1: empty file")
-    header = lines[0].split(",")
-    if header[0] != "name" or len(header) < 2:
-        raise ParseError(f"{path}:1: expected header 'name,s0,...'")
-    d_s = len(header) - 1
-    if header[1:] != [f"s{i}" for i in range(d_s)]:
-        raise ParseError(f"{path}:1: malformed embedding column names")
-    out: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != d_s + 1:
-            raise SchemaError(f"{path}:{lineno}: expected {d_s + 1} fields")
-        name = parts[0]
-        if name in out:
-            raise SchemaError(f"{path}:{lineno}: duplicate name {name!r}")
-        try:
-            vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if not np.isfinite(vec).all():
-            raise SchemaError(f"{path}:{lineno}: non-finite value")
-        out[name] = vec
+    with open(path, "rb") as fh:
+        lines = read_lines(path, fh)
+        _, text = next(lines, (1, None))
+        if text is None:
+            raise ParseError(f"{path}:1: empty file")
+        header = text.split(",")
+        if header[0] != "name" or len(header) < 2:
+            raise ParseError(f"{path}:1: expected header 'name,s0,...'")
+        d_s = len(header) - 1
+        if header[1:] != [f"s{i}" for i in range(d_s)]:
+            raise ParseError(f"{path}:1: malformed embedding column names")
+        out: dict[str, np.ndarray] = {}
+        for lineno, line in lines:
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != d_s + 1:
+                raise SchemaError(f"{path}:{lineno}: expected {d_s + 1} fields")
+            name = parts[0]
+            if name in out:
+                raise SchemaError(f"{path}:{lineno}: duplicate name {name!r}")
+            try:
+                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            if not np.isfinite(vec).all():
+                raise SchemaError(f"{path}:{lineno}: non-finite value")
+            out[name] = vec
     return out
 
 

@@ -137,12 +137,19 @@ def sample_augmented(repo: PrototypeRepository, counts: SampleCounts,
     """
     if counts.base < 1 or counts.novel < 1:
         raise InvalidConfig("sample counts must be >= 1")
-    feats, labels = [], []
-    for stats in repo.entries:
-        n = counts.base if stats.exact else counts.novel
+    if not repo.entries:
+        raise MissingClass("cannot sample from an empty repository")
+    sizes = [counts.base if e.exact else counts.novel for e in repo.entries]
+    d = repo.entries[0].mean.shape[0]
+    # each class's draws go straight into its rows of one epoch array
+    features = np.empty((sum(sizes), d))
+    start = 0
+    for stats, n in zip(repo.entries, sizes):
         gen = rng.stream(seed, "augment", epoch, stats.class_id)
-        z = rng.gaussian(gen, (n, stats.mean.shape[0]))
-        feats.append(stats.mean + z * np.sqrt(stats.cov_diag))
-        labels.append(np.full(n, stats.class_id, dtype=np.int64))
-    return FeatureSet(features=np.vstack(feats), labels=np.concatenate(labels),
+        rows = features[start:start + n]
+        np.multiply(rng.gaussian(gen, (n, d)), np.sqrt(stats.cov_diag), out=rows)
+        rows += stats.mean
+        start += n
+    return FeatureSet(features=features,
+                      labels=np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
                       class_names=tuple(e.class_name for e in repo.entries))

@@ -50,7 +50,9 @@ def _setup_logging(out_dir: Path | None = None) -> None:
     fmt = logging.Formatter("%(levelname)s %(name)s: %(message)s")
     root = logging.getLogger("concm")
     root.setLevel(logging.DEBUG)
-    root.handlers.clear()
+    for handler in root.handlers[:]:
+        root.removeHandler(handler)
+        handler.close()
     stream = logging.StreamHandler(sys.stderr)
     stream.setLevel(level)
     stream.setFormatter(fmt)

@@ -1,9 +1,13 @@
 """Feature sets and file formats.
 
-Feature CSV: header ``label,class_name,f0,...,f{d-1}``; labels are
+Feature CSV: UTF-8, header ``label,class_name,f0,...,f{d-1}``; labels are
 nonnegative integers, contiguous from 0 within a file; a row needs one
 nonzero feature, since a zero vector has no direction to project; floats
-are written with repr() so a write-read round trip is exact.
+are written with repr() so a write-read round trip is exact.  Fields are
+not quoted: the class name is the raw text between the first two commas
+and may hold no comma, quote or line break, and ``#`` is data, not a
+comment.  Lines end in LF or CRLF; blank lines are skipped, and error
+line numbers count them.
 
 Manifest JSON: ``{"base": path, "sessions": [path, ...], "attributes":
 path, "semantic": path}`` plus optional ``"tests"`` (one file per session,
@@ -18,9 +22,10 @@ path:line:col.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 import math
+import re
 import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -70,63 +75,104 @@ class FeatureSet:
         return np.bincount(self.labels, minlength=self.n_classes)
 
 
+def read_lines(path, fh):
+    """(line number, text) of each line of the binary file ``fh``, line end
+    stripped; a line that is not UTF-8 is a ParseError at path:line."""
+    for lineno, raw in enumerate(fh, start=1):
+        try:
+            yield lineno, raw.rstrip(b"\r\n").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}:{lineno}: not UTF-8 at byte "
+                             f"{exc.start + 1}: {exc.reason}") from exc
+
+
 def load_features(path) -> FeatureSet:
-    """Parse a feature CSV; raises ParseError/SchemaError, never partial data."""
+    """Parse a feature CSV; raises ParseError/SchemaError, never partial data.
+
+    The file is read once, line by line: Python checks each row's field
+    count, label and name, and numpy's C parser converts the feature text
+    straight into the float64 array, so no per-value Python object exists.
+    """
     path = Path(path)
-    rows: list[tuple[int, str, list[float]]] = []
-    linenos: list[int] = []
     try:
-        text = path.read_text(encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise OSError(f"cannot read feature file {path}: {exc}") from exc
-    reader = csv.reader(text.splitlines())
-    header = next(reader, None)
-    if not header or header[:2] != ["label", "class_name"]:
-        raise ParseError(f"{path}:1: expected header starting 'label,class_name'")
-    expected_dim = len(header) - 2
-    if expected_dim < 1 or header[2:] != [f"f{i}" for i in range(expected_dim)]:
-        raise ParseError(f"{path}:1: malformed feature column names")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != expected_dim + 2:
-            raise SchemaError(f"{path}:{lineno}: expected {expected_dim + 2} "
-                              f"fields, got {len(row)}")
+    with fh:
+        lines = read_lines(path, fh)
+        header = next(lines, (1, ""))[1].split(",")
+        if header[:2] != ["label", "class_name"]:
+            raise ParseError(f"{path}:1: expected header starting 'label,class_name'")
+        dim = len(header) - 2
+        if dim < 1 or header[2:] != [f"f{i}" for i in range(dim)]:
+            raise ParseError(f"{path}:1: malformed feature column names")
+        labels: list[int] = []
+        linenos: list[int] = []
+        names: dict[int, str] = {}
+
+        def feature_text():
+            for lineno, line in lines:
+                if not line:
+                    continue
+                n_fields = line.count(",") + 1
+                if n_fields != dim + 2:
+                    raise SchemaError(f"{path}:{lineno}: expected {dim + 2} "
+                                      f"fields, got {n_fields}")
+                label_text, name, values = line.split(",", 2)
+                if not values:  # numpy would skip it as a blank line
+                    raise ParseError(f"{path}:{lineno}: empty feature value")
+                try:
+                    label = int(label_text)
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
+                if label < 0:
+                    raise SchemaError(f"{path}:{lineno}: negative label")
+                if '"' in name:
+                    raise ParseError(f"{path}:{lineno}: quote in class name")
+                known = names.setdefault(label, name)
+                if known != name:
+                    raise SchemaError(f"{path}:{lineno}: label {label} maps to "
+                                      f"both {known!r} and {name!r}")
+                labels.append(label)
+                linenos.append(lineno)
+                yield values
+
+        rows = feature_text()
+        first = next(rows, None)
+        if first is None:
+            raise SchemaError(f"{path}: no data rows")
         try:
-            label = int(row[0])
-            vec = [float(x) for x in row[2:]]
+            features = np.loadtxt(itertools.chain([first], rows), delimiter=",",
+                                  comments=None, dtype=np.float64)
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if label < 0:
-            raise SchemaError(f"{path}:{lineno}: negative label")
-        if not any(vec):
-            raise SchemaError(f"{path}:{lineno}: all-zero feature row")
-        rows.append((label, row[1], vec))
-        linenos.append(lineno)
-    if not rows:
-        raise SchemaError(f"{path}: no data rows")
-    features = np.array([r[2] for r in rows], dtype=np.float64)
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        raise SchemaError(f"{path}:{linenos[int(np.argmin(finite))]}: "
-                          "non-finite value")
-    n_classes = max(r[0] for r in rows) + 1
-    if n_classes > len(rows):
+            # numpy names the failing row as "at row N" over the rows fed
+            # to it, all non-blank; map it back to the file line
+            where = re.search(r" at row (\d+), column (\d+)", str(exc))
+            if where is None:
+                raise ParseError(f"{path}:{linenos[-1]}: {exc}") from exc
+            field_no = int(where[2]) + 2
+            raise ParseError(f"{path}:{linenos[int(where[1])]}: "
+                             f"{str(exc)[:where.start()]} (field {field_no})") from exc
+    features = features.reshape(len(linenos), dim)
+    zero = ~features.any(axis=1)
+    bad = zero | ~np.isfinite(features).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SchemaError(f"{path}:{linenos[i]}: " + (
+            "all-zero feature row" if zero[i] else "non-finite value"))
+    if len(names) != max(names) + 1:
         raise SchemaError(f"{path}: labels are not contiguous from 0")
-    labels = np.array([r[0] for r in rows], dtype=np.int64)
-    names: list[str | None] = [None] * n_classes
-    for label, name, _ in rows:
-        if names[label] is None:
-            names[label] = name
-        elif names[label] != name:
-            raise SchemaError(f"{path}: label {label} maps to both "
-                              f"{names[label]!r} and {name!r}")
-    if any(n is None for n in names):
-        raise SchemaError(f"{path}: labels are not contiguous from 0")
-    return FeatureSet(features=features, labels=labels, class_names=tuple(names))
+    return FeatureSet(features=features, labels=np.array(labels, dtype=np.int64),
+                      class_names=tuple(names[i] for i in range(len(names))))
 
 
 def save_features(fs: FeatureSet, path) -> None:
+    """Write the feature CSV; class names are written raw, so a name must
+    hold no comma, quote or line break."""
+    bad = [n for n in fs.class_names if any(c in n for c in ',"\r\n')]
+    if bad:
+        raise SchemaError(f"{path}: class names {bad!r} hold a comma, quote "
+                          "or line break")
     path = Path(path)
     lines = ["label,class_name," + ",".join(f"f{i}" for i in range(fs.dim))]
     for i in range(fs.n_samples):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,15 +83,6 @@ def project(params: ProjectorParams, x: np.ndarray) -> np.ndarray:
     return out.ravel() if single else out
 
 
-@dataclass
-class TrainBatch:
-    """One training batch: features, labels, and the anchored class set."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    anchored_classes: frozenset[int] = field(default_factory=frozenset)
-
-
 def _onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise LabelOutOfRange(f"labels must lie in [0, {n_classes})")
@@ -143,17 +134,6 @@ def build_matching_loss(tape: Tape, z_node: int, labels: np.ndarray,
     return tape.scale(tape.mean(picked), -1.0)
 
 
-def matching_loss(z: np.ndarray, labels, structure: StructureMatrix) -> float:
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 1:
-        z = z.reshape(1, -1)
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    tape = Tape()
-    loss = build_matching_loss(tape, tape.constant(z), labels, structure)
-    tape.forward({})
-    return float(tape.value(loss))
-
-
 def build_contrastive_loss(tape: Tape, z_node: int, labels: np.ndarray,
                            structure: StructureMatrix,
                            anchored_classes: frozenset[int],
@@ -181,19 +161,6 @@ def build_contrastive_loss(tape: Tape, z_node: int, labels: np.ndarray,
     pos_sum = tape.add(pos_sum, tape.sum(tape.mul(asims, masks["own"]), axis=1))
     per_sample = tape.sub(tape.log(denom), tape.mul(pos_sum, masks["inv_pos"]))
     return tape.mean(per_sample)
-
-
-def contrastive_loss(batch: TrainBatch, structure: StructureMatrix,
-                     tau: float) -> float:
-    z = np.asarray(batch.features, dtype=np.float64)
-    labels = np.asarray(batch.labels, dtype=np.int64)
-    if labels.size == 0:
-        raise DegenerateBatch("empty batch")
-    tape = Tape()
-    loss = build_contrastive_loss(tape, tape.constant(z), labels, structure,
-                                  batch.anchored_classes, tau)
-    tape.forward({})
-    return float(tape.value(loss))
 
 
 @dataclass
@@ -251,7 +218,9 @@ def train_projector(params: ProjectorParams, structure: StructureMatrix,
 
     ``epoch_data(epoch)`` returns the (features, labels) arrays to train on
     during that epoch (augmented samples are redrawn each epoch by the
-    caller).  Returns updated parameters and the per-epoch mean loss.
+    caller); it is called once per epoch, in order, and the previous
+    epoch's arrays are dropped before the call, so one epoch is held at a
+    time.  Returns updated parameters and the per-epoch mean loss.
 
     The loss graph is built once per call, by the same builders that serve
     a single batch: the batch features (input ``x``) and the masks of
@@ -269,13 +238,15 @@ def train_projector(params: ProjectorParams, structure: StructureMatrix,
     loss = tape.add(build_matching_loss(tape, z, no_labels, structure),
                     build_contrastive_loss(tape, z, no_labels, structure,
                                            anchored_classes, tau=tau))
-    first_x, first_y = epoch_data(0)
-    steps_per_epoch = max(1, math.ceil(first_y.size / schedule.batch_size))
+    x, y = epoch_data(0)
+    steps_per_epoch = max(1, math.ceil(y.size / schedule.batch_size))
     total_steps = schedule.epochs * steps_per_epoch
     step = 0
     trace: list[float] = []
     for epoch in range(schedule.epochs):
-        x, y = (first_x, first_y) if epoch == 0 else epoch_data(epoch)
+        if epoch:
+            x = y = None  # drop the last epoch before drawing the next
+            x, y = epoch_data(epoch)
         y = np.asarray(y, dtype=np.int64)
         epoch_losses = []
         for idx in _balanced_batches(y, schedule.batch_size, schedule.seed,

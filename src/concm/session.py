@@ -149,6 +149,8 @@ def _augmented_epoch(state_repo: PrototypeRepository, config: SessionConfig,
 
 
 def _train_pool(aug: FeatureSet, replay: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    if not replay:
+        return aug.features, aug.labels
     feats = [aug.features]
     labels = [aug.labels]
     for cid in sorted(replay):
@@ -176,7 +178,11 @@ def _fit(config: SessionConfig, strategy: str, t: int, repo: PrototypeRepository
                                  seed=rng.derive_seed(config.seed, "train", t))
 
         def epoch_data(epoch: int):
-            aug = aug0 if epoch == 0 else _augmented_epoch(repo, config, t, epoch)
+            nonlocal aug0
+            if epoch == 0:  # hand over the draw above and keep no reference
+                aug, aug0 = aug0, None
+            else:
+                aug = _augmented_epoch(repo, config, t, epoch)
             return _train_pool(aug, replay)
 
         theta_g, _ = train_projector(theta_g, structure, anchored, schedule,

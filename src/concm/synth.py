@@ -24,6 +24,12 @@ from .data import FeatureSet, save_features
 from .errors import InvalidConfig
 
 
+# The generator holds pool_size x (d_f + d_s) attribute vectors and scans
+# the pool once per class draw; CUB-200's attribute set has 312 entries.
+# The bound also keeps the subset count in validate() to milliseconds.
+MAX_POOL_SIZE = 10_000
+
+
 @dataclass
 class GenConfig:
     base_classes: int = 10
@@ -48,6 +54,13 @@ class GenConfig:
             raise InvalidConfig("sample counts out of range")
         if self.attrs_per_class < 1 or self.attrs_per_class > self.pool_size:
             raise InvalidConfig("attrs_per_class must lie in [1, pool_size]")
+        if self.pool_size > MAX_POOL_SIZE:
+            raise InvalidConfig(f"pool_size must be <= {MAX_POOL_SIZE}")
+        if self.pool_size > self.base_classes * self.attrs_per_class:
+            raise InvalidConfig(
+                f"pool of {self.pool_size} attributes does not fit in "
+                f"{self.base_classes} base classes of {self.attrs_per_class} "
+                "attributes; some would occur in no base class")
         total = self.total_classes
         if math.comb(self.pool_size, self.attrs_per_class) < total:
             raise InvalidConfig(

@@ -9,7 +9,7 @@ from concm.augment import (ClassStats, PrototypeRepository, SampleCounts,
                            shot_variance, transfer_weights)
 from concm.data import FeatureSet
 from concm.errors import (DegenerateInput, InsufficientSamples, InvalidConfig,
-                          InvalidStats)
+                          InvalidStats, MissingClass)
 
 
 def test_two_point_statistics():
@@ -139,6 +139,32 @@ def test_resampling_deterministic_per_epoch():
     assert np.array_equal(a.features, b.features)
     c = sample_augmented(repo, SampleCounts(), seed=5, epoch=3)
     assert not np.array_equal(a.features, c.features)
+
+
+def test_sampling_bitwise_equals_per_class_reference():
+    # the per-class draw mean + z * sqrt(cov), stacked in class order
+    gen = rng.stream(7, "stats")
+    repo = PrototypeRepository()
+    for cid in range(5):
+        repo.add(ClassStats(cid, f"c{cid}", rng.gaussian(gen, (9,)) * 3.0,
+                            rng.uniform(gen, 9) * 2.0, exact=cid < 3))
+    counts = SampleCounts(base=11, novel=4)
+    for epoch in (0, 3):
+        fs = sample_augmented(repo, counts, seed=2, epoch=epoch)
+        want, labels = [], []
+        for e in repo.entries:
+            n = counts.base if e.exact else counts.novel
+            z = rng.gaussian(rng.stream(2, "augment", epoch, e.class_id), (n, 9))
+            want.append(e.mean + z * np.sqrt(e.cov_diag))
+            labels += [e.class_id] * n
+        assert fs.features.tobytes() == np.vstack(want).tobytes()
+        assert fs.labels.tolist() == labels
+        assert fs.labels.dtype == np.int64
+
+
+def test_sampling_empty_repository_rejected():
+    with pytest.raises(MissingClass):
+        sample_augmented(PrototypeRepository(), SampleCounts(), seed=0)
 
 
 def test_negative_stats_rejected():

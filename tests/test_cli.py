@@ -1,9 +1,12 @@
 import contextlib
+import gc
 import io
 import json
 import re
 import shutil
 import tempfile
+import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from concm.attributes import load_semantic_embeddings
-from concm.cli import main
+from concm.cli import _setup_logging, main
 from concm.data import load_config, load_features
 from concm.errors import ValidationError
 from concm.metrics import report_from_json
@@ -152,6 +155,48 @@ def test_run_all_zero_feature_row_is_validation_error(dataset, tmp_path, kind,
                "--out", str(tmp_path / "o")])
     assert rc == 1
     assert f"{target.name}:4: all-zero feature row" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["test_02.csv", "semantic.csv"])
+def test_run_non_utf8_input_is_validation_error_with_line(dataset, tmp_path,
+                                                          target, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(dataset / "data", data)
+    path = data / target
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2][:5] + b"\xff" + lines[2][5:]
+    path.write_bytes(b"\n".join(lines))
+    rc = main(["run", "--manifest", str(data / "manifest.json"),
+               "--config", str(dataset / "run_cfg.json"),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert _error_message(capsys.readouterr().err).startswith(
+        f"{path}:3: not UTF-8")
+
+
+def test_repeated_in_process_runs_close_their_logs(dataset, tmp_path):
+    cfg = json.loads((dataset / "run_cfg.json").read_text())
+    cfg.update(epochs_base=1, epochs_incremental=1, meta_episodes=2)
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    args = ["run", "--manifest", str(dataset / "data" / "manifest.json"),
+            "--config", str(p)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(args + ["--out", str(tmp_path / "a")]) == 0
+        assert main(args + ["--out", str(tmp_path / "b")]) == 0
+        _setup_logging()  # replaces the second run's log handler
+        gc.collect()
+    assert [w for w in caught if w.category is ResourceWarning] == []
+
+
+def test_gen_huge_pool_rejected_at_once(tmp_path):
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps({"pool_size": 4000000, "attrs_per_class": 2000000}))
+    start = time.perf_counter()
+    assert main(["gen", "--config", str(p), "--out", str(tmp_path / "g")]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert not (tmp_path / "g").exists()
 
 
 def test_report_missing_field_names_it(tmp_path, capsys):

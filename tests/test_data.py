@@ -1,3 +1,6 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from concm.data import (FeatureSet, load_features, load_manifest, read_json,
                         save_features)
-from concm.errors import ParseError, SchemaError
+from concm.errors import ParseError, SchemaError, ValidationError
 
 
 def test_two_row_fixture(tmp_path):
@@ -147,3 +150,111 @@ def test_save_load_round_trip_is_exact(tmp_path_factory, fs):
     assert back.features.tobytes() == fs.features.tobytes()
     assert back.labels.tobytes() == fs.labels.tobytes()
     assert back.class_names == fs.class_names
+
+
+def _reference_load(text: str):
+    """The per-value parse the loader replaced: csv fields, Python floats."""
+    rows = [r for r in csv.reader(text.splitlines()[1:]) if r]
+    names: dict[int, str] = {}
+    for r in rows:
+        names.setdefault(int(r[0]), r[1])
+    return (np.array([[float(x) for x in r[2:]] for r in rows], dtype=np.float64),
+            np.array([int(r[0]) for r in rows], dtype=np.int64),
+            tuple(names[i] for i in range(len(names))))
+
+
+# (field kind, tokens) that make one field invalid wherever they land
+_BAD_FIELDS = [("label", ["x", "", "1.5", '"0"', "-1"]),
+               ("name", ['"a"', 'a"b', "a,b"]),
+               ("value", ["x", "", "1_0", "nan", "-inf", "1e999", '"1.5"',
+                          "1.5.2", "0x1f", "#1", "1\r2"])]
+
+
+@settings(max_examples=80, deadline=None)
+@given(fs=feature_sets(), data=st.data())
+def test_error_names_file_line_through_blank_lines_and_crlf(tmp_path_factory,
+                                                            fs, data):
+    path = tmp_path_factory.mktemp("lines") / "f.csv"
+    save_features(fs, path)
+    header, *rows = path.read_text().splitlines()
+    lines = [header]
+    linenos = []  # file line of each data row
+    for row in rows:
+        lines += [""] * data.draw(st.integers(0, 2))
+        lines.append(row)
+        linenos.append(len(lines))
+    corrupt = data.draw(st.none() | st.integers(0, len(rows) - 1))
+    if corrupt is not None:
+        kind, tokens = data.draw(st.sampled_from(_BAD_FIELDS))
+        fields = lines[linenos[corrupt] - 1].split(",")
+        j = ["label", "name"].index(kind) if kind != "value" \
+            else data.draw(st.integers(2, len(fields) - 1))
+        fields[j] = data.draw(st.sampled_from(tokens))
+        lines[linenos[corrupt] - 1] = ",".join(fields)
+    ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                              min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if data.draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    path.write_bytes(text.encode("utf-8"))
+    if corrupt is None:
+        back = load_features(path)
+        features, labels, names = _reference_load(text)
+        assert back.features.tobytes() == features.tobytes()
+        assert back.labels.tobytes() == labels.tobytes()
+        assert back.class_names == names == fs.class_names
+    else:
+        with pytest.raises(ValidationError) as info:
+            load_features(path)
+        assert str(info.value).startswith(f"{path}:{linenos[corrupt]}: ")
+
+
+def test_load_peak_memory_near_array_size(tmp_path):
+    # the file is streamed: no per-value Python objects, no copy of the text
+    gen = np.random.default_rng(0)
+    fs = FeatureSet(features=gen.standard_normal((1000, 256)),
+                    labels=np.arange(1000) % 10,
+                    class_names=tuple(f"class_{i}" for i in range(10)))
+    path = tmp_path / "big.csv"
+    save_features(fs, path)
+    tracemalloc.start()
+    try:
+        back = load_features(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.features.tobytes() == fs.features.tobytes()
+    assert peak <= 3 * fs.features.nbytes
+
+
+def test_conversion_error_names_line_and_field(tmp_path):
+    p = tmp_path / "v.csv"
+    p.write_text("label,class_name,f0,f1\n\n0,x,1.0,2.0\n\n1,y,0.5,oops\n")
+    with pytest.raises(ParseError,
+                       match=r"v\.csv:5: could not convert .*'oops'.* \(field 4\)"):
+        load_features(p)
+
+
+def test_non_utf8_line_is_parse_error_with_line(tmp_path):
+    p = tmp_path / "u.csv"
+    p.write_bytes(b"label,class_name,f0\n0,x,1.0\n1,y,2.\xff\n")
+    with pytest.raises(ParseError, match=r"u\.csv:3: not UTF-8"):
+        load_features(p)
+
+
+def test_name_is_raw_text_and_hash_is_data(tmp_path):
+    p = tmp_path / "n.csv"
+    p.write_text("label,class_name,f0\n0, #cat ,1.0\n0, #cat ,2.0\n")
+    assert load_features(p).class_names == (" #cat ",)
+    p.write_text("label,class_name,f0\n0,cat,1.0\n0,\"cat\",2.0\n")
+    with pytest.raises(ParseError, match=r"n\.csv:3: quote in class name"):
+        load_features(p)
+
+
+@pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a\rb"])
+def test_save_refuses_names_that_do_not_round_trip(tmp_path, name):
+    fs = FeatureSet(features=np.ones((1, 2)), labels=np.zeros(1, dtype=int),
+                    class_names=(name,))
+    with pytest.raises(SchemaError, match="class names"):
+        save_features(fs, tmp_path / "s.csv")
+    assert not (tmp_path / "s.csv").exists()

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,13 +11,32 @@ from concm.autodiff import Tape, grad_check
 from concm.errors import (DegenerateBatch, DegenerateInput, InvalidConfig,
                           LabelOutOfRange, TrainingDiverged)
 from concm.optim import cosine_lr
-from concm.projector import (ProjectorParams, TrainBatch, TrainSchedule,
-                             batch_masks, build_contrastive_loss,
-                             build_matching_loss, contrastive_loss,
-                             init_projector_params, matching_loss, project,
-                             projection_nodes, train_projector)
+from concm.projector import (ProjectorParams, TrainSchedule, batch_masks,
+                             build_contrastive_loss, build_matching_loss,
+                             init_projector_params, project, projection_nodes,
+                             train_projector)
 from concm.projector import _balanced_batches, _register
 from concm.structure import random_optimal_structure
+
+
+def matching_value(z, labels, structure) -> float:
+    """Matching loss of the rows z, evaluated on the builder's graph."""
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    t = Tape()
+    loss = build_matching_loss(t, t.constant(z), np.atleast_1d(labels), structure)
+    t.forward({})
+    return float(t.value(loss))
+
+
+def contrastive_value(batch, structure, tau) -> float:
+    """Contrastive loss of a (rows, labels, anchored classes) batch,
+    evaluated on the builder's graph."""
+    z, labels, anchored = batch
+    t = Tape()
+    loss = build_contrastive_loss(t, t.constant(z), labels, structure,
+                                  anchored, tau)
+    t.forward({})
+    return float(t.value(loss))
 
 
 def params_fixture(d_f=6, d_h=6, d_g=5, seed=0):
@@ -47,13 +67,13 @@ def test_project_zero_input():
 def test_matching_loss_values():
     s = random_optimal_structure(2, 3, seed=1)
     # z on its own column: logits (1, -1)
-    assert matching_loss(s.columns[:, 0], 0, s) == pytest.approx(
+    assert matching_value(s.columns[:, 0], 0, s) == pytest.approx(
         math.log(1.0 + math.exp(-2.0)), abs=1e-12)
     # z orthogonal to both columns: uniform logits
     u = s.columns[:, 0]
     v = np.array([1.0, 0.0, 0.0]) - (np.array([1.0, 0.0, 0.0]) @ u) * u
     v /= np.linalg.norm(v)
-    assert matching_loss(v, 0, s) == pytest.approx(math.log(2.0), abs=1e-12)
+    assert matching_value(v, 0, s) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_matching_loss_nonnegative_and_label_check():
@@ -62,9 +82,9 @@ def test_matching_loss_nonnegative_and_label_check():
     for _ in range(20):
         z = rng.gaussian(gen, (7,))
         z /= np.linalg.norm(z)
-        assert matching_loss(z, 1, s) >= 0.0
+        assert matching_value(z, 1, s) >= 0.0
     with pytest.raises(LabelOutOfRange):
-        matching_loss(s.columns[:, 0], 4, s)
+        matching_value(s.columns[:, 0], 4, s)
 
 
 def test_matching_loss_argmin_matches_ncm():
@@ -74,7 +94,7 @@ def test_matching_loss_argmin_matches_ncm():
     for _ in range(25):
         z = rng.gaussian(gen, (9,))
         z /= np.linalg.norm(z)
-        losses = [matching_loss(z, k, s) for k in range(5)]
+        losses = [matching_value(z, k, s) for k in range(5)]
         assert int(np.argmin(losses)) == ncm_classify(z, s)
 
 
@@ -107,10 +127,10 @@ def test_contrastive_loss_matches_manual_arithmetic():
     labels = np.array([0, 0, 1, 1, 2])
     # the singleton class 2 needs its anchor for a nonempty positive set
     for anchored in (frozenset({2}), frozenset({0, 1, 2})):
-        got = contrastive_loss(TrainBatch(z, labels, anchored), s, tau=0.07)
+        got = contrastive_value((z, labels, anchored), s, tau=0.07)
         want = manual_supcon(z, labels, s, anchored, 0.07)
         assert got == pytest.approx(want, rel=1e-12)
-    got = contrastive_loss(TrainBatch(z[:4], labels[:4], frozenset()), s, 0.07)
+    got = contrastive_value((z[:4], labels[:4], frozenset()), s, 0.07)
     want = manual_supcon(z[:4], labels[:4], s, frozenset(), 0.07)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -120,13 +140,13 @@ def test_contrastive_identical_points_is_local_minimum():
     z0 = s.columns[:, 0]
     z = np.tile(z0, (3, 1))
     labels = np.zeros(3, dtype=int)
-    base = contrastive_loss(TrainBatch(z, labels, frozenset({0})), s, tau=0.5)
+    base = contrastive_value((z, labels, frozenset({0})), s, tau=0.5)
     gen = rng.stream(5, "pert")
     for _ in range(10):
         bump = rng.gaussian(gen, (5,)) * 0.05
         zp = z.copy()
         zp[0] = (z0 + bump) / np.linalg.norm(z0 + bump)
-        pert = contrastive_loss(TrainBatch(zp, labels, frozenset({0})), s, tau=0.5)
+        pert = contrastive_value((zp, labels, frozenset({0})), s, tau=0.5)
         assert pert >= base - 1e-12
 
 
@@ -135,9 +155,9 @@ def test_contrastive_empty_positive_set():
     z = rng.gaussian(rng.stream(6, "dp"), (2, 5))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     with pytest.raises(DegenerateBatch):
-        contrastive_loss(TrainBatch(z, np.array([0, 1]), frozenset()), s, 0.07)
+        contrastive_value((z, np.array([0, 1]), frozenset()), s, 0.07)
     with pytest.raises(InvalidConfig):
-        contrastive_loss(TrainBatch(z, np.array([0, 1]), frozenset({0, 1})), s,
+        contrastive_value((z, np.array([0, 1]), frozenset({0, 1})), s,
                          tau=0.0)
 
 
@@ -171,8 +191,8 @@ def test_anchor_pull_decreases_loss():
     far[2] = (z[2] + 0.0 * anchor)
     near = z.copy()
     near[2] = (z[2] + 2.0 * anchor) / np.linalg.norm(z[2] + 2.0 * anchor)
-    loss_far = contrastive_loss(TrainBatch(far, labels, frozenset({1})), s, 0.07)
-    loss_near = contrastive_loss(TrainBatch(near, labels, frozenset({1})), s, 0.07)
+    loss_far = contrastive_value((far, labels, frozenset({1})), s, 0.07)
+    loss_near = contrastive_value((near, labels, frozenset({1})), s, 0.07)
     assert loss_near < loss_far
 
 
@@ -231,6 +251,25 @@ def test_train_loss_decreases():
                           seed=0)
     out, trace = train_projector(p, s, frozenset(), sched, training_data())
     assert trace[-1] < trace[0]
+
+
+def test_train_holds_one_epoch_at_a_time():
+    # each epoch's arrays are released before the next epoch is requested
+    s = random_optimal_structure(3, 8, seed=11)
+    data = training_data()
+    alive = []
+
+    def epoch_data(epoch):
+        assert all(ref() is None for ref in alive), epoch
+        x, y = data(epoch)
+        alive.extend([weakref.ref(x), weakref.ref(y)])
+        return x, y
+
+    sched = TrainSchedule(lr_max=0.1, epochs=4, warmup_steps=0, batch_size=24,
+                          seed=0)
+    train_projector(params_fixture(6, 6, 8, seed=12), s, frozenset(), sched,
+                    epoch_data)
+    assert len(alive) == 8
 
 
 def test_train_divergence_detected():

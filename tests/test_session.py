@@ -1,7 +1,10 @@
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from concm import rng
+from concm import rng, session
 from concm.data import FeatureSet
 from concm.errors import InvalidConfig, ProtocolViolation
 from concm.metrics import report_to_json
@@ -222,3 +225,21 @@ def test_uncovered_novel_class_falls_back_to_raw_prototype(bench, base_state):
     # covered classes are actually calibrated (blend differs from raw)
     other_raw = novel.class_features(1).mean(axis=0)
     assert not np.allclose(state1.repository.get(7).mean, other_raw)
+
+
+def test_pipeline_holds_one_augmentation_epoch_at_a_time(inputs, monkeypatch):
+    # when an epoch is drawn, every earlier draw has been released: the
+    # first draw is not pinned for the session, nor the last by training
+    drawn = []
+    real = session.sample_augmented
+
+    def sample(*args, **kwargs):
+        assert all(ref() is None for ref in drawn), len(drawn)
+        out = real(*args, **kwargs)
+        drawn.append(weakref.ref(out.features))
+        return out
+
+    monkeypatch.setattr(session, "sample_augmented", sample)
+    config = tiny_cfg(epochs_base=3, epochs_incremental=2, meta_episodes=5)
+    run_pipeline(replace(inputs, config=config))
+    assert len(drawn) == 3 + 2 * 2

@@ -79,6 +79,11 @@ def test_infeasible_configs_rejected():
         generate_benchmark(small_cfg(attrs_per_class=0))
     with pytest.raises(InvalidConfig):
         generate_benchmark(small_cfg(noise=0.0))
+    # 10 base classes of 3 attributes cover at most 30 of a 40-attribute pool
+    with pytest.raises(InvalidConfig, match="no base class"):
+        generate_benchmark(small_cfg(base_classes=10, pool_size=40))
+    with pytest.raises(InvalidConfig, match="pool_size"):
+        generate_benchmark(small_cfg(base_classes=5000, pool_size=10_001))
 
 
 def test_write_benchmark_files(tmp_path):

@@ -4,9 +4,23 @@ A Tape records a straight-line program over 2-D float64 arrays (plus 0-d
 scalars).  Nodes are appended in construction order, which is therefore a
 topological order; forward() evaluates every node for a given feed of
 inputs, backward() accumulates adjoints in reverse and returns gradients
-for the named parameters.  The primitive set is exactly what the
-calibration and projector networks need; this is not a general autodiff
-library.
+for the named parameters.  The primitive set is what the calibration and
+projector networks need, plus exp, log, sum and log_softmax, from which
+the tests compose the reference graphs of the fused losses; this is not a
+general autodiff library:
+
+* elementwise: add, sub, mul, scale, exp, log, softplus;
+* linear algebra: matmul, transpose, stack (row-wise concatenation);
+* reductions: sum, mean;
+* row-wise: softmax (optionally masked), log_softmax, l2_normalize;
+* fused losses, one node each with a hand-derived backward:
+  cross_entropy (the projector's matching loss) and anchored_contrastive
+  (its supervised contrastive loss with structure anchors).  Their forward
+  keeps the softmax, the masked exponentials and the row denominators that
+  the backward reuses, and their mask and weight arguments get no adjoint.
+
+softplus is max(x, 0) + log1p(exp(-|x|)); its backward takes the sigmoid
+from the forward value as exp(x - softplus(x)).
 
 Elementwise binary ops support limited broadcasting: equal shapes, a
 (1, n) row or (m, 1) column against an (m, n) matrix, or a 0-d scalar
@@ -27,7 +41,7 @@ def _as_value(x, what: str = "value") -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     if v.ndim not in (0, 2):
         raise ShapeError(f"{what} must be 2-D or scalar, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InvalidInput(f"{what} contains non-finite entries")
     return v
 
@@ -53,11 +67,82 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _expit(x: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid without overflow: exp only ever sees -|x|."""
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j a_ij b_ij for each row i, as a (rows,) vector."""
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _cross_entropy(args: list[np.ndarray], _pay):
+    """-mean_i sum_j w_ij log_softmax(logits)_ij, and what its backward
+    needs: the softmax and the weights with their row sums."""
+    logits, w = args
+    if logits.ndim != 2 or w.shape != logits.shape:
+        raise ShapeError(f"cross_entropy: weights {w.shape} do not match "
+                         f"logits {logits.shape}")
+    sh = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(sh)
+    s = e.sum(axis=1, keepdims=True)
+    w_sum = w.sum(axis=1, keepdims=True)
+    picked = _row_dot(sh, w) - (np.log(s) * w_sum).ravel()
+    e /= s
+    return np.asarray(-picked.mean()), (e, w, w_sum)
+
+
+def _cross_entropy_grad(saved, g):
+    """Adjoint of the logits: (softmax * rowsum(w) - w) / b."""
+    sm, w, w_sum = saved
+    return ((sm * w_sum - w) * (g / w.shape[0]),)
+
+
+def _anchored_contrastive(args: list[np.ndarray], tau: float):
+    """Mean over samples of log(denominator) - mean positive similarity.
+
+    ``z`` (b, d) are the samples and ``cols`` (d, n_a) the anchor columns;
+    similarities are inner products over tau.  Sample i's denominator sums
+    exp(sim) over ``allow``[i] and its own anchor ``own``[i]; its positive
+    similarities are those under ``pos``[i] and ``own``[i], weighted by
+    ``inv_pos``[i] (b, 1).  Keeps for the backward the masked exponentials
+    over the row denominators and the weighted positive masks.
+    """
+    z, cols, allow, pos, own, inv_pos = args
+    b = z.shape[0]
+    if (z.ndim != 2 or cols.ndim != 2 or cols.shape[0] != z.shape[1]
+            or allow.shape != (b, b) or pos.shape != (b, b)
+            or own.shape != (b, cols.shape[1]) or inv_pos.shape != (b, 1)):
+        raise ShapeError(f"anchored_contrastive: incompatible shapes "
+                         f"{[x.shape for x in args]}")
+    inv_tau = 1.0 / tau
+    sims = (z @ z.T) * inv_tau
+    asims = (z @ cols) * inv_tau
+    e = np.exp(sims)
+    e *= allow
+    ea = np.exp(asims)
+    ea *= own
+    denom = e.sum(axis=1, keepdims=True) + ea.sum(axis=1, keepdims=True)
+    pos_w, own_w = pos * inv_pos, own * inv_pos
+    per_sample = np.log(denom).ravel() - _row_dot(sims, pos_w) \
+        - _row_dot(asims, own_w)
+    e /= denom
+    ea /= denom
+    return np.asarray(per_sample.mean()), (z, cols, e, ea, pos_w, own_w, inv_tau)
+
+
+def _anchored_contrastive_grad(saved, g):
+    """Adjoint of z: ((G + G^T) z + G_a cols^T) / (b tau), where G and G_a
+    are the masked exponentials over the row denominator minus the
+    weighted positive masks, on the sample and anchor similarities."""
+    z, cols, p, pa, pos_w, own_w, inv_tau = saved
+    gs = p - pos_w
+    gz = (gs + gs.T) @ z + (pa - own_w) @ cols.T
+    return (gz * (g * inv_tau / z.shape[0]),)
+
+
+# fused ops: forward(args, payload) -> (value, saved) and
+# backward(saved, g) -> (adjoint of the first arg,); the others get none
+_FUSED = {
+    "cross_entropy": (_cross_entropy, _cross_entropy_grad),
+    "anchored_contrastive": (_anchored_contrastive, _anchored_contrastive_grad),
+}
 
 
 @dataclass
@@ -73,6 +158,8 @@ class Tape:
     def __init__(self):
         self._nodes: list[_Node] = []
         self._values: list[np.ndarray | None] = []
+        # what a fused node's forward keeps for its backward
+        self._saved: list[Any] = []
         # whether a node depends on some param, i.e. may carry an adjoint
         self._needs_grad: list[bool] = []
         self._params: dict[str, int] = {}
@@ -89,6 +176,7 @@ class Tape:
                 raise OrderError(f"node argument {a} does not exist yet")
         self._nodes.append(_Node(op, args, payload))
         self._values.append(None)
+        self._saved.append(None)
         self._needs_grad.append(op == "param"
                                 or any(self._needs_grad[a] for a in args))
         self._forward_done = False
@@ -169,6 +257,32 @@ class Tape:
         """Row-wise concatenation of 2-D nodes with equal column counts."""
         return self._push("stack", tuple(nodes))
 
+    def cross_entropy(self, logits: int, weights: int) -> int:
+        """Scalar -mean_i sum_j weights_ij log_softmax(logits)_ij.
+
+        With one-hot ``weights`` this is the mean softmax cross-entropy at
+        the labels.  Only ``logits`` gets an adjoint: ``weights`` is treated
+        as data even when it depends on a parameter.
+        """
+        return self._push("cross_entropy", (logits, weights))
+
+    def anchored_contrastive(self, z: int, anchor_cols: int, allow: int,
+                             pos: int, own: int, inv_pos: int,
+                             tau: float) -> int:
+        """Scalar supervised contrastive loss of the rows of ``z`` with
+        anchor columns: the mean over samples i of
+
+            log(sum_j allow_ij e^{s_ij} + sum_k own_ik e^{a_ik})
+                - inv_pos_i (sum_j pos_ij s_ij + sum_k own_ik a_ik),
+
+        where s = z z^T / tau and a = z anchor_cols / tau.  Shapes: z
+        (b, d), anchor_cols (d, n_a), allow and pos (b, b), own (b, n_a),
+        inv_pos (b, 1).  Only ``z`` gets an adjoint: the anchors, masks and
+        weights are treated as data even when they depend on a parameter.
+        """
+        return self._push("anchored_contrastive",
+                          (z, anchor_cols, allow, pos, own, inv_pos), float(tau))
+
     # ---- parameter access --------------------------------------------------
 
     def param_names(self) -> list[str]:
@@ -192,7 +306,7 @@ class Tape:
         value = self._param_values[name]
         value -= delta
         self._forward_done = False
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise InvalidInput(f"param {name!r} contains non-finite entries")
 
     # ---- execution -----------------------------------------------------
@@ -203,7 +317,7 @@ class Tape:
         for name in self._inputs:
             if name not in feeds and name not in self._defaults:
                 raise OrderError(f"missing feed for input {name!r}")
-        vals = self._values
+        vals, saved = self._values, self._saved
         for i, node in enumerate(self._nodes):
             op, args, pay = node.op, node.args, node.payload
             if op == "const":
@@ -213,6 +327,8 @@ class Tape:
                     if pay in feeds else self._defaults[pay]
             elif op == "param":
                 vals[i] = self._param_values[pay]
+            elif op in _FUSED:
+                vals[i], saved[i] = _FUSED[op][0]([vals[a] for a in args], pay)
             else:
                 vals[i] = self._eval(op, [vals[a] for a in args], pay)
         self._forward_done = True
@@ -231,7 +347,8 @@ class Tape:
         if op == "transpose":
             return a[0].T
         if op == "softplus":
-            return np.logaddexp(0.0, a[0])
+            x = a[0]
+            return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
         if op == "exp":
             return np.exp(a[0])
         if op == "log":
@@ -253,7 +370,7 @@ class Tape:
         if op == "l2_normalize":
             x = a[0]
             n = np.sqrt((x * x).sum(axis=pay, keepdims=True))
-            if np.any(n < 1e-300):
+            if (n < 1e-300).any():
                 rows = np.flatnonzero(n.ravel() < 1e-300).tolist()
                 raise DegenerateInput(f"l2_normalize: zero-norm row(s) {rows}")
             return x / n
@@ -298,9 +415,12 @@ class Tape:
             op, args, pay = node.op, node.args, node.payload
             if not args:
                 continue
-            want = [needs[a] for a in args]
-            ins = [vals[a] for a in args]
-            contribs = self._grads(op, ins, vals[i], g, pay, want)
+            if op in _FUSED:
+                contribs = _FUSED[op][1](self._saved[i], g) \
+                    if needs[args[0]] else ()
+            else:
+                contribs = self._grads(op, [vals[a] for a in args], vals[i],
+                                       g, pay, [needs[a] for a in args])
             for a, ga in zip(args, contribs):
                 if ga is None:
                     continue
@@ -330,7 +450,8 @@ class Tape:
         if op == "transpose":
             return (g.T,)
         if op == "softplus":
-            return (g * _expit(ins[0]),)
+            # the sigmoid, from the forward value: e^x / (1 + e^x)
+            return (g * np.exp(ins[0] - out),)
         if op == "exp":
             return (g * out,)
         if op == "log":

@@ -219,6 +219,25 @@ def build_meta_tape(params: CalibrationParams, knowledge: SemanticKnowledge,
     return tape, tape.mean(tape.mul(diff, diff))
 
 
+def _class_rows(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """(C, n_max) table whose row c holds class c's row indices in file
+    order, padded with -1."""
+    counts = np.bincount(labels, minlength=n_classes)
+    rows = np.full((n_classes, int(counts.max(initial=0))), -1, dtype=np.int64)
+    rows[np.arange(rows.shape[1]) < counts[:, None]] = \
+        np.argsort(labels, kind="stable")
+    return rows
+
+
+def _draw_shots(rows: np.ndarray, shots: int,
+                gen: np.random.Generator) -> np.ndarray:
+    """(C, shots) distinct row indices per class of a ``_class_rows`` table:
+    one uniform key per entry, padding keyed off, each class's smallest."""
+    keys = np.where(rows >= 0, rng.uniform(gen, rows.shape), np.inf)
+    picks = np.argpartition(keys, shots - 1, axis=1)[:, :shots]
+    return np.take_along_axis(rows, picks, axis=1)
+
+
 def meta_train(base_features: FeatureSet, knowledge: SemanticKnowledge,
                params: CalibrationParams,
                config: MetaTrainConfig) -> tuple[CalibrationParams, list[float]]:
@@ -227,29 +246,28 @@ def meta_train(base_features: FeatureSet, knowledge: SemanticKnowledge,
     Every episode samples ``config.shots`` distinct shots per class, builds
     the shot prototypes, and takes one SGD step on the MSE against the
     exact class means.  Returns the trained parameters and the loss trace.
+    An episode's shots of all classes are one gather of the base features.
     """
     if config.shots < 1:
         raise InvalidConfig("shots must be >= 1")
     names = list(base_features.class_names)
-    per_class = {}
-    targets = {}
-    for label, name in enumerate(names):
-        feats = base_features.class_features(label)
-        if feats.shape[0] <= config.shots:
+    features = base_features.features
+    rows = _class_rows(base_features.labels, len(names))
+    class_rows = [r[r >= 0] for r in rows]
+    for name, r in zip(names, class_rows):
+        if r.size <= config.shots:
             raise InsufficientSamples(
-                f"class {name!r} has {feats.shape[0]} samples; needs > {config.shots}")
-        per_class[name] = feats
-        targets[name] = feats.mean(axis=0).reshape(1, -1)
+                f"class {name!r} has {r.size} samples; needs > {config.shots}")
 
     tape, loss = build_meta_tape(params, knowledge, names)
-    feeds = {f"target_{name}": targets[name] for name in names}
+    feeds = {f"target_{name}": features[r].mean(axis=0).reshape(1, -1)
+             for name, r in zip(names, class_rows)}
     trace: list[float] = []
     for ep in range(config.episodes):
         gen = rng.stream(config.seed, "meta-episode", ep)
-        for name in names:
-            feats = per_class[name]
-            idx = rng.choice(gen, feats.shape[0], config.shots)
-            feeds[f"p_meta_{name}"] = feats[idx].mean(axis=0).reshape(1, -1)
+        protos = features[_draw_shots(rows, config.shots, gen)].mean(axis=1)
+        for name, proto in zip(names, protos):
+            feeds[f"p_meta_{name}"] = proto.reshape(1, -1)
         tape.forward(feeds)
         trace.append(float(tape.value(loss)))
         grads = tape.backward(loss)

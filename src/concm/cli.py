@@ -150,7 +150,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         _error_record(exc)
         return EXIT_IO
-    except (ConcmError, ValueError) as exc:
+    except (ConcmError, ValueError, MemoryError) as exc:
         _error_record(exc)
         return EXIT_RUNTIME
 

@@ -53,7 +53,9 @@ class SessionRecord:
 def harmonic_mean(bacc: float, nacc: float) -> float:
     if bacc + nacc == 0.0:
         return 0.0
-    return 2.0 * bacc * nacc / (bacc + nacc)
+    hm = 2.0 * bacc * nacc / (bacc + nacc)
+    # rounding can put it an ulp outside [min, max], e.g. for bacc == nacc
+    return min(max(hm, min(bacc, nacc)), max(bacc, nacc))
 
 
 def session_metrics(preds: np.ndarray, labels: np.ndarray,

@@ -106,16 +106,18 @@ def batch_masks(labels: np.ndarray, structure: StructureMatrix,
     """
     onehot = _onehot(labels, structure.num_classes)
     b = labels.size
-    off_diag = ~np.eye(b, dtype=bool)
-    pos = ((labels[:, None] == labels[None, :]) & off_diag).astype(np.float64)
+    allow = 1.0 - np.eye(b)
+    pos = (labels[:, None] == labels[None, :]).astype(np.float64)
+    pos.flat[::b + 1] = 0.0
     anchored = np.asarray(sorted(set(anchored_classes) & set(labels.tolist())),
                           dtype=np.int64)
     own = (labels[:, None] == anchored[None, :]).astype(np.float64)
-    pos_counts = pos.sum(axis=1) + own.sum(axis=1)
-    if np.any(pos_counts == 0):
+    # other same-class samples, plus the own anchor
+    pos_counts = np.bincount(labels)[labels] - 1.0 + own.sum(axis=1)
+    if (pos_counts == 0).any():
         bad = labels[pos_counts == 0]
         raise DegenerateBatch(f"empty positive set for labels {sorted(set(bad.tolist()))}")
-    return {"onehot": onehot, "allow": off_diag.astype(np.float64), "pos": pos,
+    return {"onehot": onehot, "allow": allow, "pos": pos,
             "anchor_cols": structure.columns[:, anchored], "own": own,
             "inv_pos": (1.0 / pos_counts).reshape(-1, 1)}
 
@@ -129,9 +131,7 @@ def build_matching_loss(tape: Tape, z_node: int, labels: np.ndarray,
     """
     onehot = _onehot(labels, structure.num_classes)
     logits = tape.matmul(z_node, tape.constant(structure.columns))
-    ls = tape.log_softmax(logits, axis=1)
-    picked = tape.sum(tape.mul(ls, tape.input("onehot", onehot)), axis=1)
-    return tape.scale(tape.mean(picked), -1.0)
+    return tape.cross_entropy(logits, tape.input("onehot", onehot))
 
 
 def build_contrastive_loss(tape: Tape, z_node: int, labels: np.ndarray,
@@ -152,15 +152,9 @@ def build_contrastive_loss(tape: Tape, z_node: int, labels: np.ndarray,
     masks = {name: tape.input(name, value) for name, value in
              batch_masks(labels, structure, anchored_classes).items()
              if name != "onehot"}
-    sims = tape.scale(tape.matmul(z_node, tape.transpose(z_node)), 1.0 / tau)
-    denom = tape.sum(tape.mul(tape.exp(sims), masks["allow"]), axis=1)
-    pos_sum = tape.sum(tape.mul(sims, masks["pos"]), axis=1)
-    asims = tape.scale(tape.matmul(z_node, masks["anchor_cols"]), 1.0 / tau)
-    denom = tape.add(denom, tape.sum(tape.mul(tape.exp(asims), masks["own"]),
-                                     axis=1))
-    pos_sum = tape.add(pos_sum, tape.sum(tape.mul(asims, masks["own"]), axis=1))
-    per_sample = tape.sub(tape.log(denom), tape.mul(pos_sum, masks["inv_pos"]))
-    return tape.mean(per_sample)
+    return tape.anchored_contrastive(
+        z_node, masks["anchor_cols"], masks["allow"], masks["pos"],
+        masks["own"], masks["inv_pos"], tau)
 
 
 @dataclass
@@ -177,28 +171,30 @@ def _balanced_batches(labels: np.ndarray, batch_size: int, seed: int, epoch: int
     """Class-balanced batches; drops samples whose class would appear once
     in a batch without an anchor (the contrastive loss needs a positive)."""
     gen = rng.stream(seed, "batches", epoch)
-    classes = np.unique(labels)
-    order = classes[rng.permutation(gen, classes.size)]
-    streams = [np.flatnonzero(labels == c)[rng.permutation(
-        gen, int((labels == c).sum()))] for c in order]
-    if not streams:
+    classes, sizes = np.unique(labels, return_counts=True)
+    if not classes.size:
         return []
+    order = rng.permutation(gen, classes.size)
+    # each class's row indices in file order, then shuffled, classes in draw order
+    by_class = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
+    streams = [by_class[k][rng.permutation(gen, sizes[k])] for k in order]
     # round robin: the r-th sample of every class, classes in draw order
-    sizes = [s.size for s in streams]
+    sizes = sizes[order]
     flat = np.concatenate(streams)
     slot = np.repeat(np.arange(len(streams)), sizes)
     rank = np.arange(flat.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     interleaved = flat[np.lexsort((slot, rank))]
+    # per-batch class counts by bincount over labels shifted to start at 0
+    span = np.arange(classes[0], classes[-1] + 1)
+    unanchored = ~np.isin(span, sorted(anchored))
+    shifted = labels - classes[0]
     batches = []
     for start in range(0, interleaved.size, batch_size):
         idx = interleaved[start:start + batch_size]
-        batch_labels = labels[idx]
-        uniq, counts = np.unique(batch_labels, return_counts=True)
-        lonely = {int(c) for c, n in zip(uniq, counts)
-                  if n == 1 and int(c) not in anchored}
-        if lonely:
-            keep = ~np.isin(batch_labels, sorted(lonely))
-            idx = idx[keep]
+        batch_labels = shifted[idx]
+        lonely = (np.bincount(batch_labels, minlength=span.size) == 1) & unanchored
+        if lonely.any():
+            idx = idx[~lonely[batch_labels]]
         if idx.size >= 2:
             batches.append(idx)
     return batches

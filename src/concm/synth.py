@@ -28,6 +28,9 @@ from .errors import InvalidConfig
 # the pool once per class draw; CUB-200's attribute set has 312 entries.
 # The bound also keeps the subset count in validate() to milliseconds.
 MAX_POOL_SIZE = 10_000
+# The generator holds every feature set, the pool and the embeddings in
+# memory before writing them as CSV text: 2**27 float64 values are 1 GiB.
+MAX_VALUES = 1 << 27
 
 
 @dataclass
@@ -56,6 +59,7 @@ class GenConfig:
             raise InvalidConfig("attrs_per_class must lie in [1, pool_size]")
         if self.pool_size > MAX_POOL_SIZE:
             raise InvalidConfig(f"pool_size must be <= {MAX_POOL_SIZE}")
+        self._check_sizes()
         if self.pool_size > self.base_classes * self.attrs_per_class:
             raise InvalidConfig(
                 f"pool of {self.pool_size} attributes does not fit in "
@@ -68,6 +72,25 @@ class GenConfig:
                 f"distinct {self.attrs_per_class}-subsets")
         if self.noise <= 0:
             raise InvalidConfig("noise must be positive")
+
+    def _check_sizes(self) -> None:
+        """Reject a config whose generated arrays exceed MAX_VALUES values,
+        naming the field, before anything is allocated."""
+        sizes = {name: getattr(self, name) for name in (
+            "base_classes", "sessions", "way", "shot", "d_f", "d_s",
+            "base_samples", "test_samples")}
+        for name, value in sizes.items():
+            if value > MAX_VALUES:
+                raise InvalidConfig(f"{name} = {value} exceeds the generator's "
+                                    f"cap of {MAX_VALUES} values")
+        rows = (self.base_classes * self.base_samples
+                + self.sessions * self.way * self.shot
+                + self.total_classes * self.test_samples + self.pool_size)
+        values = rows * self.d_f + (self.total_classes + self.pool_size) * self.d_s
+        if values > MAX_VALUES:
+            named = ", ".join(f"{k} = {v}" for k, v in sizes.items())
+            raise InvalidConfig(f"generated arrays would hold {values} values, "
+                                f"over the cap of {MAX_VALUES} ({named})")
 
     @property
     def total_classes(self) -> int:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concm import rng
 from concm.augment import (ClassStats, PrototypeRepository, SampleCounts,
@@ -160,6 +162,32 @@ def test_sampling_bitwise_equals_per_class_reference():
         assert fs.features.tobytes() == np.vstack(want).tobytes()
         assert fs.labels.tolist() == labels
         assert fs.labels.dtype == np.int64
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact=st.lists(st.booleans(), min_size=1, max_size=6),
+       new_exact=st.booleans(), d=st.integers(1, 5),
+       base=st.integers(1, 6), novel=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32), epoch=st.integers(0, 5))
+def test_adding_a_class_leaves_other_classes_draws_unchanged(
+        exact, new_exact, d, base, novel, seed, epoch):
+    gen = rng.stream(seed, "independence-stats")
+
+    def stats(cid, is_exact):
+        return ClassStats(cid, f"c{cid}", rng.gaussian(gen, (d,)),
+                          rng.uniform(gen, d) * 2.0, is_exact)
+
+    repo = PrototypeRepository()
+    for cid, is_exact in enumerate(exact):
+        repo.add(stats(cid, is_exact))
+    counts = SampleCounts(base=base, novel=novel)
+    before = sample_augmented(repo, counts, seed=seed, epoch=epoch)
+    repo.add(stats(len(exact), new_exact))
+    after = sample_augmented(repo, counts, seed=seed, epoch=epoch)
+    for cid in range(len(exact)):
+        assert after.features[after.labels == cid].tobytes() == \
+            before.features[before.labels == cid].tobytes()
+    assert (after.labels == len(exact)).sum() == (base if new_exact else novel)
 
 
 def test_sampling_empty_repository_rejected():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from concm.autodiff import Tape, _expit, grad_check
+from concm.autodiff import Tape, grad_check
 from concm.errors import DegenerateInput, InvalidInput, OrderError, ShapeError
 from concm.optim import sgd_step
 
@@ -184,8 +184,8 @@ def test_l2_normalize_zero_row_is_degenerate_input():
         t.forward({})
 
 
-def expit_masked(x):
-    """The masked-index formula _expit replaced."""
+def sigmoid_reference(x):
+    """Logistic sigmoid, with exp only ever taken of -|x|."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -194,13 +194,31 @@ def expit_masked(x):
     return out
 
 
-def test_expit_bitwise_equal_to_masked_formula():
+def softplus_inputs():
     gen = np.random.default_rng(4)
-    special = [800.0, -800.0, 0.0, -0.0, 745.0, -745.0, 1e-300, -1e-300]
-    for scale in (1.0, 30.0, 1000.0):
-        x = np.concatenate([gen.standard_normal(120) * scale, special])
-        x = x.reshape(8, 16)
-        assert _expit(x).tobytes() == expit_masked(x).tobytes()
+    special = [1000.0, -1000.0, 800.0, -800.0, 745.0, -745.0, 0.0, -0.0,
+               1e-300, -1e-300]
+    x = np.concatenate([gen.standard_normal(20000) * scale
+                        for scale in (1e-3, 1.0, 20.0, 1000.0)] + [special])
+    return x.reshape(-1, 10)
+
+
+def test_softplus_value_and_gradient_bounds():
+    x = softplus_inputs()
+    t = Tape()
+    a = t.param("a", x)
+    out = t.softplus(a)
+    loss = t.sum(out)
+    t.forward({})
+    want = np.logaddexp(0.0, x)
+    # two ulps of the reference
+    assert np.all(np.abs(t.value(out) - want)
+                  <= 2 * np.finfo(np.float64).eps * np.abs(want))
+    grad = t.backward(loss)["a"]
+    # exp(x - softplus(x)) inherits the rounding of softplus(x): at most
+    # half an ulp of 32 where softplus(x) != x
+    assert np.all(np.abs(grad - sigmoid_reference(x)) <= 2.0 ** -48)
+    assert np.all((grad >= 0.0) & (grad <= 1.0))
 
 
 def test_parameter_free_subgraph_gets_no_adjoint(monkeypatch, unpruned_backward):

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from concm import rng
 from concm.attributes import AssociationMatrix, AttributePool, SemanticKnowledge
-from concm.autodiff import grad_check
+from concm.autodiff import Tape, grad_check
 from concm.calibration import (MetaTrainConfig, Prototype, blend,
                                build_meta_tape, calibrate,
                                init_calibration_params, meta_train,
                                relevance_weights)
+from concm.calibration import _class_rows, _draw_shots
 from concm.data import FeatureSet
 from concm.errors import AllMasked, InsufficientSamples, InvalidConfig
 
@@ -272,6 +274,46 @@ def test_meta_train_loss_moving_average_decreases():
     avg = np.convolve(trace, np.ones(window) / window, mode="valid")
     assert avg[-1] < avg[0]
     assert not np.array_equal(trained.w_enc, params.w_enc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes=st.lists(st.integers(2, 12), min_size=1, max_size=6),
+       data=st.data(), seed=st.integers(0, 2 ** 32), episode=st.integers(0, 999))
+def test_meta_episode_shots_distinct_in_class_and_deterministic(sizes, data,
+                                                                seed, episode):
+    shots = data.draw(st.integers(1, min(sizes) - 1))
+    shuffle = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+    labels = shuffle.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    rows = _class_rows(labels, len(sizes))
+    picks = _draw_shots(rows, shots, rng.stream(seed, "meta-episode", episode))
+    again = _draw_shots(rows, shots, rng.stream(seed, "meta-episode", episode))
+    assert picks.shape == (len(sizes), shots)
+    np.testing.assert_array_equal(picks, again)
+    for c, row in enumerate(picks):
+        assert len(set(row.tolist())) == shots
+        assert np.all(labels[row] == c)
+
+
+def test_meta_train_feeds_the_gathered_shot_means(monkeypatch):
+    fs, kn = episodic_fixture(per_class=9)
+    fed = []
+    real = Tape.forward
+
+    def spy(self, feeds=None):
+        fed.append({k: v.copy() for k, v in feeds.items()})
+        return real(self, feeds)
+
+    monkeypatch.setattr(Tape, "forward", spy)
+    meta_train(fs, kn, init_calibration_params(8, 4, seed=6),
+               MetaTrainConfig(shots=3, episodes=2, seed=4))
+    rows = _class_rows(fs.labels, fs.n_classes)
+    for ep, feeds in enumerate(fed):
+        shots = fs.features[_draw_shots(rows, 3, rng.stream(4, "meta-episode", ep))]
+        for c, name in enumerate(fs.class_names):
+            assert feeds[f"p_meta_{name}"].tobytes() == \
+                shots[c].mean(axis=0).reshape(1, -1).tobytes()
+            assert feeds[f"target_{name}"].tobytes() == \
+                fs.class_features(c).mean(axis=0).reshape(1, -1).tobytes()
 
 
 def test_meta_train_insufficient_samples():

@@ -6,6 +6,7 @@ import re
 import shutil
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -197,6 +198,37 @@ def test_gen_huge_pool_rejected_at_once(tmp_path):
     assert main(["gen", "--config", str(p), "--out", str(tmp_path / "g")]) == 1
     assert time.perf_counter() - start < 1.0
     assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("field,value", [("d_f", 10_000_000_000_000),
+                                         ("base_samples", 100_000_000_000)])
+def test_gen_huge_size_rejected_at_once(tmp_path, capsys, field, value):
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps({field: value}))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        assert main(["gen", "--config", str(p), "--out", str(tmp_path / "g")]) == 1
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 1 << 20
+    assert not (tmp_path / "g").exists()
+    assert _error_message(capsys.readouterr().err).startswith(
+        f"{p}: {field} = {value} ")
+
+
+def test_memory_error_is_a_json_error_record(tmp_path, capsys, monkeypatch):
+    def exhausted(cfg):
+        raise MemoryError("Unable to allocate 437. TiB")
+
+    monkeypatch.setattr("concm.cli.generate_benchmark", exhausted)
+    assert main(["gen", "--out", str(tmp_path / "g")]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "MemoryError",
+                      "message": "Unable to allocate 437. TiB"}
 
 
 def test_report_missing_field_names_it(tmp_path, capsys):

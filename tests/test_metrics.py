@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from concm import rng
 from concm.errors import SchemaError, ShapeError
@@ -54,6 +56,45 @@ def test_hm_bounds_property():
 
 def test_balanced_error_rate_value():
     assert balanced_error_rate(10.0, 30.0) == 20.0
+
+
+@st.composite
+def _session_case(draw):
+    """(preds, labels, base set) over classes 0..n-1 with base and novel
+    test rows both present."""
+    n = draw(st.integers(2, 8))
+    n_base = draw(st.integers(1, n - 1))
+    size = draw(st.integers(2, 40))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)
+                  .filter(lambda ls: min(ls) < n_base <= max(ls)))
+    preds = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
+    return np.array(preds), np.array(labels), set(range(n_base)), n
+
+
+# bacc == nacc == 700/30, where 2 b n / (b + n) rounds an ulp above b
+_EQUAL_ACC = (np.array([0] * 7 + [1] * 23 + [1] * 7 + [0] * 23),
+              np.array([0] * 30 + [1] * 30), {0}, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_session_case())
+@example(case=_EQUAL_ACC)
+def test_session_metrics_bounds_property(case):
+    preds, labels, base, _ = case
+    r = session_metrics(preds, labels, base, t=1)
+    assert min(r.bacc, r.nacc) <= r.hm <= max(r.bacc, r.nacc)
+    assert 0.0 <= r.ber <= 100.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_session_case(), data=st.data())
+def test_session_metrics_invariant_under_class_relabeling(case, data):
+    preds, labels, base, n = case
+    perm = np.array(data.draw(st.permutations(range(n))))
+    r = session_metrics(preds, labels, base, t=1)
+    relabeled = session_metrics(perm[preds], perm[labels],
+                                {int(perm[c]) for c in base}, t=1)
+    assert relabeled == r
 
 
 def test_session_metrics_arithmetic():

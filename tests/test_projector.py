@@ -15,7 +15,7 @@ from concm.projector import (ProjectorParams, TrainSchedule, batch_masks,
                              build_contrastive_loss, build_matching_loss,
                              init_projector_params, project, projection_nodes,
                              train_projector)
-from concm.projector import _balanced_batches, _register
+from concm.projector import _balanced_batches, _onehot, _register
 from concm.structure import random_optimal_structure
 
 
@@ -37,6 +37,31 @@ def contrastive_value(batch, structure, tau) -> float:
                                   anchored, tau)
     t.forward({})
     return float(t.value(loss))
+
+
+def composed_matching_loss(tape, z_node, labels, structure):
+    """The matching loss as a graph of elementwise tape ops: the reference
+    for the fused cross_entropy node."""
+    logits = tape.matmul(z_node, tape.constant(structure.columns))
+    ls = tape.log_softmax(logits, axis=1)
+    onehot = tape.constant(_onehot(labels, structure.num_classes))
+    picked = tape.sum(tape.mul(ls, onehot), axis=1)
+    return tape.scale(tape.mean(picked), -1.0)
+
+
+def composed_contrastive_loss(tape, z_node, labels, structure, anchored, tau):
+    """The contrastive loss as a graph of elementwise tape ops: the
+    reference for the fused anchored_contrastive node."""
+    m = {k: tape.constant(v) for k, v in
+         batch_masks(labels, structure, anchored).items()}
+    sims = tape.scale(tape.matmul(z_node, tape.transpose(z_node)), 1.0 / tau)
+    denom = tape.sum(tape.mul(tape.exp(sims), m["allow"]), axis=1)
+    pos_sum = tape.sum(tape.mul(sims, m["pos"]), axis=1)
+    asims = tape.scale(tape.matmul(z_node, m["anchor_cols"]), 1.0 / tau)
+    denom = tape.add(denom, tape.sum(tape.mul(tape.exp(asims), m["own"]), axis=1))
+    pos_sum = tape.add(pos_sum, tape.sum(tape.mul(asims, m["own"]), axis=1))
+    per_sample = tape.sub(tape.log(denom), tape.mul(pos_sum, m["inv_pos"]))
+    return tape.mean(per_sample)
 
 
 def params_fixture(d_f=6, d_h=6, d_g=5, seed=0):
@@ -221,6 +246,96 @@ def test_gradient_checks_on_losses():
     loss3 = t3.add(build_matching_loss(t3, z3, labels, s),
                    build_contrastive_loss(t3, z3, labels, s, frozenset({2}), 0.07))
     assert grad_check(t3, {}, loss3) <= 1e-4
+
+
+def loss_value_and_z_grad(build, z):
+    """Value and z-gradient of a loss built on a parameter node z."""
+    t = Tape()
+    loss = build(t, t.param("z", z))
+    t.forward({})
+    return float(t.value(loss)), t.backward(loss)["z"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), present=st.sampled_from(["all", "some", "none"]),
+       n_classes=st.integers(2, 6), per_class=st.integers(2, 5),
+       tau=st.sampled_from([0.07, 0.5, 2.0]))
+def test_fused_losses_match_composed_graphs(seed, present, n_classes, per_class,
+                                           tau):
+    gen = rng.stream(seed, "fused")
+    d_g = n_classes + 2
+    s = random_optimal_structure(n_classes + 1, d_g, seed=seed % 1000)
+    labels = np.repeat(np.arange(n_classes), per_class)
+    z = rng.gaussian(gen, (labels.size, d_g))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    # the extra class n_classes never occurs in the batch
+    anchored = {"all": frozenset(range(n_classes + 1)),
+                "some": frozenset({0, n_classes}),
+                "none": frozenset({n_classes})}[present]
+    cases = [
+        (lambda t, zn: build_matching_loss(t, zn, labels, s),
+         lambda t, zn: composed_matching_loss(t, zn, labels, s)),
+        (lambda t, zn: build_contrastive_loss(t, zn, labels, s, anchored, tau),
+         lambda t, zn: composed_contrastive_loss(t, zn, labels, s, anchored, tau)),
+    ]
+    for fused, composed in cases:
+        got, got_grad = loss_value_and_z_grad(fused, z)
+        want, want_grad = loss_value_and_z_grad(composed, z)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want_grad).max())
+
+
+@pytest.mark.parametrize("anchored", [frozenset({0, 1, 2}), frozenset({1}),
+                                      frozenset()])
+def test_fused_loss_nodes_pass_grad_check(anchored):
+    s = random_optimal_structure(3, 5, seed=30)
+    z = rng.gaussian(rng.stream(30, "fused-gc"), (6, 5))
+    labels = np.array([0, 0, 1, 1, 2, 2])
+    for build in (lambda t, zn: build_matching_loss(t, zn, labels, s),
+                  lambda t, zn: build_contrastive_loss(t, zn, labels, s,
+                                                       anchored, 0.5)):
+        t = Tape()
+        loss = build(t, t.param("z", z))
+        assert grad_check(t, {}, loss) <= 1e-6
+
+
+def test_fused_losses_give_masks_no_adjoint(unpruned_backward):
+    # masks fed as parameters still get a zero gradient
+    s = random_optimal_structure(3, 5, seed=31)
+    labels = np.array([0, 0, 1, 1, 2])
+    m = batch_masks(labels, s, frozenset({2}))
+    t = Tape()
+    z = t.param("z", rng.gaussian(rng.stream(31, "z"), (5, 5)))
+    nodes = {k: t.param(k, v) for k, v in m.items()}
+    loss = t.add(t.cross_entropy(t.matmul(z, t.constant(s.columns)),
+                                 nodes["onehot"]),
+                 t.anchored_contrastive(z, nodes["anchor_cols"], nodes["allow"],
+                                        nodes["pos"], nodes["own"],
+                                        nodes["inv_pos"], 0.1))
+    t.forward({})
+    grads = unpruned_backward(t, loss)
+    for k, v in m.items():
+        assert not grads[k].any() and grads[k].shape == v.shape
+    assert grads["z"].any()
+
+
+def test_training_tape_stays_small(monkeypatch):
+    built = []
+
+    class Recorded(Tape):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr("concm.projector.Tape", Recorded)
+    sched = TrainSchedule(lr_max=0.1, epochs=1, warmup_steps=0, batch_size=24,
+                          seed=0)
+    train_projector(params_fixture(6, 6, 8, seed=12),
+                    random_optimal_structure(3, 8, seed=11), frozenset({1}),
+                    sched, training_data())
+    assert len(built) == 1
+    assert len(built[0]._nodes) <= 25
 
 
 def training_data(seed=0, n=3, per=16, d=6):

@@ -84,6 +84,11 @@ def test_infeasible_configs_rejected():
         generate_benchmark(small_cfg(base_classes=10, pool_size=40))
     with pytest.raises(InvalidConfig, match="pool_size"):
         generate_benchmark(small_cfg(base_classes=5000, pool_size=10_001))
+    # each size alone, and the generated arrays together, are capped
+    with pytest.raises(InvalidConfig, match="d_f = 10000000000000 "):
+        generate_benchmark(small_cfg(d_f=10 ** 13))
+    with pytest.raises(InvalidConfig, match="over the cap"):
+        generate_benchmark(small_cfg(sessions=100_000, way=1000))
 
 
 def test_write_benchmark_files(tmp_path):

@@ -10,6 +10,7 @@ is deterministic given the run seed.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,28 +129,53 @@ class SampleCounts:
     novel: int = 50
 
 
+def _epoch_array(rows: int, d: int) -> np.ndarray:
+    """An uninitialized (rows, d) float64 array in its own anonymous mapping.
+
+    The mapping is returned to the system when the last view of it dies,
+    so a freed epoch is neither kept resident by the heap nor raises its
+    mmap threshold for the next one.  A failed mapping is a MemoryError.
+    """
+    nbytes = rows * d * 8
+    try:
+        buf = mmap.mmap(-1, max(nbytes, 1))
+    except OSError as exc:
+        raise MemoryError(f"cannot map {nbytes} bytes for an augmentation "
+                          f"epoch: {exc}") from exc
+    return np.frombuffer(buf, np.float64, count=rows * d).reshape(rows, d)
+
+
 def sample_augmented(repo: PrototypeRepository, counts: SampleCounts,
-                     seed: int, epoch: int = 0) -> FeatureSet:
+                     seed: int, epoch: int = 0,
+                     replay: dict[int, np.ndarray] | None = None) -> FeatureSet:
     """Draw per-class Gaussian samples from the repository statistics.
 
     Streams are keyed by (seed, epoch, class id) so classes are independent
-    and every epoch's resample is reproducible.
+    and every epoch's resample is reproducible.  The draws come class by
+    class; the ``replay`` rows of each class id follow them, by ascending
+    class id, in the same array.
     """
     if counts.base < 1 or counts.novel < 1:
         raise InvalidConfig("sample counts must be >= 1")
     if not repo.entries:
         raise MissingClass("cannot sample from an empty repository")
-    sizes = [counts.base if e.exact else counts.novel for e in repo.entries]
+    replay = replay or {}
     d = repo.entries[0].mean.shape[0]
-    # each class's draws go straight into its rows of one epoch array
-    features = np.empty((sum(sizes), d))
+    order = sorted(replay)
+    ids = [e.class_id for e in repo.entries] + order
+    sizes = [counts.base if e.exact else counts.novel for e in repo.entries]
+    sizes += [replay[cid].shape[0] for cid in order]
+    features = _epoch_array(sum(sizes), d)
     start = 0
     for stats, n in zip(repo.entries, sizes):
         gen = rng.stream(seed, "augment", epoch, stats.class_id)
-        rows = features[start:start + n]
-        np.multiply(rng.gaussian(gen, (n, d)), np.sqrt(stats.cov_diag), out=rows)
+        rows = rng.gaussian(gen, (n, d), out=features[start:start + n])
+        rows *= np.sqrt(stats.cov_diag)
         rows += stats.mean
         start += n
+    for cid, n in zip(order, sizes[len(repo.entries):]):
+        features[start:start + n] = replay[cid]
+        start += n
     return FeatureSet(features=features,
-                      labels=np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
+                      labels=np.repeat(np.array(ids, dtype=np.int64), sizes),
                       class_names=tuple(e.class_name for e in repo.entries))

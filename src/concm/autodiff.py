@@ -372,7 +372,8 @@ class Tape:
             n = np.sqrt((x * x).sum(axis=pay, keepdims=True))
             if (n < 1e-300).any():
                 rows = np.flatnonzero(n.ravel() < 1e-300).tolist()
-                raise DegenerateInput(f"l2_normalize: zero-norm row(s) {rows}")
+                raise DegenerateInput(f"l2_normalize: zero-norm row(s) {rows}",
+                                      rows=rows)
             return x / n
         if op == "sum":
             return np.asarray(a[0].sum()) if pay is None else a[0].sum(axis=pay, keepdims=True)

@@ -34,7 +34,14 @@ class DegenerateEmbedding(ConcmError):
 
 
 class DegenerateInput(ConcmError):
-    """An input vector is degenerate (zero norm) where a direction is required."""
+    """An input vector is degenerate (zero norm) where a direction is required.
+
+    ``rows`` holds the indices of the degenerate rows when they are known.
+    """
+
+    def __init__(self, message: str, rows: list[int] | None = None):
+        super().__init__(message)
+        self.rows = rows
 
 
 class DimensionTooSmall(ConcmError):

@@ -67,19 +67,41 @@ def projection_nodes(tape: Tape, pnodes: dict[str, int], x_node: int) -> int:
     return tape.l2_normalize(tape.add(tape.matmul(h, pnodes["w2"]), pnodes["b2"]))
 
 
+# Rows per forward pass of project(): the node values of one block, not of
+# every row, are held at a time.  Every block has this row count (the last
+# one overlaps its predecessor), since a GEMM over few rows may round
+# differently from one over many.
+_BLOCK_ROWS = 256
+
+
 def project(params: ProjectorParams, x: np.ndarray) -> np.ndarray:
-    """Unit-norm projection of one feature vector or a batch of rows."""
+    """Unit-norm projection of one feature vector or a batch of rows.
+
+    The rows pass through one projection graph in blocks of a fixed row
+    count, each written into the output.  A zero-norm feature or projected
+    row raises DegenerateInput naming the row.
+    """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     rows = x.reshape(1, -1) if single else x
-    norms = np.linalg.norm(rows, axis=1)
-    if np.any(norms < 1e-12):
-        raise DegenerateInput("cannot project a zero-norm feature vector")
     tape = Tape()
-    pnodes = _register(tape, params)
-    z = projection_nodes(tape, pnodes, tape.constant(rows))
-    tape.forward({})
-    out = tape.value(z)
+    z = projection_nodes(tape, _register(tape, params), tape.input("x"))
+    n = rows.shape[0]
+    out = np.empty((n, params.d_g))
+    for start in range(0, n, _BLOCK_ROWS):
+        start = min(start, max(n - _BLOCK_ROWS, 0))
+        block = rows[start:start + _BLOCK_ROWS]
+        zero = np.flatnonzero(np.linalg.norm(block, axis=1) < 1e-12)
+        if zero.size:
+            raise DegenerateInput("cannot project zero-norm feature row(s) "
+                                  f"{(start + zero).tolist()}")
+        try:
+            tape.forward({"x": block})
+        except DegenerateInput as exc:
+            bad = [start + r for r in exc.rows]
+            raise DegenerateInput(f"zero-norm projected row(s) {bad}",
+                                  rows=bad) from exc
+        out[start:start + block.shape[0]] = tape.value(z)
     return out.ravel() if single else out
 
 

@@ -14,6 +14,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import ShapeError
+
 __all__ = ["derive_seed", "stream", "gaussian", "uniform", "permutation", "choice"]
 
 _MASK64 = (1 << 64) - 1
@@ -43,17 +45,34 @@ def uniform(gen: np.random.Generator, shape) -> np.ndarray:
     return gen.random(shape, dtype=np.float64)
 
 
-def gaussian(gen: np.random.Generator, shape) -> np.ndarray:
-    """Standard normal draws via Box-Muller on Philox uniforms."""
+def gaussian(gen: np.random.Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
+    """Standard normal draws via Box-Muller on Philox uniforms.
+
+    The first half of the values is r cos(theta) and the rest r sin(theta).
+    With ``out`` (C-contiguous float64 with ``shape``'s size) the draws are
+    written into it in place and ``out`` is returned.
+    """
     n = int(np.prod(shape)) if shape else 1
+    if out is None:
+        out = np.empty(shape)
+    elif out.size != n or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ShapeError(f"gaussian: out must be C-contiguous float64 of size {n}")
+    flat = out.reshape(-1)
     half = (n + 1) // 2
-    # open interval (0, 1] for u1 so log() is finite
-    u1 = 1.0 - uniform(gen, half)
-    u2 = uniform(gen, half)
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u2
-    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-    return z.reshape(shape)
+    # r = sqrt(-2 log u1), with u1 in (0, 1] so that log() is finite
+    r = flat[:half]
+    gen.random(dtype=np.float64, out=r)
+    np.subtract(1.0, r, out=r)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = uniform(gen, half)
+    theta *= 2.0 * np.pi
+    rest = flat[half:]
+    np.sin(theta[:rest.size], out=rest)
+    rest *= r[:rest.size]
+    r *= np.cos(theta, out=theta)
+    return out
 
 
 def permutation(gen: np.random.Generator, n: int) -> np.ndarray:

@@ -141,30 +141,21 @@ def _strategy_structure(strategy: str, init: InitialStructure, t: int,
 
 
 def _augmented_epoch(state_repo: PrototypeRepository, config: SessionConfig,
-                     t: int, epoch: int) -> FeatureSet:
+                     t: int, epoch: int, replay: dict[int, np.ndarray]) -> FeatureSet:
     counts = SampleCounts(base=config.n_aug_base, novel=config.n_aug_novel)
     return sample_augmented(state_repo, counts,
                             seed=rng.derive_seed(config.seed, "augment", t),
-                            epoch=epoch)
-
-
-def _train_pool(aug: FeatureSet, replay: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    if not replay:
-        return aug.features, aug.labels
-    feats = [aug.features]
-    labels = [aug.labels]
-    for cid in sorted(replay):
-        feats.append(replay[cid])
-        labels.append(np.full(replay[cid].shape[0], cid, dtype=np.int64))
-    return np.vstack(feats), np.concatenate(labels)
+                            epoch=epoch, replay=replay)
 
 
 def _fit(config: SessionConfig, strategy: str, t: int, repo: PrototypeRepository,
          prev: StructureMatrix | None, theta_g: ProjectorParams,
          replay: dict[int, np.ndarray], anchored: frozenset[int]):
     """Session t's (initial, structure, smr, theta_g); ``prev`` is None at t = 0."""
-    aug0 = _augmented_epoch(repo, config, t=t, epoch=0)
-    means = {cid: aug0.features[aug0.labels == cid].mean(axis=0)
+    aug0 = _augmented_epoch(repo, config, t, 0, replay)
+    # the class means are those of the draws, which precede the replay rows
+    drawn = aug0.n_samples - sum(rows.shape[0] for rows in replay.values())
+    means = {cid: aug0.features[:drawn][aug0.labels[:drawn] == cid].mean(axis=0)
              for cid in range(len(repo))}
     init = initial_structure(prev, lambda v: project(theta_g, v), means)
     structure = _strategy_structure(strategy, init, t, config)
@@ -182,8 +173,8 @@ def _fit(config: SessionConfig, strategy: str, t: int, repo: PrototypeRepository
             if epoch == 0:  # hand over the draw above and keep no reference
                 aug, aug0 = aug0, None
             else:
-                aug = _augmented_epoch(repo, config, t, epoch)
-            return _train_pool(aug, replay)
+                aug = _augmented_epoch(repo, config, t, epoch, replay)
+            return aug.features, aug.labels
 
         theta_g, _ = train_projector(theta_g, structure, anchored, schedule,
                                      epoch_data, tau=config.tau)

@@ -1,11 +1,17 @@
+import errno
+import gc
+import json
 import math
+import mmap
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concm import rng
+from concm import augment, rng
 from concm.augment import (ClassStats, PrototypeRepository, SampleCounts,
                            class_statistics, novel_covariance, sample_augmented,
                            shot_variance, transfer_weights)
@@ -188,6 +194,100 @@ def test_adding_a_class_leaves_other_classes_draws_unchanged(
         assert after.features[after.labels == cid].tobytes() == \
             before.features[before.labels == cid].tobytes()
     assert (after.labels == len(exact)).sum() == (base if new_exact else novel)
+
+
+def random_repo(n_classes, d, seed=7):
+    gen = rng.stream(seed, "replay-stats")
+    repo = PrototypeRepository()
+    for cid in range(n_classes):
+        repo.add(ClassStats(cid, f"c{cid}", rng.gaussian(gen, (d,)),
+                            rng.uniform(gen, d), exact=cid < n_classes - 3))
+    return repo
+
+
+def replay_buffer(ids, d, k=3):
+    return {cid: rng.gaussian(rng.stream(cid, "replay-rows"), (k, d))
+            for cid in ids}
+
+
+def mapping_of(a):
+    """The mmap an array's memory lives in, or None."""
+    while a is not None and not isinstance(a, mmap.mmap):
+        a = a.obj if isinstance(a, memoryview) else getattr(a, "base", None)
+    return a
+
+
+def test_replay_rows_follow_the_draws_by_class():
+    repo = random_repo(8, 6)
+    counts = SampleCounts(base=9, novel=4)
+    plain = sample_augmented(repo, counts, seed=3, epoch=1)
+    # given out of order: the rows still come by ascending class id
+    replay = replay_buffer([7, 5, 6], 6)
+    fs = sample_augmented(repo, counts, seed=3, epoch=1, replay=replay)
+    n = plain.n_samples
+    assert fs.features[:n].tobytes() == plain.features.tobytes()
+    assert fs.labels[:n].tolist() == plain.labels.tolist()
+    assert fs.features[n:].tobytes() == np.vstack(
+        [replay[5], replay[6], replay[7]]).tobytes()
+    assert fs.labels[n:].tolist() == [5] * 3 + [6] * 3 + [7] * 3
+    assert fs.class_names == plain.class_names
+
+
+def test_epoch_with_replay_is_held_once():
+    # the draws and the replay rows share one array, so drawing an epoch
+    # allocates little beyond it; the array lives in its own mapping, which
+    # tracemalloc does not see, so everything traced comes on top of it
+    repo = random_repo(12, 64)
+    replay = replay_buffer(range(9, 12), 64, k=5)
+    counts = SampleCounts(base=60, novel=30)
+    tracemalloc.start()
+    try:
+        fs = sample_augmented(repo, counts, seed=1, epoch=2, replay=replay)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mapping_of(fs.features) is not None
+    assert fs.features.nbytes + peak < 1.25 * fs.features.nbytes
+
+
+def test_epoch_mapping_is_released_with_its_feature_set():
+    fs = sample_augmented(random_repo(5, 8), SampleCounts(), seed=2,
+                          replay=replay_buffer([4], 8))
+    ref = weakref.ref(mapping_of(fs.features))
+    del fs
+    gc.collect()
+    assert ref() is None
+
+
+def test_failed_epoch_mapping_is_a_memory_error(monkeypatch):
+    def no_memory(*args):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr(augment.mmap, "mmap", no_memory)
+    with pytest.raises(MemoryError):
+        sample_augmented(random_repo(4, 3), SampleCounts(), seed=0)
+
+
+def test_failed_epoch_mapping_exits_2(tmp_path, capsys, monkeypatch):
+    from concm.cli import main
+    gen = dict(base_classes=4, sessions=1, way=2, shot=2, d_f=8, d_s=4,
+               pool_size=6, attrs_per_class=2, base_samples=10,
+               test_samples=4, seed=1)
+    (tmp_path / "gen.json").write_text(json.dumps(gen))
+    assert main(["gen", "--config", str(tmp_path / "gen.json"),
+                 "--out", str(tmp_path / "data")]) == 0
+    cfg = json.loads((tmp_path / "data" / "config.json").read_text())
+    (tmp_path / "run.json").write_text(json.dumps(dict(cfg, meta_episodes=2)))
+
+    def no_memory(*args):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr(augment.mmap, "mmap", no_memory)
+    assert main(["run", "--manifest", str(tmp_path / "data" / "manifest.json"),
+                 "--config", str(tmp_path / "run.json"),
+                 "--out", str(tmp_path / "run")]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "MemoryError"
 
 
 def test_sampling_empty_repository_rejected():

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,7 +17,7 @@ from concm.projector import (ProjectorParams, TrainSchedule, batch_masks,
                              build_contrastive_loss, build_matching_loss,
                              init_projector_params, project, projection_nodes,
                              train_projector)
-from concm.projector import _balanced_batches, _onehot, _register
+from concm.projector import _BLOCK_ROWS, _balanced_batches, _onehot, _register
 from concm.structure import random_optimal_structure
 
 
@@ -87,6 +89,70 @@ def test_project_deterministic():
 def test_project_zero_input():
     with pytest.raises(DegenerateInput):
         project(params_fixture(), np.zeros(6))
+
+
+def single_pass_projection(params, x):
+    """Every row through the projection graph in one forward pass: the
+    reference for the blocked projection."""
+    rows = np.atleast_2d(x)
+    t = Tape()
+    z = projection_nodes(t, _register(t, params), t.constant(rows))
+    t.forward({})
+    return t.value(z).ravel() if x.ndim == 1 else t.value(z)
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 1000, None])
+def test_project_in_blocks_equals_one_pass(n, monkeypatch):
+    fed = []
+    forward = Tape.forward
+
+    def counting_forward(tape, feeds=None):
+        fed.append(feeds["x"].shape[0])
+        return forward(tape, feeds)
+
+    monkeypatch.setattr(Tape, "forward", counting_forward)
+    p = params_fixture(12, 10, 9, seed=4)
+    shape = (12,) if n is None else (n, 12)
+    x = rng.gaussian(rng.stream(8, "blocks", str(n)), shape)
+    z = project(p, x)
+    monkeypatch.setattr(Tape, "forward", forward)
+    want = single_pass_projection(p, x) if n != 0 else np.empty((0, 9))
+    assert z.shape == want.shape
+    assert z.tobytes() == want.tobytes()
+    assert all(rows <= _BLOCK_ROWS for rows in fed)
+    assert sum(fed) >= (1 if n is None else n)
+
+
+def test_project_zero_norm_projected_row_names_its_row():
+    # two hidden units that agree only on row 300, read out as their
+    # difference: that row alone projects to zero
+    p = ProjectorParams(w1=np.eye(2), b1=np.zeros((1, 2)),
+                        w2=np.array([[1.0], [-1.0]]), b2=np.zeros((1, 1)))
+    x = np.column_stack([np.arange(2.0, 1002.0), np.ones(1000)])
+    x[300] = [3.0, 3.0]
+    with pytest.raises(DegenerateInput,
+                       match=re.escape("projected row(s) [300]")) as info:
+        project(p, x)
+    assert info.value.rows == [300]
+    with pytest.raises(DegenerateInput, match=re.escape("row(s) [300]")):
+        project(params_fixture(2, 2, 3), np.vstack([x[:300], [0.0, 0.0]]))
+
+
+def test_project_peak_memory_does_not_grow_with_rows():
+    p = params_fixture(32, 32, 32, seed=5)
+
+    def extra_bytes(n):
+        x = rng.gaussian(rng.stream(n, "peak"), (n, 32))
+        tracemalloc.start()
+        try:
+            z = project(p, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - z.nbytes
+
+    small, large = extra_bytes(2 * _BLOCK_ROWS), extra_bytes(16 * _BLOCK_ROWS)
+    assert large <= small + 16 * 1024, (small, large)
 
 
 def test_matching_loss_values():

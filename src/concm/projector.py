@@ -47,12 +47,19 @@ _PARAM_FIELDS = ("w1", "b1", "w2", "b2")
 
 def init_projector_params(d_f: int, d_hidden: int, d_g: int,
                           seed: int = 0) -> ProjectorParams:
-    def w(name, shape):
-        return rng.gaussian(rng.stream(seed, "projector-init", name), shape) \
-            / math.sqrt(shape[0])
-    return ProjectorParams(w1=w("w1", (d_f, d_hidden)),
+    """Gaussian weights and zero biases.
+
+    w1 is N(0, 1) because its inputs are unit-norm rows: each hidden
+    pre-activation then has unit variance (He et al. 2015, applied to the
+    input's norm).  Smaller weights keep softplus near its linear part at
+    0, and every row projects to nearly the same direction.  w2 is
+    N(0, 1/d_hidden).
+    """
+    def draw(name, shape):
+        return rng.gaussian(rng.stream(seed, "projector-init", name), shape)
+    return ProjectorParams(w1=draw("w1", (d_f, d_hidden)),
                            b1=np.zeros((1, d_hidden)),
-                           w2=w("w2", (d_hidden, d_g)),
+                           w2=draw("w2", (d_hidden, d_g)) / math.sqrt(d_hidden),
                            b2=np.zeros((1, d_g)))
 
 

@@ -259,10 +259,11 @@ def test_epoch_mapping_is_released_with_its_feature_set():
     assert ref() is None
 
 
-def test_failed_epoch_mapping_is_a_memory_error(monkeypatch):
-    def no_memory(*args):
-        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+def no_memory(*args):
+    raise OSError(errno.ENOMEM, "Cannot allocate memory")
 
+
+def test_failed_epoch_mapping_is_a_memory_error(monkeypatch):
     monkeypatch.setattr(augment.mmap, "mmap", no_memory)
     with pytest.raises(MemoryError):
         sample_augmented(random_repo(4, 3), SampleCounts(), seed=0)
@@ -278,10 +279,6 @@ def test_failed_epoch_mapping_exits_2(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "data")]) == 0
     cfg = json.loads((tmp_path / "data" / "config.json").read_text())
     (tmp_path / "run.json").write_text(json.dumps(dict(cfg, meta_episodes=2)))
-
-    def no_memory(*args):
-        raise OSError(errno.ENOMEM, "Cannot allocate memory")
-
     monkeypatch.setattr(augment.mmap, "mmap", no_memory)
     assert main(["run", "--manifest", str(tmp_path / "data" / "manifest.json"),
                  "--config", str(tmp_path / "run.json"),

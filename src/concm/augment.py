@@ -10,12 +10,12 @@ is deterministic given the run seed.
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng
+from .buffers import mapped_rows
 from .data import FeatureSet
 from .errors import (DegenerateInput, InsufficientSamples, InvalidConfig,
                      InvalidStats, MissingClass)
@@ -129,22 +129,6 @@ class SampleCounts:
     novel: int = 50
 
 
-def _epoch_array(rows: int, d: int) -> np.ndarray:
-    """An uninitialized (rows, d) float64 array in its own anonymous mapping.
-
-    The mapping is returned to the system when the last view of it dies,
-    so a freed epoch is neither kept resident by the heap nor raises its
-    mmap threshold for the next one.  A failed mapping is a MemoryError.
-    """
-    nbytes = rows * d * 8
-    try:
-        buf = mmap.mmap(-1, max(nbytes, 1))
-    except OSError as exc:
-        raise MemoryError(f"cannot map {nbytes} bytes for an augmentation "
-                          f"epoch: {exc}") from exc
-    return np.frombuffer(buf, np.float64, count=rows * d).reshape(rows, d)
-
-
 def sample_augmented(repo: PrototypeRepository, counts: SampleCounts,
                      seed: int, epoch: int = 0,
                      replay: dict[int, np.ndarray] | None = None) -> FeatureSet:
@@ -165,7 +149,7 @@ def sample_augmented(repo: PrototypeRepository, counts: SampleCounts,
     ids = [e.class_id for e in repo.entries] + order
     sizes = [counts.base if e.exact else counts.novel for e in repo.entries]
     sizes += [replay[cid].shape[0] for cid in order]
-    features = _epoch_array(sum(sizes), d)
+    features = mapped_rows(sum(sizes), d)
     start = 0
     for stats, n in zip(repo.entries, sizes):
         gen = rng.stream(seed, "augment", epoch, stats.class_id)

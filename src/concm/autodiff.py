@@ -398,7 +398,9 @@ class Tape:
         Only nodes that depend on some parameter get an adjoint: a
         contribution to a constant, an input, or anything computed from
         those alone is never formed.  The adjoints that are formed use the
-        same operations, accumulated in the same order, as a full pass.
+        same operations, accumulated in the same order, as a full pass.  A
+        node's adjoint is dropped once it has been passed to its arguments,
+        so the pass holds the adjoints of one frontier, not of every node.
         """
         if not self._forward_done:
             raise OrderError("backward() before forward()")
@@ -422,6 +424,7 @@ class Tape:
             else:
                 contribs = self._grads(op, [vals[a] for a in args], vals[i],
                                        g, pay, [needs[a] for a in args])
+            adj[i] = None  # spent: only a parameter's adjoint is kept
             for a, ga in zip(args, contribs):
                 if ga is None:
                     continue

@@ -202,6 +202,20 @@ class MetaTrainConfig:
     seed: int = 0
 
 
+def _meta_loss(tape: Tape, params: CalibrationParams,
+               knowledge: SemanticKnowledge, class_names: list[str],
+               protos: int, targets: int) -> int:
+    """Append the MSE between the calibrated ``protos`` and the ``targets``
+    (both (C, d_f) nodes), averaged over all classes and dimensions."""
+    semantic = np.array([knowledge.class_semantic[name] for name in class_names],
+                        dtype=np.float64)
+    _, out = _calibration_nodes(tape, _register_params(tape, params), protos,
+                                semantic, _mask(knowledge, class_names),
+                                knowledge.pool)
+    diff = tape.sub(out, targets)
+    return tape.mean(tape.mul(diff, diff))
+
+
 def build_meta_tape(params: CalibrationParams, knowledge: SemanticKnowledge,
                     class_names: list[str]) -> tuple[Tape, int]:
     """Tape computing the MSE between calibrated shot prototypes (inputs
@@ -210,13 +224,8 @@ def build_meta_tape(params: CalibrationParams, knowledge: SemanticKnowledge,
     tape = Tape()
     protos = tape.stack([tape.input(f"p_meta_{name}") for name in class_names])
     targets = tape.stack([tape.input(f"target_{name}") for name in class_names])
-    semantic = np.array([knowledge.class_semantic[name] for name in class_names],
-                        dtype=np.float64)
-    _, out = _calibration_nodes(tape, _register_params(tape, params), protos,
-                                semantic, _mask(knowledge, class_names),
-                                knowledge.pool)
-    diff = tape.sub(out, targets)
-    return tape, tape.mean(tape.mul(diff, diff))
+    return tape, _meta_loss(tape, params, knowledge, class_names, protos,
+                            targets)
 
 
 def _class_rows(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -259,16 +268,17 @@ def meta_train(base_features: FeatureSet, knowledge: SemanticKnowledge,
             raise InsufficientSamples(
                 f"class {name!r} has {r.size} samples; needs > {config.shots}")
 
-    tape, loss = build_meta_tape(params, knowledge, names)
-    feeds = {f"target_{name}": features[r].mean(axis=0).reshape(1, -1)
-             for name, r in zip(names, class_rows)}
+    # the episode's shot prototypes are the (C, d_f) input ``p_meta``; the
+    # exact class means are one constant
+    tape = Tape()
+    means = np.array([features[r].mean(axis=0) for r in class_rows])
+    loss = _meta_loss(tape, params, knowledge, names, tape.input("p_meta"),
+                      tape.constant(means))
     trace: list[float] = []
     for ep in range(config.episodes):
         gen = rng.stream(config.seed, "meta-episode", ep)
         protos = features[_draw_shots(rows, config.shots, gen)].mean(axis=1)
-        for name, proto in zip(names, protos):
-            feeds[f"p_meta_{name}"] = proto.reshape(1, -1)
-        tape.forward(feeds)
+        tape.forward({"p_meta": protos})
         trace.append(float(tape.value(loss)))
         grads = tape.backward(loss)
         sgd_step(tape, grads, cosine_lr(ep, config.episodes, config.lr_max,

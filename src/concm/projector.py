@@ -18,6 +18,7 @@ import numpy as np
 
 from . import rng
 from .autodiff import Tape
+from .buffers import mapped_rows
 from .errors import (DegenerateBatch, DegenerateInput, InvalidConfig,
                      InvalidInput, LabelOutOfRange, TrainingDiverged)
 from .optim import cosine_lr, sgd_step
@@ -85,8 +86,9 @@ def project(params: ProjectorParams, x: np.ndarray) -> np.ndarray:
     """Unit-norm projection of one feature vector or a batch of rows.
 
     The rows pass through one projection graph in blocks of a fixed row
-    count, each written into the output.  A zero-norm feature or projected
-    row raises DegenerateInput naming the row.
+    count, each written into the output, which has its own mapping
+    (``buffers.mapped_rows``).  A zero-norm feature or projected row raises
+    DegenerateInput naming the row.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -94,7 +96,7 @@ def project(params: ProjectorParams, x: np.ndarray) -> np.ndarray:
     tape = Tape()
     z = projection_nodes(tape, _register(tape, params), tape.input("x"))
     n = rows.shape[0]
-    out = np.empty((n, params.d_g))
+    out = mapped_rows(n, params.d_g)
     for start in range(0, n, _BLOCK_ROWS):
         start = min(start, max(n - _BLOCK_ROWS, 0))
         block = rows[start:start + _BLOCK_ROWS]

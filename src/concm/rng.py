@@ -5,7 +5,8 @@ named substreams.  Substream keys are hashed with SHA-256, so the stream a
 component sees depends only on (master seed, labels), not on call order
 elsewhere in the program.  Gaussian variates use Box-Muller over a Philox
 counter-based generator, which keeps sampled bytes identical across
-platforms and process runs.
+process runs on the same numpy build.  Its log, sin and cos come from libm
+or from numpy's SIMD kernels, so another build may differ in the last bits.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from .attributes import (AttributeTable, SemanticKnowledge, build_knowledge,
 from .augment import (ClassStats, PrototypeRepository, SampleCounts,
                       class_statistics, novel_covariance, sample_augmented,
                       shot_variance, transfer_weights)
+from .buffers import mapped_rows
 from .calibration import (CalibrationParams, MetaTrainConfig, Prototype, blend,
                           calibrate, init_calibration_params, meta_train)
 from .data import FeatureSet, Manifest, load_config, load_features, load_manifest
@@ -336,12 +337,19 @@ def load_inputs(manifest: Manifest, config: SessionConfig) -> PipelineInputs:
                           embeddings=embeddings)
 
 
-def _remap_labels(fs: FeatureSet, name_to_id: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
-    missing = [n for n in fs.class_names if n not in name_to_id]
+def _evaluation_rows(sets: list[FeatureSet],
+                     class_names: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``sets`` stacked in one array in its own mapping, and
+    their labels as indices into ``class_names``."""
+    name_to_id = {n: i for i, n in enumerate(class_names)}
+    missing = [n for fs in sets for n in fs.class_names if n not in name_to_id]
     if missing:
         raise ProtocolViolation(f"evaluation classes never seen: {missing}")
-    lut = np.array([name_to_id[n] for n in fs.class_names], dtype=np.int64)
-    return fs.features, lut[fs.labels]
+    features = mapped_rows(sum(fs.n_samples for fs in sets), sets[0].dim)
+    np.concatenate([fs.features for fs in sets], out=features)
+    labels = [np.array([name_to_id[n] for n in fs.class_names],
+                       dtype=np.int64)[fs.labels] for fs in sets]
+    return features, np.concatenate(labels)
 
 
 @dataclass
@@ -382,10 +390,10 @@ def run_pipeline(inputs: PipelineInputs, strategy: str = "concm",
         else:
             state = run_incremental_session(state, inputs.train_sets[t],
                                             inputs.table, inputs.embeddings)
-        name_to_id = {n: i for i, n in enumerate(state.class_names)}
-        parts = [_remap_labels(fs, name_to_id) for fs in eval_pool[:t + 1]]
-        records.append(evaluate_session(state, np.vstack([p[0] for p in parts]),
-                                        np.concatenate([p[1] for p in parts])))
+        # the rows are referenced by the call alone, so they and their
+        # projection are released once the record is returned
+        records.append(evaluate_session(
+            state, *_evaluation_rows(eval_pool[:t + 1], state.class_names)))
         traces.append(SessionTrace(t=t, initial=state.initial,
                                    structure=state.structure, smr=state.smr))
         logger.info("session %d: top1=%.2f hm=%s", t, records[-1].top1,

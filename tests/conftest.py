@@ -1,3 +1,5 @@
+import mmap
+
 import pytest
 
 
@@ -15,3 +17,15 @@ def _unpruned_backward(tape, loss):
 @pytest.fixture
 def unpruned_backward():
     return _unpruned_backward
+
+
+def _mapping_of(a):
+    """The mmap an array's memory lives in, or None."""
+    while a is not None and not isinstance(a, mmap.mmap):
+        a = a.obj if isinstance(a, memoryview) else getattr(a, "base", None)
+    return a
+
+
+@pytest.fixture
+def mapping_of():
+    return _mapping_of

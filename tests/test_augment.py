@@ -2,16 +2,15 @@ import errno
 import gc
 import json
 import math
-import mmap
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from concm import augment, rng
+from concm import buffers, rng
 from concm.augment import (ClassStats, PrototypeRepository, SampleCounts,
                            class_statistics, novel_covariance, sample_augmented,
                            shot_variance, transfer_weights)
@@ -196,6 +195,66 @@ def test_adding_a_class_leaves_other_classes_draws_unchanged(
     assert (after.labels == len(exact)).sum() == (base if new_exact else novel)
 
 
+@settings(max_examples=60, deadline=None)
+@given(dead=st.lists(st.booleans(), min_size=2, max_size=8),
+       n_base=st.integers(1, 4), per_class=st.integers(2, 6),
+       shots=st.integers(1, 5), scale=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2 ** 32))
+def test_zero_variance_dimensions_draw_the_class_mean(dead, n_base, per_class,
+                                                      shots, scale, seed):
+    # units a backbone never fires (exactly zero in every row) have zero
+    # base and shot variance, so every draw repeats the class mean there
+    dead = np.array(dead)
+    gen = rng.stream(seed, "dead-units")
+
+    def rows(n):
+        x = rng.gaussian(gen, (n, dead.size)) * scale + 1.0
+        x[:, dead] = 0.0
+        return x
+
+    base = FeatureSet(features=rows(n_base * per_class),
+                      labels=np.repeat(np.arange(n_base), per_class),
+                      class_names=tuple(f"b{c}" for c in range(n_base)))
+    repo = PrototypeRepository()
+    for stats in class_statistics(base):
+        repo.add(stats)
+    shot_rows = rows(shots)
+    mean = shot_rows.mean(axis=0)
+    assume(np.linalg.norm(mean) > 1e-9)
+    weights = transfer_weights(mean, repo.entries, gamma=16.0)
+    cov = novel_covariance(shot_variance(shot_rows), repo.entries, weights, 0.6)
+    repo.add(ClassStats(n_base, "novel", mean, cov, exact=False))
+    fs = sample_augmented(repo, SampleCounts(base=5, novel=7), seed=seed)
+    for e in repo.entries:
+        drawn = fs.features[fs.labels == e.class_id][:, dead]
+        assert drawn.tobytes() == np.broadcast_to(
+            e.mean[dead], drawn.shape).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 8), n_base=st.integers(1, 5),
+       scale=st.floats(1e-3, 1e3), gamma=st.floats(0.1, 64.0),
+       beta=st.floats(1e-3, 1.0), seed=st.integers(0, 2 ** 32))
+def test_one_shot_session_statistics_and_draws_are_finite(d, n_base, scale,
+                                                          gamma, beta, seed):
+    gen = rng.stream(seed, "one-shot")
+    repo = PrototypeRepository()
+    for cid in range(n_base):
+        repo.add(ClassStats(cid, f"b{cid}", rng.gaussian(gen, (d,)) * scale + 1.0,
+                            rng.uniform(gen, d) * scale ** 2, exact=True))
+    shot = rng.gaussian(gen, (1, d)) * scale
+    assume(np.linalg.norm(shot) > 1e-9)
+    shot_cov = shot_variance(shot)
+    assert shot_cov.tobytes() == np.zeros(d).tobytes()
+    weights = transfer_weights(shot[0], repo.entries, gamma)
+    cov = novel_covariance(shot_cov, repo.entries, weights, beta)
+    assert cov.shape == (d,) and np.all(np.isfinite(cov)) and np.all(cov >= 0.0)
+    repo.add(ClassStats(n_base, "novel", shot[0], cov, exact=False))
+    fs = sample_augmented(repo, SampleCounts(base=3, novel=9), seed=seed)
+    assert np.all(np.isfinite(fs.features))
+    assert (fs.labels == n_base).sum() == 9
+
+
 def random_repo(n_classes, d, seed=7):
     gen = rng.stream(seed, "replay-stats")
     repo = PrototypeRepository()
@@ -208,13 +267,6 @@ def random_repo(n_classes, d, seed=7):
 def replay_buffer(ids, d, k=3):
     return {cid: rng.gaussian(rng.stream(cid, "replay-rows"), (k, d))
             for cid in ids}
-
-
-def mapping_of(a):
-    """The mmap an array's memory lives in, or None."""
-    while a is not None and not isinstance(a, mmap.mmap):
-        a = a.obj if isinstance(a, memoryview) else getattr(a, "base", None)
-    return a
 
 
 def test_replay_rows_follow_the_draws_by_class():
@@ -233,7 +285,7 @@ def test_replay_rows_follow_the_draws_by_class():
     assert fs.class_names == plain.class_names
 
 
-def test_epoch_with_replay_is_held_once():
+def test_epoch_with_replay_is_held_once(mapping_of):
     # the draws and the replay rows share one array, so drawing an epoch
     # allocates little beyond it; the array lives in its own mapping, which
     # tracemalloc does not see, so everything traced comes on top of it
@@ -250,7 +302,7 @@ def test_epoch_with_replay_is_held_once():
     assert fs.features.nbytes + peak < 1.25 * fs.features.nbytes
 
 
-def test_epoch_mapping_is_released_with_its_feature_set():
+def test_epoch_mapping_is_released_with_its_feature_set(mapping_of):
     fs = sample_augmented(random_repo(5, 8), SampleCounts(), seed=2,
                           replay=replay_buffer([4], 8))
     ref = weakref.ref(mapping_of(fs.features))
@@ -264,7 +316,7 @@ def no_memory(*args):
 
 
 def test_failed_epoch_mapping_is_a_memory_error(monkeypatch):
-    monkeypatch.setattr(augment.mmap, "mmap", no_memory)
+    monkeypatch.setattr(buffers.mmap, "mmap", no_memory)
     with pytest.raises(MemoryError):
         sample_augmented(random_repo(4, 3), SampleCounts(), seed=0)
 
@@ -279,7 +331,7 @@ def test_failed_epoch_mapping_exits_2(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "data")]) == 0
     cfg = json.loads((tmp_path / "data" / "config.json").read_text())
     (tmp_path / "run.json").write_text(json.dumps(dict(cfg, meta_episodes=2)))
-    monkeypatch.setattr(augment.mmap, "mmap", no_memory)
+    monkeypatch.setattr(buffers.mmap, "mmap", no_memory)
     assert main(["run", "--manifest", str(tmp_path / "data" / "manifest.json"),
                  "--config", str(tmp_path / "run.json"),
                  "--out", str(tmp_path / "run")]) == 2

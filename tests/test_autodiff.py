@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,24 @@ def test_parameter_free_subgraph_gets_no_adjoint(monkeypatch, unpruned_backward)
     by_op = {op: contribs for op, _, contribs in calls}
     assert by_op["mul"][1] is None and by_op["matmul"][0] is None
     assert got["w"].tobytes() == want["w"].tobytes()
+
+
+def test_backward_drops_spent_adjoints():
+    # a chain of 20 nodes over a 64 x 64 parameter: the pass holds the
+    # adjoints of the frontier, not one per node (which was 21 arrays here)
+    t = Tape()
+    node = t.param("w", np.ones((64, 64)))
+    for k in range(20):
+        node = t.scale(node, 1.0 + k / 64)
+    loss = t.sum(node)
+    t.forward({})
+    tracemalloc.start()
+    try:
+        grads = t.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * grads["w"].nbytes, peak
 
 
 def test_sgd_step_updates_in_place_and_names_non_finite_param():

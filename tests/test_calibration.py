@@ -15,6 +15,7 @@ from concm.calibration import (MetaTrainConfig, Prototype, blend,
 from concm.calibration import _class_rows, _draw_shots
 from concm.data import FeatureSet
 from concm.errors import AllMasked, InsufficientSamples, InvalidConfig
+from concm.optim import cosine_lr, sgd_step
 
 
 def knowledge_fixture(d_f=8, d_s=5, n_attr=4, classes=("x", "y"), seed=0,
@@ -296,11 +297,12 @@ def test_meta_episode_shots_distinct_in_class_and_deterministic(sizes, data,
 
 def test_meta_train_feeds_the_gathered_shot_means(monkeypatch):
     fs, kn = episodic_fixture(per_class=9)
-    fed = []
+    fed, tapes = [], []
     real = Tape.forward
 
     def spy(self, feeds=None):
         fed.append({k: v.copy() for k, v in feeds.items()})
+        tapes.append(self)
         return real(self, feeds)
 
     monkeypatch.setattr(Tape, "forward", spy)
@@ -309,11 +311,41 @@ def test_meta_train_feeds_the_gathered_shot_means(monkeypatch):
     rows = _class_rows(fs.labels, fs.n_classes)
     for ep, feeds in enumerate(fed):
         shots = fs.features[_draw_shots(rows, 3, rng.stream(4, "meta-episode", ep))]
-        for c, name in enumerate(fs.class_names):
-            assert feeds[f"p_meta_{name}"].tobytes() == \
+        for c in range(fs.n_classes):
+            assert feeds["p_meta"][c].tobytes() == \
                 shots[c].mean(axis=0).reshape(1, -1).tobytes()
-            assert feeds[f"target_{name}"].tobytes() == \
-                fs.class_features(c).mean(axis=0).reshape(1, -1).tobytes()
+    # the exact class means are one constant of the tape, row c for class c
+    means = np.vstack([fs.class_features(c).mean(axis=0).reshape(1, -1)
+                       for c in range(fs.n_classes)])
+    assert any(node.op == "const" and node.payload.tobytes() == means.tobytes()
+               for node in tapes[0]._nodes)
+
+
+def test_meta_train_matches_the_per_class_meta_tape():
+    # the reference: every episode fed through build_meta_tape's per-class
+    # inputs, with the same shots, learning rates and SGD steps
+    fs, kn = episodic_fixture(per_class=9)
+    params = init_calibration_params(8, 4, seed=6)
+    config = MetaTrainConfig(shots=3, episodes=6, lr_max=0.5, warmup=2, seed=4)
+    trained, trace = meta_train(fs, kn, params, config)
+
+    tape, loss = build_meta_tape(params, kn, list(fs.class_names))
+    rows = _class_rows(fs.labels, fs.n_classes)
+    feeds = {f"target_{name}": fs.class_features(c).mean(axis=0).reshape(1, -1)
+             for c, name in enumerate(fs.class_names)}
+    ref_trace = []
+    for ep in range(config.episodes):
+        gen = rng.stream(config.seed, "meta-episode", ep)
+        protos = fs.features[_draw_shots(rows, config.shots, gen)].mean(axis=1)
+        for name, proto in zip(fs.class_names, protos):
+            feeds[f"p_meta_{name}"] = proto.reshape(1, -1)
+        tape.forward(feeds)
+        ref_trace.append(float(tape.value(loss)))
+        sgd_step(tape, tape.backward(loss),
+                 cosine_lr(ep, config.episodes, config.lr_max, config.warmup))
+    assert trace == ref_trace
+    for name in tape.param_names():
+        assert getattr(trained, name).tobytes() == tape.param_value(name).tobytes()
 
 
 def test_meta_train_insufficient_samples():

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -8,8 +9,11 @@ from concm import rng, session
 from concm.data import FeatureSet
 from concm.errors import InvalidConfig, ProtocolViolation
 from concm.metrics import report_to_json
-from concm.session import (PipelineInputs, SessionConfig, run_base_session,
-                           run_incremental_session, run_pipeline)
+from concm.projector import init_projector_params
+from concm.session import (PipelineInputs, SessionConfig, evaluate_session,
+                           run_base_session, run_incremental_session,
+                           run_pipeline)
+from concm.session import _evaluation_rows
 from concm.structure import (geometric_optimality_deviation,
                              random_optimal_structure, structure_matching_rate)
 from concm.synth import GenConfig, generate_benchmark
@@ -243,3 +247,61 @@ def test_pipeline_holds_one_augmentation_epoch_at_a_time(inputs, monkeypatch):
     config = tiny_cfg(epochs_base=3, epochs_incremental=2, meta_episodes=5)
     run_pipeline(replace(inputs, config=config))
     assert len(drawn) == 3 + 2 * 2
+
+
+def test_evaluation_heap_peak_holds_no_feature_rows(base_state):
+    # the stacked rows and their projection live in their own mappings, so
+    # the traced heap grows only by per-row labels, predictions and class
+    # scores: less than a quarter of a feature row per evaluated row (the
+    # heap copies made it 2.1 feature rows per row)
+    d, names = 256, [f"c{i}" for i in range(16)]
+    structure = random_optimal_structure(16, d, seed=3)
+    state = replace(base_state, t=1, class_names=names,
+                    config=replace(base_state.config, base_classes=8, d_g=d),
+                    structure=replace(structure, class_ids=list(range(16))),
+                    theta_g=init_projector_params(d, 64, d, seed=1))
+
+    def heap_peak(per_class):
+        sets = [FeatureSet(features=rng.gaussian(rng.stream(per_class, k),
+                                                 (8 * per_class, d)),
+                           labels=np.repeat(np.arange(8), per_class),
+                           class_names=tuple(names[8 * k:8 * k + 8]))
+                for k in range(2)]
+        tracemalloc.start()
+        try:
+            evaluate_session(state, *_evaluation_rows(sets, names))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = heap_peak(16), heap_peak(128)
+    assert large - small < (16 * 128 - 16 * 16) * d * 8 / 4, (small, large)
+
+
+def test_evaluation_mappings_are_released_with_the_record(inputs, monkeypatch,
+                                                          mapping_of):
+    # a session's evaluation rows and their projection are gone before the
+    # next session trains
+    held = []
+    real_evaluate, real_project, real_fit = (session.evaluate_session,
+                                             session.project, session._fit)
+
+    def evaluate(state, features, labels):
+        held.append(weakref.ref(mapping_of(features)))
+        return real_evaluate(state, features, labels)
+
+    def project(params, x):
+        z = real_project(params, x)
+        held.append(weakref.ref(mapping_of(z)))
+        return z
+
+    def fit(*args):
+        assert all(ref() is None for ref in held)
+        return real_fit(*args)
+
+    monkeypatch.setattr(session, "evaluate_session", evaluate)
+    monkeypatch.setattr(session, "project", project)
+    monkeypatch.setattr(session, "_fit", fit)
+    config = tiny_cfg(epochs_base=1, epochs_incremental=1, meta_episodes=2)
+    run_pipeline(replace(inputs, config=config))
+    assert len(held) > 2 * 3 and all(ref() is None for ref in held)

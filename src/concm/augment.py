@@ -64,6 +64,17 @@ class PrototypeRepository:
         return len(self.entries)
 
 
+def _population_variance(rows: np.ndarray) -> np.ndarray:
+    """Population variance per column, exactly 0 where every row is equal.
+
+    ``np.var`` leaves an ulp-sized variance on a constant column whose mean
+    rounds away from its value (three rows of 0.1 give 1.9e-34).
+    """
+    var = rows.var(axis=0)
+    var[(rows == rows[0]).all(axis=0)] = 0.0
+    return var
+
+
 def class_statistics(features: FeatureSet) -> list[ClassStats]:
     """Exact per-class sample mean and population (1/n) variance diagonal."""
     out = []
@@ -74,16 +85,14 @@ def class_statistics(features: FeatureSet) -> list[ClassStats]:
                                       "samples; needs >= 2")
         out.append(ClassStats(class_id=label, class_name=name,
                               mean=rows.mean(axis=0),
-                              cov_diag=rows.var(axis=0), exact=True))
+                              cov_diag=_population_variance(rows),
+                              exact=True))
     return out
 
 
 def shot_variance(shots: np.ndarray) -> np.ndarray:
     """Population variance of the K shots; zero vector for K = 1."""
-    shots = np.asarray(shots, dtype=np.float64)
-    if shots.shape[0] == 1:
-        return np.zeros(shots.shape[1])
-    return shots.var(axis=0)
+    return _population_variance(np.asarray(shots, dtype=np.float64))
 
 
 def transfer_weights(prototype: np.ndarray, base: list[ClassStats],

@@ -196,20 +196,25 @@ def test_adding_a_class_leaves_other_classes_draws_unchanged(
 
 
 @settings(max_examples=60, deadline=None)
-@given(dead=st.lists(st.booleans(), min_size=2, max_size=8),
+@given(columns=st.lists(st.one_of(st.none(),
+                                  st.floats(-1e3, 1e3).map(lambda v: v + 0.0)),
+                        min_size=2, max_size=8),
        n_base=st.integers(1, 4), per_class=st.integers(2, 6),
-       shots=st.integers(1, 5), scale=st.floats(1e-3, 1e3),
-       seed=st.integers(0, 2 ** 32))
-def test_zero_variance_dimensions_draw_the_class_mean(dead, n_base, per_class,
-                                                      shots, scale, seed):
-    # units a backbone never fires (exactly zero in every row) have zero
-    # base and shot variance, so every draw repeats the class mean there
-    dead = np.array(dead)
+       shots=st.integers(1, 5), duplicate_shots=st.booleans(),
+       scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2 ** 32))
+def test_zero_variance_dimensions_draw_the_class_mean(columns, n_base, per_class,
+                                                      shots, duplicate_shots,
+                                                      scale, seed):
+    # units a backbone never fires (exactly zero in every row) or that hold
+    # one constant have zero base and shot variance, so every draw repeats
+    # the class mean there; duplicate shot rows have zero shot variance
+    const = np.array([c is not None for c in columns])
+    values = np.array([0.0 if c is None else c for c in columns])[const]
     gen = rng.stream(seed, "dead-units")
 
     def rows(n):
-        x = rng.gaussian(gen, (n, dead.size)) * scale + 1.0
-        x[:, dead] = 0.0
+        x = rng.gaussian(gen, (n, const.size)) * scale + 1.0
+        x[:, const] = values
         return x
 
     base = FeatureSet(features=rows(n_base * per_class),
@@ -218,17 +223,23 @@ def test_zero_variance_dimensions_draw_the_class_mean(dead, n_base, per_class,
     repo = PrototypeRepository()
     for stats in class_statistics(base):
         repo.add(stats)
-    shot_rows = rows(shots)
+        assert stats.cov_diag[const].tobytes() == np.zeros(values.size).tobytes()
+    shot_rows = np.repeat(rows(1), shots, axis=0) if duplicate_shots else rows(shots)
     mean = shot_rows.mean(axis=0)
     assume(np.linalg.norm(mean) > 1e-9)
+    shot_cov = shot_variance(shot_rows)
+    zero = const | duplicate_shots
+    assert shot_cov[zero].tobytes() == np.zeros(zero.sum()).tobytes()
     weights = transfer_weights(mean, repo.entries, gamma=16.0)
-    cov = novel_covariance(shot_variance(shot_rows), repo.entries, weights, 0.6)
+    cov = novel_covariance(shot_cov, repo.entries, weights, 0.6)
     repo.add(ClassStats(n_base, "novel", mean, cov, exact=False))
+    repo.add(ClassStats(n_base + 1, "shots", mean, shot_cov, exact=False))
     fs = sample_augmented(repo, SampleCounts(base=5, novel=7), seed=seed)
     for e in repo.entries:
-        drawn = fs.features[fs.labels == e.class_id][:, dead]
+        cols = zero if e.class_name == "shots" else const
+        drawn = fs.features[fs.labels == e.class_id][:, cols]
         assert drawn.tobytes() == np.broadcast_to(
-            e.mean[dead], drawn.shape).tobytes()
+            e.mean[cols], drawn.shape).tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,10 +3,9 @@
 Every random draw in the package flows from a single master seed through
 named substreams.  Substream keys are hashed with SHA-256, so the stream a
 component sees depends only on (master seed, labels), not on call order
-elsewhere in the program.  Gaussian variates use Box-Muller over a Philox
-counter-based generator, which keeps sampled bytes identical across
-process runs on the same numpy build.  Its log, sin and cos come from libm
-or from numpy's SIMD kernels, so another build may differ in the last bits.
+elsewhere in the program.  Each substream is an SFC64 generator, and
+Gaussian variates come from numpy's ziggurat (``standard_normal``), so
+sampled bytes are identical across process runs on the same numpy build.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ def derive_seed(master: int, *labels) -> int:
 
 
 def stream(master: int, *labels) -> np.random.Generator:
-    """A Philox generator for the named substream."""
-    return np.random.Generator(np.random.Philox(key=derive_seed(master, *labels)))
+    """An SFC64 generator seeded with the named substream's derived seed."""
+    return np.random.Generator(np.random.SFC64(derive_seed(master, *labels)))
 
 
 def uniform(gen: np.random.Generator, shape) -> np.ndarray:
@@ -47,32 +46,18 @@ def uniform(gen: np.random.Generator, shape) -> np.ndarray:
 
 
 def gaussian(gen: np.random.Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
-    """Standard normal draws via Box-Muller on Philox uniforms.
+    """Standard normal draws from numpy's ziggurat (``standard_normal``).
 
-    The first half of the values is r cos(theta) and the rest r sin(theta).
+    One generator state gives the same bytes on the same numpy build.
     With ``out`` (C-contiguous float64 with ``shape``'s size) the draws are
     written into it in place and ``out`` is returned.
     """
-    n = int(np.prod(shape)) if shape else 1
     if out is None:
-        out = np.empty(shape)
-    elif out.size != n or out.dtype != np.float64 or not out.flags.c_contiguous:
+        return gen.standard_normal(shape)
+    n = int(np.prod(shape)) if shape else 1
+    if out.size != n or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ShapeError(f"gaussian: out must be C-contiguous float64 of size {n}")
-    flat = out.reshape(-1)
-    half = (n + 1) // 2
-    # r = sqrt(-2 log u1), with u1 in (0, 1] so that log() is finite
-    r = flat[:half]
-    gen.random(dtype=np.float64, out=r)
-    np.subtract(1.0, r, out=r)
-    np.log(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    theta = uniform(gen, half)
-    theta *= 2.0 * np.pi
-    rest = flat[half:]
-    np.sin(theta[:rest.size], out=rest)
-    rest *= r[:rest.size]
-    r *= np.cos(theta, out=theta)
+    gen.standard_normal(out=out)
     return out
 
 

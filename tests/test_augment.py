@@ -35,10 +35,11 @@ def test_constant_class_zero_variance():
 
 
 def test_statistics_recover_planted_covariance():
+    # 10 % is 5 standard errors of the sample variance (sqrt(2 / n) of it)
     true_cov = np.array([0.5, 1.0, 2.0, 0.25])
     gen = rng.stream(14, "cov-fixture")
-    feats = 3.0 + rng.gaussian(gen, (600, 4)) * np.sqrt(true_cov)
-    fs = FeatureSet(features=feats, labels=np.zeros(600, dtype=int),
+    feats = 3.0 + rng.gaussian(gen, (5000, 4)) * np.sqrt(true_cov)
+    fs = FeatureSet(features=feats, labels=np.zeros(5000, dtype=int),
                     class_names=("c",))
     stats = class_statistics(fs)[0]
     assert np.all(np.abs(stats.cov_diag - true_cov) <= 0.1 * true_cov)

@@ -5,23 +5,17 @@ from concm import rng
 from concm.errors import ShapeError
 
 
-def reference_gaussian(gen, shape):
-    """Box-Muller as one expression per step: the reference for the
-    in-place draws."""
-    n = int(np.prod(shape)) if shape else 1
-    half = (n + 1) // 2
-    u1 = 1.0 - rng.uniform(gen, half)
-    u2 = rng.uniform(gen, half)
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u2
-    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-    return z.reshape(shape)
+def reference_gaussian(master, *labels, shape):
+    """numpy's ziggurat on an SFC64 generator seeded with the substream's
+    derived seed: the reference for every draw."""
+    gen = np.random.Generator(np.random.SFC64(rng.derive_seed(master, *labels)))
+    return gen.standard_normal(shape)
 
 
 @pytest.mark.parametrize("shape", [(6900, 512), (101, 64), (3, 5), (1,), (),
                                    (0, 4), (7,), (2, 3, 5)])
 def test_gaussian_bitwise_equals_reference(shape):
-    want = reference_gaussian(rng.stream(4, "ref", str(shape)), shape)
+    want = reference_gaussian(4, "ref", str(shape), shape=shape)
     got = rng.gaussian(rng.stream(4, "ref", str(shape)), shape)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -37,7 +31,7 @@ def test_gaussian_into_row_slice_writes_only_the_slice(rows, offset):
     got = rng.gaussian(rng.stream(9, "slice", rows), (rows, 7),
                        out=big[offset:offset + rows])
     assert np.shares_memory(got, big)
-    want = reference_gaussian(rng.stream(9, "slice", rows), (rows, 7))
+    want = reference_gaussian(9, "slice", rows, shape=(rows, 7))
     assert big[offset:offset + rows].tobytes() == want.tobytes()
     assert (big[:offset] == -5.0).all() and (big[offset + rows:] == -5.0).all()
 
@@ -50,3 +44,19 @@ def test_gaussian_rejects_an_unusable_out():
         rng.gaussian(gen, (4, 3), out=np.empty((3, 4)).T)
     with pytest.raises(ShapeError):
         rng.gaussian(gen, (4, 3), out=np.empty((4, 3), dtype=np.float32))
+
+
+def test_gaussian_moments_of_a_million_draws():
+    # each sample moment within 5 standard errors of N(0, 1)'s: mean 0,
+    # variance 1, skewness 0, excess kurtosis 0 (errors 1, sqrt 2, sqrt 6
+    # and sqrt 24 over sqrt n)
+    n = 10 ** 6
+    z = rng.gaussian(rng.stream(11, "moments"), (n,))
+    m = z.mean()
+    c = z - m
+    var = (c ** 2).mean()
+    skew = (c ** 3).mean() / var ** 1.5
+    kurt = (c ** 4).mean() / var ** 2 - 3.0
+    for got, want, se in [(m, 0.0, 1.0), (var, 1.0, 2.0 ** 0.5),
+                          (skew, 0.0, 6.0 ** 0.5), (kurt, 0.0, 24.0 ** 0.5)]:
+        assert abs(got - want) <= 5.0 * se / n ** 0.5

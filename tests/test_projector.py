@@ -285,33 +285,26 @@ def test_large_temperature_shrinks_gradients():
     assert grad_norm(100.0) < 0.05 * grad_norm(0.1)
 
 
-def anchor_pull_losses(seed):
-    """Contrastive loss before and after a novel sample moves toward its
-    structure column.  Its batch mate sits on the column and the other
-    class's rows are orthogonal to the plane of the move, so only the two
-    novel terms change, and both fall as the sample's cosine to the column
-    grows (their derivatives in it are -1 / (tau (1 + e^(s/tau))) and
-    -1/(2 tau) + e^(s/tau) / (tau (2 + e^(s/tau) + e^(1/tau))))."""
-    s = random_optimal_structure(3, 6, seed=seed)
-    anchor = s.columns[:, 1]
-    gen = rng.stream(seed, "anchor")
-    q, _ = np.linalg.qr(np.column_stack([anchor, rng.gaussian(gen, (6, 5))]))
-    z = np.empty((4, 6))
-    z[:2] = rng.gaussian(gen, (2, 4)) @ q[:, 2:].T
-    z[2] = q[:, :2] @ rng.gaussian(gen, (2,))
-    z[3] = anchor
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    labels = np.array([0, 0, 1, 1])
-    near = z.copy()
-    near[2] = (z[2] + 2.0 * anchor) / np.linalg.norm(z[2] + 2.0 * anchor)
-    return (contrastive_value((z, labels, frozenset({1})), s, 0.07),
-            contrastive_value((near, labels, frozenset({1})), s, 0.07))
-
-
 def test_anchor_pull_decreases_loss():
-    # moving a novel sample toward its structure column lowers the loss
+    # moving a novel sample toward its structure column lowers the loss.
+    # The sample is alone in its class, so the column is its only positive,
+    # and the other class's rows are orthogonal to the plane of the move, so
+    # only the sample's own term changes: -s/tau + log(2 + e^(s/tau)) in its
+    # cosine s to the column, which falls as s grows
+    labels = np.array([0, 0, 1])
     for seed in range(20):
-        loss_far, loss_near = anchor_pull_losses(seed)
+        s = random_optimal_structure(3, 6, seed=seed)
+        anchor = s.columns[:, 1]
+        gen = rng.stream(seed, "anchor")
+        q, _ = np.linalg.qr(np.column_stack([anchor, rng.gaussian(gen, (6, 5))]))
+        z = np.empty((3, 6))
+        z[:2] = rng.gaussian(gen, (2, 4)) @ q[:, 2:].T
+        z[2] = q[:, :2] @ rng.gaussian(gen, (2,))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        near = z.copy()
+        near[2] = (z[2] + 2.0 * anchor) / np.linalg.norm(z[2] + 2.0 * anchor)
+        loss_far = contrastive_value((z, labels, frozenset({1})), s, 0.07)
+        loss_near = contrastive_value((near, labels, frozenset({1})), s, 0.07)
         assert loss_near < loss_far
 
 

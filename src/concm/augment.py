@@ -18,7 +18,7 @@ from . import rng
 from .buffers import mapped_rows
 from .data import FeatureSet
 from .errors import (DegenerateInput, InsufficientSamples, InvalidConfig,
-                     InvalidStats, MissingClass)
+                     InvalidInput, InvalidStats, MissingClass)
 
 
 @dataclass
@@ -138,37 +138,92 @@ class SampleCounts:
     novel: int = 50
 
 
-def sample_augmented(repo: PrototypeRepository, counts: SampleCounts,
-                     seed: int, epoch: int = 0,
-                     replay: dict[int, np.ndarray] | None = None) -> FeatureSet:
-    """Draw per-class Gaussian samples from the repository statistics.
-
-    Streams are keyed by (seed, epoch, class id) so classes are independent
-    and every epoch's resample is reproducible.  The draws come class by
-    class; the ``replay`` rows of each class id follow them, by ascending
-    class id, in the same array.
-    """
+def _layout(repo: PrototypeRepository, counts: SampleCounts,
+            replay: dict[int, np.ndarray]) -> tuple[list[int], list[int]]:
+    """Class id and row count of each block of an epoch's full layout."""
     if counts.base < 1 or counts.novel < 1:
         raise InvalidConfig("sample counts must be >= 1")
     if not repo.entries:
         raise MissingClass("cannot sample from an empty repository")
-    replay = replay or {}
-    d = repo.entries[0].mean.shape[0]
     order = sorted(replay)
     ids = [e.class_id for e in repo.entries] + order
     sizes = [counts.base if e.exact else counts.novel for e in repo.entries]
-    sizes += [replay[cid].shape[0] for cid in order]
-    features = mapped_rows(sum(sizes), d)
-    start = 0
-    for stats, n in zip(repo.entries, sizes):
-        gen = rng.stream(seed, "augment", epoch, stats.class_id)
-        rows = rng.gaussian(gen, (n, d), out=features[start:start + n])
-        rows *= np.sqrt(stats.cov_diag)
-        rows += stats.mean
-        start += n
-    for cid, n in zip(order, sizes[len(repo.entries):]):
-        features[start:start + n] = replay[cid]
-        start += n
-    return FeatureSet(features=features,
-                      labels=np.repeat(np.array(ids, dtype=np.int64), sizes),
-                      class_names=tuple(e.class_name for e in repo.entries))
+    return ids, sizes + [replay[cid].shape[0] for cid in order]
+
+
+def epoch_labels(repo: PrototypeRepository, counts: SampleCounts,
+                 replay: dict[int, np.ndarray] | None = None) -> np.ndarray:
+    """Class id of every row of an epoch's full layout: each class's draws
+    in repository order, then the ``replay`` rows by ascending class id.
+    It is the same for every epoch."""
+    ids, sizes = _layout(repo, counts, replay or {})
+    return np.repeat(np.array(ids, dtype=np.int64), sizes)
+
+
+@dataclass
+class AugmentedEpoch:
+    """The rows of one epoch that training takes, and its class means.
+
+    ``features`` (in its own mapping) and ``labels`` hold the requested rows
+    of the full layout, in the requested order; ``means`` (classes, d) holds
+    the mean of each repository class's full draw.
+    """
+
+    features: np.ndarray
+    labels: np.ndarray
+    means: np.ndarray
+
+    @property
+    def n_samples(self) -> int:
+        return self.features.shape[0]
+
+
+def sample_augmented(repo: PrototypeRepository, counts: SampleCounts,
+                     seed: int, epoch: int, order: np.ndarray,
+                     replay: dict[int, np.ndarray] | None = None) -> AugmentedEpoch:
+    """Draw per-class Gaussian samples and keep rows ``order`` of the epoch.
+
+    Streams are keyed by (seed, epoch, class id) so classes are independent
+    and every epoch's resample is reproducible.  ``order`` indexes the full
+    layout of ``epoch_labels`` (each class's draws, then the replay rows);
+    ``np.arange`` of its size gives the whole epoch in class order.  Each
+    class is drawn whole into a one-class scratch buffer, which gives its
+    mean, and only its rows named in ``order`` are copied out, to their
+    positions in ``order``.  So an epoch holds the rows that training uses,
+    in batch order, and not the rows its batches drop.
+    """
+    replay = replay or {}
+    ids, sizes = _layout(repo, counts, replay)
+    d = repo.entries[0].mean.shape[0]
+    order = np.asarray(order, dtype=np.int64)
+    # position of each full-layout row in the output, -1 where it is dropped
+    dest = np.full(sum(sizes), -1, dtype=np.int64)
+    dest[order] = np.arange(order.size)
+    starts = np.cumsum([0] + sizes[:-1])
+    whole = np.add.reduceat(dest >= 0, starts, dtype=np.int64) == sizes
+    features = mapped_rows(order.size, d)
+    classes = len(repo.entries)
+    sums = np.empty((classes, d))
+    scratch = np.empty((max(sizes[:classes]), d))
+    for k, (cid, n, start) in enumerate(zip(ids, sizes, starts)):
+        if k < classes:
+            stats = repo.entries[k]
+            rows = rng.gaussian(rng.stream(seed, "augment", epoch, cid), (n, d),
+                                out=scratch[:n])
+            rows *= np.sqrt(stats.cov_diag)
+            rows += stats.mean
+            np.add.reduce(rows, axis=0, out=sums[k])
+        else:
+            rows = replay[cid]
+        at = dest[start:start + n]
+        if whole[k]:  # no copy of the rows when the batches take them all
+            features[at] = rows
+        else:
+            kept = at >= 0
+            features[at[kept]] = rows[kept]
+    # what rows.mean(axis=0) computes: the sum over rows, over the count
+    means = np.divide(sums, np.array(sizes[:classes])[:, None], out=sums)
+    if not np.isfinite(means).all():
+        raise InvalidInput("augmented draws contain non-finite values")
+    labels = np.repeat(np.array(ids, dtype=np.int64), sizes)[order]
+    return AugmentedEpoch(features=features, labels=labels, means=means)

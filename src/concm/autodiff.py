@@ -145,6 +145,12 @@ _FUSED = {
 }
 
 
+# entries of lr * g that Tape.update_param forms at a time: 256 KiB, so
+# the buffer stays in cache and no weight-sized temporary (2 MB for a
+# 512 x 512 weight) is made
+_STEP_CHUNK = 32768
+
+
 @dataclass
 class _Node:
     op: str
@@ -164,6 +170,8 @@ class Tape:
         self._needs_grad: list[bool] = []
         self._params: dict[str, int] = {}
         self._param_values: dict[str, np.ndarray] = {}
+        # update_param's lr * g, a chunk at a time; made by the first update
+        self._step: np.ndarray | None = None
         self._inputs: dict[str, int] = {}
         self._defaults: dict[str, np.ndarray] = {}
         self._forward_done = False
@@ -298,13 +306,29 @@ class Tape:
         self._param_values[name] = new.copy()
         self._forward_done = False
 
-    def update_param(self, name: str, delta: np.ndarray) -> None:
-        """Subtract ``delta`` from a parameter in place.
+    def update_param(self, name: str, g: np.ndarray, lr: float) -> None:
+        """Subtract ``lr * g`` from a parameter in place.
 
-        Raises InvalidInput naming the parameter if it turns non-finite.
+        The product is formed ``_STEP_CHUNK`` entries at a time in one
+        buffer the tape keeps, so an update forms no parameter-sized
+        temporary and leaves ``g`` as it was.  Raises InvalidInput naming
+        the parameter if it turns non-finite.
         """
         value = self._param_values[name]
-        value -= delta
+        if g.shape != value.shape:
+            raise ShapeError(f"gradient of param {name!r} has shape {g.shape}, "
+                             f"not {value.shape}")
+        if self._step is None:
+            self._step = np.empty(_STEP_CHUNK)
+        if value.size <= _STEP_CHUNK:  # one chunk: no flat views needed
+            step = self._step[:value.size].reshape(value.shape)
+            value -= np.multiply(lr, g, out=step)
+        else:
+            flat, g = value.reshape(-1), g.reshape(-1)
+            for start in range(0, flat.size, _STEP_CHUNK):
+                part = g[start:start + _STEP_CHUNK]
+                flat[start:start + part.size] -= np.multiply(
+                    lr, part, out=self._step[:part.size])
         self._forward_done = False
         if not np.isfinite(value).all():
             raise InvalidInput(f"param {name!r} contains non-finite entries")
@@ -386,6 +410,13 @@ class Tape:
                 raise ShapeError(f"stack: incompatible shapes {[x.shape for x in a]}")
             return np.vstack(a)
         raise ShapeError(f"unknown op {op!r}")  # pragma: no cover
+
+    def clear(self) -> None:
+        """Drop every node value and saved forward state, the fed arrays
+        (which may be views of a larger array) included."""
+        self._values = [None] * len(self._nodes)
+        self._saved = [None] * len(self._nodes)
+        self._forward_done = False
 
     def value(self, node: int) -> np.ndarray:
         if not self._forward_done:

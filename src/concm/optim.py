@@ -26,4 +26,4 @@ def sgd_step(tape: Tape, grads: dict[str, np.ndarray], lr: float) -> None:
     Raises InvalidInput naming the first parameter that turns non-finite.
     """
     for name, g in grads.items():
-        tape.update_param(name, lr * g)
+        tape.update_param(name, g, lr)

@@ -231,6 +231,16 @@ def _balanced_batches(labels: np.ndarray, batch_size: int, seed: int, epoch: int
     return batches
 
 
+def plan_epoch(labels: np.ndarray, schedule: TrainSchedule, epoch: int,
+               anchored: frozenset[int]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The order in which ``train_projector`` takes an epoch's rows, and its
+    batches: the row indices into ``labels`` of each batch, and all of them
+    concatenated (the ``order`` its ``epoch_data`` is called with)."""
+    batches = _balanced_batches(labels, schedule.batch_size, schedule.seed,
+                                epoch, anchored)
+    return np.concatenate([np.zeros(0, dtype=np.int64), *batches]), batches
+
+
 def _zero_norm_cause(features: np.ndarray, idx: np.ndarray) -> str:
     zero = idx[np.sqrt((features * features).sum(axis=1)) < 1e-300]
     if zero.size:
@@ -240,14 +250,19 @@ def _zero_norm_cause(features: np.ndarray, idx: np.ndarray) -> str:
 
 def train_projector(params: ProjectorParams, structure: StructureMatrix,
                     anchored_classes: frozenset[int], schedule: TrainSchedule,
-                    epoch_data, tau: float = 0.07) -> tuple[ProjectorParams, list[float]]:
+                    labels: np.ndarray, epoch_data,
+                    tau: float = 0.07) -> tuple[ProjectorParams, list[float]]:
     """Optimize the projector against a structure.
 
-    ``epoch_data(epoch)`` returns the (features, labels) arrays to train on
-    during that epoch (augmented samples are redrawn each epoch by the
-    caller); it is called once per epoch, in order, and the previous
-    epoch's arrays are dropped before the call, so one epoch is held at a
-    time.  Returns updated parameters and the per-epoch mean loss.
+    ``labels`` are the class ids of the rows of one epoch, the same in every
+    epoch (augmented samples are redrawn each epoch by the caller).  Each
+    epoch's batches are planned from them before its rows exist, and
+    ``epoch_data(epoch, order)`` returns the features of rows ``order``
+    (the batches' row indices, concatenated) in that order, as one array.
+    It is called once per epoch, in order, and the previous epoch's rows
+    and every view of them are dropped before the call, so one epoch is
+    held at a time.  A step trains on its batch's contiguous slice of that
+    array.  Returns updated parameters and the per-epoch mean loss.
 
     The loss graph is built once per call, by the same builders that serve
     a single batch: the batch features (input ``x``) and the masks of
@@ -265,21 +280,24 @@ def train_projector(params: ProjectorParams, structure: StructureMatrix,
     loss = tape.add(build_matching_loss(tape, z, no_labels, structure),
                     build_contrastive_loss(tape, z, no_labels, structure,
                                            anchored_classes, tau=tau))
-    x, y = epoch_data(0)
+    y = np.asarray(labels, dtype=np.int64)
     steps_per_epoch = max(1, math.ceil(y.size / schedule.batch_size))
     total_steps = schedule.epochs * steps_per_epoch
     step = 0
     trace: list[float] = []
     for epoch in range(schedule.epochs):
-        if epoch:
-            x = y = None  # drop the last epoch before drawing the next
-            x, y = epoch_data(epoch)
-        y = np.asarray(y, dtype=np.int64)
+        order, batches = plan_epoch(y, schedule, epoch, anchored_classes)
+        # drop the last epoch, and the tape's view of its last batch,
+        # before drawing the next
+        x = feeds = None
+        tape.clear()
+        x = epoch_data(epoch, order)
         epoch_losses = []
-        for idx in _balanced_batches(y, schedule.batch_size, schedule.seed,
-                                     epoch, anchored_classes):
+        start = 0
+        for idx in batches:
             feeds = batch_masks(y[idx], structure, anchored_classes)
-            feeds["x"] = x[idx]
+            feeds["x"] = x[start:start + idx.size]
+            start += idx.size
             try:
                 tape.forward(feeds)
             except DegenerateInput as exc:

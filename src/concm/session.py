@@ -25,8 +25,8 @@ from . import rng
 from .attributes import (AttributeTable, SemanticKnowledge, build_knowledge,
                          load_attribute_table, load_semantic_embeddings)
 from .augment import (ClassStats, PrototypeRepository, SampleCounts,
-                      class_statistics, novel_covariance, sample_augmented,
-                      shot_variance, transfer_weights)
+                      class_statistics, epoch_labels, novel_covariance,
+                      sample_augmented, shot_variance, transfer_weights)
 from .buffers import mapped_rows
 from .calibration import (CalibrationParams, MetaTrainConfig, Prototype, blend,
                           calibrate, init_calibration_params, meta_train)
@@ -35,7 +35,7 @@ from .errors import InvalidConfig, ProtocolViolation
 from .metrics import (RunReport, SessionRecord, ncm_classify, run_metrics,
                       session_metrics, similarity_stats)
 from .projector import (ProjectorParams, TrainSchedule, init_projector_params,
-                        project, train_projector)
+                        plan_epoch, project, train_projector)
 from .structure import (InitialStructure, StructureMatrix, initial_structure,
                         nearest_optimal_structure, random_optimal_structure,
                         structure_matching_rate)
@@ -141,44 +141,44 @@ def _strategy_structure(strategy: str, init: InitialStructure, t: int,
     raise InvalidConfig(f"unknown strategy {strategy!r}")
 
 
-def _augmented_epoch(state_repo: PrototypeRepository, config: SessionConfig,
-                     t: int, epoch: int, replay: dict[int, np.ndarray]) -> FeatureSet:
-    counts = SampleCounts(base=config.n_aug_base, novel=config.n_aug_novel)
-    return sample_augmented(state_repo, counts,
-                            seed=rng.derive_seed(config.seed, "augment", t),
-                            epoch=epoch, replay=replay)
-
-
 def _fit(config: SessionConfig, strategy: str, t: int, repo: PrototypeRepository,
          prev: StructureMatrix | None, theta_g: ProjectorParams,
          replay: dict[int, np.ndarray], anchored: frozenset[int]):
-    """Session t's (initial, structure, smr, theta_g); ``prev`` is None at t = 0."""
-    aug0 = _augmented_epoch(repo, config, t, 0, replay)
-    # the class means are those of the draws, which precede the replay rows
-    drawn = aug0.n_samples - sum(rows.shape[0] for rows in replay.values())
-    means = {cid: aug0.features[:drawn][aug0.labels[:drawn] == cid].mean(axis=0)
-             for cid in range(len(repo))}
-    init = initial_structure(prev, lambda v: project(theta_g, v), means)
+    """Session t's (initial, structure, smr, theta_g); ``prev`` is None at t = 0.
+
+    Every epoch is drawn with the rows its batches take, in batch order;
+    epoch 0 is drawn first, since the initial structure needs its class
+    means, which cover the rows the batches drop too.
+    """
+    counts = SampleCounts(base=config.n_aug_base, novel=config.n_aug_novel)
+    seed = rng.derive_seed(config.seed, "augment", t)
+    labels = epoch_labels(repo, counts, replay)
+    train = strategy != "frozen"
+    schedule = TrainSchedule(lr_max=config.lr_projector,
+                             epochs=config.epochs_base if t == 0
+                             else config.epochs_incremental,
+                             warmup_steps=config.warmup_steps,
+                             batch_size=config.batch_size,
+                             seed=rng.derive_seed(config.seed, "train", t))
+    order0 = plan_epoch(labels, schedule, 0, anchored)[0] if train \
+        else np.zeros(0, dtype=np.int64)
+    aug0 = sample_augmented(repo, counts, seed, 0, order0, replay)
+    init = initial_structure(prev, lambda v: project(theta_g, v),
+                             dict(enumerate(aug0.means)))
     structure = _strategy_structure(strategy, init, t, config)
     smr = structure_matching_rate(init, structure)
 
-    if strategy != "frozen":
-        epochs = config.epochs_base if t == 0 else config.epochs_incremental
-        schedule = TrainSchedule(lr_max=config.lr_projector, epochs=epochs,
-                                 warmup_steps=config.warmup_steps,
-                                 batch_size=config.batch_size,
-                                 seed=rng.derive_seed(config.seed, "train", t))
-
-        def epoch_data(epoch: int):
+    if train:
+        def epoch_data(epoch: int, order: np.ndarray) -> np.ndarray:
             nonlocal aug0
-            if epoch == 0:  # hand over the draw above and keep no reference
-                aug, aug0 = aug0, None
+            if epoch == 0:  # hand over the draw above and keep no reference;
+                aug, aug0 = aug0, None  # it was drawn in this same order
             else:
-                aug = _augmented_epoch(repo, config, t, epoch, replay)
-            return aug.features, aug.labels
+                aug = sample_augmented(repo, counts, seed, epoch, order, replay)
+            return aug.features
 
         theta_g, _ = train_projector(theta_g, structure, anchored, schedule,
-                                     epoch_data, tau=config.tau)
+                                     labels, epoch_data, tau=config.tau)
     return init, structure, smr, theta_g
 
 

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 from concm import buffers, rng
 from concm.augment import (ClassStats, PrototypeRepository, SampleCounts,
-                           class_statistics, novel_covariance, sample_augmented,
-                           shot_variance, transfer_weights)
+                           class_statistics, epoch_labels, novel_covariance,
+                           sample_augmented, shot_variance, transfer_weights)
 from concm.data import FeatureSet
 from concm.errors import (DegenerateInput, InsufficientSamples, InvalidConfig,
                           InvalidStats, MissingClass)
+from concm.projector import _balanced_batches
 
 
 def test_two_point_statistics():
@@ -108,6 +109,12 @@ def test_novel_covariance_errors():
                          beta=0.6)
 
 
+def full_epoch(repo, counts, seed, epoch=0, replay=None):
+    """Every row of an epoch, in class order (its full layout)."""
+    rows = np.arange(epoch_labels(repo, counts, replay).size)
+    return sample_augmented(repo, counts, seed, epoch, rows, replay)
+
+
 def repo_fixture():
     repo = PrototypeRepository()
     repo.add(ClassStats(0, "b0", np.array([5.0, -3.0]), np.zeros(2), True))
@@ -118,7 +125,7 @@ def repo_fixture():
 
 def test_sampling_zero_covariance_returns_mean():
     repo = repo_fixture()
-    fs = sample_augmented(repo, SampleCounts(base=10, novel=5), seed=0)
+    fs = full_epoch(repo, SampleCounts(base=10, novel=5), seed=0)
     rows = fs.features[fs.labels == 0]
     assert rows.shape == (10, 2)
     np.testing.assert_array_equal(rows, np.tile([5.0, -3.0], (10, 1)))
@@ -126,8 +133,8 @@ def test_sampling_zero_covariance_returns_mean():
 
 def test_sampling_counts_and_names():
     repo = repo_fixture()
-    fs = sample_augmented(repo, SampleCounts(), seed=0)
-    assert fs.class_names == ("b0", "n0")
+    fs = full_epoch(repo, SampleCounts(), seed=0)
+    assert fs.means.shape == (2, 2)
     assert (fs.labels == 0).sum() == 100 and (fs.labels == 1).sum() == 50
 
 
@@ -135,17 +142,17 @@ def test_sampling_clt_mean_bound():
     repo = PrototypeRepository()
     cov = np.array([4.0, 1.0, 0.25])
     repo.add(ClassStats(0, "c", np.array([1.0, -2.0, 0.5]), cov, True))
-    fs = sample_augmented(repo, SampleCounts(base=10000, novel=1), seed=3)
+    fs = full_epoch(repo, SampleCounts(base=10000, novel=1), seed=3)
     err = np.abs(fs.features.mean(axis=0) - repo.get(0).mean)
     assert np.all(err <= 3.0 * np.sqrt(cov) / math.sqrt(10000))
 
 
 def test_resampling_deterministic_per_epoch():
     repo = repo_fixture()
-    a = sample_augmented(repo, SampleCounts(), seed=5, epoch=2)
-    b = sample_augmented(repo, SampleCounts(), seed=5, epoch=2)
+    a = full_epoch(repo, SampleCounts(), seed=5, epoch=2)
+    b = full_epoch(repo, SampleCounts(), seed=5, epoch=2)
     assert np.array_equal(a.features, b.features)
-    c = sample_augmented(repo, SampleCounts(), seed=5, epoch=3)
+    c = full_epoch(repo, SampleCounts(), seed=5, epoch=3)
     assert not np.array_equal(a.features, c.features)
 
 
@@ -158,7 +165,7 @@ def test_sampling_bitwise_equals_per_class_reference():
                             rng.uniform(gen, 9) * 2.0, exact=cid < 3))
     counts = SampleCounts(base=11, novel=4)
     for epoch in (0, 3):
-        fs = sample_augmented(repo, counts, seed=2, epoch=epoch)
+        fs = full_epoch(repo, counts, seed=2, epoch=epoch)
         want, labels = [], []
         for e in repo.entries:
             n = counts.base if e.exact else counts.novel
@@ -187,9 +194,9 @@ def test_adding_a_class_leaves_other_classes_draws_unchanged(
     for cid, is_exact in enumerate(exact):
         repo.add(stats(cid, is_exact))
     counts = SampleCounts(base=base, novel=novel)
-    before = sample_augmented(repo, counts, seed=seed, epoch=epoch)
+    before = full_epoch(repo, counts, seed=seed, epoch=epoch)
     repo.add(stats(len(exact), new_exact))
-    after = sample_augmented(repo, counts, seed=seed, epoch=epoch)
+    after = full_epoch(repo, counts, seed=seed, epoch=epoch)
     for cid in range(len(exact)):
         assert after.features[after.labels == cid].tobytes() == \
             before.features[before.labels == cid].tobytes()
@@ -235,7 +242,7 @@ def test_zero_variance_dimensions_draw_the_class_mean(columns, n_base, per_class
     cov = novel_covariance(shot_cov, repo.entries, weights, 0.6)
     repo.add(ClassStats(n_base, "novel", mean, cov, exact=False))
     repo.add(ClassStats(n_base + 1, "shots", mean, shot_cov, exact=False))
-    fs = sample_augmented(repo, SampleCounts(base=5, novel=7), seed=seed)
+    fs = full_epoch(repo, SampleCounts(base=5, novel=7), seed=seed)
     for e in repo.entries:
         cols = zero if e.class_name == "shots" else const
         drawn = fs.features[fs.labels == e.class_id][:, cols]
@@ -262,7 +269,7 @@ def test_one_shot_session_statistics_and_draws_are_finite(d, n_base, scale,
     cov = novel_covariance(shot_cov, repo.entries, weights, beta)
     assert cov.shape == (d,) and np.all(np.isfinite(cov)) and np.all(cov >= 0.0)
     repo.add(ClassStats(n_base, "novel", shot[0], cov, exact=False))
-    fs = sample_augmented(repo, SampleCounts(base=3, novel=9), seed=seed)
+    fs = full_epoch(repo, SampleCounts(base=3, novel=9), seed=seed)
     assert np.all(np.isfinite(fs.features))
     assert (fs.labels == n_base).sum() == 9
 
@@ -284,29 +291,62 @@ def replay_buffer(ids, d, k=3):
 def test_replay_rows_follow_the_draws_by_class():
     repo = random_repo(8, 6)
     counts = SampleCounts(base=9, novel=4)
-    plain = sample_augmented(repo, counts, seed=3, epoch=1)
+    plain = full_epoch(repo, counts, seed=3, epoch=1)
     # given out of order: the rows still come by ascending class id
     replay = replay_buffer([7, 5, 6], 6)
-    fs = sample_augmented(repo, counts, seed=3, epoch=1, replay=replay)
+    fs = full_epoch(repo, counts, seed=3, epoch=1, replay=replay)
     n = plain.n_samples
     assert fs.features[:n].tobytes() == plain.features.tobytes()
     assert fs.labels[:n].tolist() == plain.labels.tolist()
     assert fs.features[n:].tobytes() == np.vstack(
         [replay[5], replay[6], replay[7]]).tobytes()
     assert fs.labels[n:].tolist() == [5] * 3 + [6] * 3 + [7] * 3
-    assert fs.class_names == plain.class_names
+    assert fs.means.tobytes() == plain.means.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(exact=st.lists(st.booleans(), min_size=1, max_size=7),
+       base=st.integers(1, 9), novel=st.integers(1, 9), d=st.integers(1, 4),
+       replayed=st.dictionaries(st.integers(0, 6), st.integers(1, 5),
+                                max_size=4),
+       anchored=st.frozensets(st.integers(0, 7), max_size=4),
+       batch_size=st.integers(1, 40), seed=st.integers(0, 2 ** 32),
+       epoch=st.integers(0, 4))
+def test_batch_ordered_epoch_is_the_full_epoch_in_batch_order(
+        exact, base, novel, d, replayed, anchored, batch_size, seed, epoch):
+    repo = random_repo(len(exact), d, seed=seed)
+    for e, is_exact in zip(repo.entries, exact):
+        e.exact = is_exact
+    replay = {c: rng.gaussian(rng.stream(c, "replay-rows"), (k, d))
+              for c, k in replayed.items() if c < len(exact)}
+    counts = SampleCounts(base=base, novel=novel)
+    labels = epoch_labels(repo, counts, replay)
+    full = full_epoch(repo, counts, seed, epoch, replay)
+    batches = _balanced_batches(labels, batch_size, seed, epoch, anchored)
+    order = np.concatenate(batches) if batches else np.zeros(0, np.int64)
+    got = sample_augmented(repo, counts, seed, epoch, order, replay)
+    assert got.features.tobytes() == full.features[order].tobytes()
+    assert got.labels.tolist() == labels[order].tolist()
+    # the class means cover every draw, the rows the batches drop included
+    drawn = labels.size - sum(rows.shape[0] for rows in replay.values())
+    for cid in range(len(repo)):
+        masked = full.features[:drawn][full.labels[:drawn] == cid]
+        assert got.means[cid].tobytes() == masked.mean(axis=0).tobytes()
+    assert got.means.tobytes() == full.means.tobytes()
 
 
 def test_epoch_with_replay_is_held_once(mapping_of):
     # the draws and the replay rows share one array, so drawing an epoch
     # allocates little beyond it; the array lives in its own mapping, which
-    # tracemalloc does not see, so everything traced comes on top of it
+    # tracemalloc does not see, so everything traced comes on top of it.
+    # The rows to keep are the caller's input, as the replay rows are.
     repo = random_repo(12, 64)
     replay = replay_buffer(range(9, 12), 64, k=5)
     counts = SampleCounts(base=60, novel=30)
+    rows = np.arange(epoch_labels(repo, counts, replay).size)
     tracemalloc.start()
     try:
-        fs = sample_augmented(repo, counts, seed=1, epoch=2, replay=replay)
+        fs = sample_augmented(repo, counts, 1, 2, rows, replay)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -315,7 +355,7 @@ def test_epoch_with_replay_is_held_once(mapping_of):
 
 
 def test_epoch_mapping_is_released_with_its_feature_set(mapping_of):
-    fs = sample_augmented(random_repo(5, 8), SampleCounts(), seed=2,
+    fs = full_epoch(random_repo(5, 8), SampleCounts(), seed=2,
                           replay=replay_buffer([4], 8))
     ref = weakref.ref(mapping_of(fs.features))
     del fs
@@ -330,7 +370,7 @@ def no_memory(*args):
 def test_failed_epoch_mapping_is_a_memory_error(monkeypatch):
     monkeypatch.setattr(buffers.mmap, "mmap", no_memory)
     with pytest.raises(MemoryError):
-        sample_augmented(random_repo(4, 3), SampleCounts(), seed=0)
+        full_epoch(random_repo(4, 3), SampleCounts(), seed=0)
 
 
 def test_failed_epoch_mapping_exits_2(tmp_path, capsys, monkeypatch):
@@ -353,7 +393,10 @@ def test_failed_epoch_mapping_exits_2(tmp_path, capsys, monkeypatch):
 
 def test_sampling_empty_repository_rejected():
     with pytest.raises(MissingClass):
-        sample_augmented(PrototypeRepository(), SampleCounts(), seed=0)
+        epoch_labels(PrototypeRepository(), SampleCounts())
+    with pytest.raises(MissingClass):
+        sample_augmented(PrototypeRepository(), SampleCounts(), 0, 0,
+                         np.zeros(0, dtype=np.int64))
 
 
 def test_negative_stats_rejected():

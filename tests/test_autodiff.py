@@ -280,3 +280,28 @@ def test_sgd_step_updates_in_place_and_names_non_finite_param():
     assert a.tobytes() == (np.array([[1.0, 2.0]]) - 0.1 * g["a"]).tobytes()
     with np.errstate(all="ignore"), pytest.raises(InvalidInput, match="'b'"):
         sgd_step(t, {"a": np.zeros((1, 2)), "b": np.array([[np.inf]])}, 1.0)
+
+
+def test_sgd_step_over_many_chunks_holds_no_step_sized_temporary():
+    # a parameter several update chunks long gets exactly value - lr * g,
+    # with no float temporary of its size (the finiteness check's boolean
+    # mask is an eighth of it); the gradient is left as it was
+    gen = np.random.default_rng(3)
+    w0 = gen.standard_normal((300, 250))
+    t = Tape()
+    t.param("w", w0)
+    g = {"w": gen.standard_normal((300, 250))}
+    g_before = g["w"].copy()
+    sgd_step(t, g, 0.3)  # the first update makes the tape's buffer
+    want = w0 - 0.3 * g["w"] - 0.7 * g["w"]
+    tracemalloc.start()
+    try:
+        sgd_step(t, g, 0.7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g["w"].nbytes / 4, peak
+    assert t.param_value("w").tobytes() == want.tobytes()
+    assert g["w"].tobytes() == g_before.tobytes()
+    with pytest.raises(ShapeError, match="'w'"):
+        sgd_step(t, {"w": np.zeros((250, 300))}, 0.1)

@@ -420,7 +420,7 @@ def test_training_tape_stays_small(monkeypatch):
                           seed=0)
     train_projector(params_fixture(6, 6, 8, seed=12),
                     random_optimal_structure(3, 8, seed=11), frozenset({1}),
-                    sched, training_data())
+                    sched, *planned(training_data()))
     assert len(built) == 1
     assert len(built[0]._nodes) <= 25
 
@@ -436,12 +436,19 @@ def training_data(seed=0, n=3, per=16, d=6):
     return epoch_data
 
 
+def planned(data):
+    """(labels, epoch_data) for train_projector from a source of whole
+    epochs: each epoch's rows gathered in the order asked for."""
+    return data(0)[1], lambda epoch, order: data(epoch)[0][order]
+
+
 def test_train_lr_zero_keeps_params():
     s = random_optimal_structure(3, 8, seed=11)
     p = params_fixture(6, 6, 8, seed=12)
     sched = TrainSchedule(lr_max=0.0, epochs=2, warmup_steps=0, batch_size=24,
                           seed=0)
-    out, _ = train_projector(p, s, frozenset(), sched, training_data())
+    out, _ = train_projector(p, s, frozenset(), sched,
+                             *planned(training_data()))
     for name in ("w1", "b1", "w2", "b2"):
         assert np.array_equal(getattr(out, name), getattr(p, name))
 
@@ -451,7 +458,8 @@ def test_train_loss_decreases():
     p = params_fixture(6, 6, 8, seed=13)
     sched = TrainSchedule(lr_max=0.1, epochs=6, warmup_steps=2, batch_size=24,
                           seed=0)
-    out, trace = train_projector(p, s, frozenset(), sched, training_data())
+    out, trace = train_projector(p, s, frozenset(), sched,
+                                 *planned(training_data()))
     assert trace[-1] < trace[0]
 
 
@@ -461,16 +469,17 @@ def test_train_holds_one_epoch_at_a_time():
     data = training_data()
     alive = []
 
-    def epoch_data(epoch):
+    def epoch_data(epoch, order):
+        # the rows are fed to the steps as slices of x, which keep it alive
         assert all(ref() is None for ref in alive), epoch
-        x, y = data(epoch)
-        alive.extend([weakref.ref(x), weakref.ref(y)])
-        return x, y
+        x = data(epoch)[0][order]
+        alive.extend([weakref.ref(x), weakref.ref(order)])
+        return x
 
     sched = TrainSchedule(lr_max=0.1, epochs=4, warmup_steps=0, batch_size=24,
                           seed=0)
     train_projector(params_fixture(6, 6, 8, seed=12), s, frozenset(), sched,
-                    epoch_data)
+                    data(0)[1], epoch_data)
     assert len(alive) == 8
 
 
@@ -482,7 +491,7 @@ def test_train_divergence_detected():
     sched = TrainSchedule(lr_max=1e200, epochs=3, warmup_steps=0, batch_size=24,
                           seed=0)
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
-        train_projector(p, s, frozenset(), sched, training_data())
+        train_projector(p, s, frozenset(), sched, *planned(training_data()))
 
 
 def test_pruned_backward_bitwise_equal_on_loss_graphs(unpruned_backward):
@@ -604,7 +613,8 @@ def test_train_matches_tape_per_batch_reference(anchored):
     p = params_fixture(6, 6, 8, seed=24)
     sched = TrainSchedule(lr_max=0.2, epochs=3, warmup_steps=2, batch_size=10,
                           seed=5)
-    got, got_trace = train_projector(p, s, anchored, sched, uneven_data(), tau=0.1)
+    got, got_trace = train_projector(p, s, anchored, sched,
+                                     *planned(uneven_data()), tau=0.1)
     want, want_trace = reference_train(p, s, anchored, sched, uneven_data(), 0.1)
     assert got_trace == want_trace
     for name in ("w1", "b1", "w2", "b2"):
@@ -627,7 +637,7 @@ def test_train_zero_norm_feature_row_names_cause_and_step():
                           seed=0)
     with pytest.raises(DegenerateInput, match=r"feature rows \[5\].*step 1"):
         train_projector(params_fixture(6, 6, 8), s, frozenset(), sched,
-                        with_zero_row)
+                        *planned(with_zero_row))
 
 
 def test_train_zero_norm_projection_names_cause():
@@ -637,7 +647,7 @@ def test_train_zero_norm_projection_names_cause():
     sched = TrainSchedule(lr_max=0.1, epochs=1, warmup_steps=0, batch_size=48,
                           seed=0)
     with pytest.raises(DegenerateInput, match="projected row.*step 0"):
-        train_projector(p, s, frozenset(), sched, training_data())
+        train_projector(p, s, frozenset(), sched, *planned(training_data()))
 
 
 def test_train_non_finite_parameter_names_it():
@@ -647,7 +657,7 @@ def test_train_non_finite_parameter_names_it():
     with np.errstate(all="ignore"), \
             pytest.raises(TrainingDiverged, match="step 0: param 'w1'"):
         train_projector(params_fixture(6, 6, 8), s, frozenset(), sched,
-                        training_data())
+                        *planned(training_data()))
 
 
 def balanced_batches_loop(labels, batch_size, seed, epoch, anchored):

@@ -2,10 +2,15 @@ import tracemalloc
 import weakref
 from dataclasses import replace
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concm import rng, session
+from concm.attributes import AttributeTable
 from concm.data import FeatureSet
 from concm.errors import InvalidConfig, ProtocolViolation
 from concm.metrics import report_to_json
@@ -231,16 +236,81 @@ def test_uncovered_novel_class_falls_back_to_raw_prototype(bench, base_state):
     assert not np.allclose(state1.repository.get(7).mean, other_raw)
 
 
-def test_pipeline_holds_one_augmentation_epoch_at_a_time(inputs, monkeypatch):
+@settings(max_examples=12, deadline=None)
+@given(base=st.integers(3, 5), way=st.integers(1, 3), sessions=st.integers(0, 3),
+       shot=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_structure_dimension_just_above_class_count(base, way, sessions, shot,
+                                                    seed):
+    # d_g = N + 1 leaves the ETF of N classes one spare dimension
+    gen = GenConfig(base_classes=base, sessions=sessions, way=way, shot=shot,
+                    d_f=12, d_s=6, pool_size=6, attrs_per_class=2,
+                    base_samples=8, test_samples=4, seed=seed)
+    bench = generate_benchmark(gen)
+    cfg = SessionConfig(base_classes=base, sessions=sessions, way=way,
+                        shot=shot, d_g=gen.total_classes + 1, batch_size=16,
+                        epochs_base=3, epochs_incremental=2, meta_episodes=4,
+                        meta_shots=3, n_aug_base=12, n_aug_novel=8, seed=seed)
+    result = run_pipeline(PipelineInputs(
+        config=cfg, train_sets=bench.train_sets, test_sets=bench.test_sets,
+        table=bench.table, embeddings=bench.embeddings))
+    assert len(result.traces) == sessions + 1
+    for tr in result.traces:
+        assert geometric_optimality_deviation(tr.structure) <= 1e-8
+    report = result.report
+    figures = [report.base_acc, report.fa, report.pd]
+    figures += [] if report.ahm is None else [report.ahm]
+    for rec in report.sessions:
+        figures += [rec.top1, rec.smr]
+    assert all(math.isfinite(v) for v in figures)
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_novel_classes_sharing_no_pool_attribute_keep_raw_prototypes(bench,
+                                                                     data):
+    # each novel class either keeps its attributes or gets a list that
+    # misses the pool: empty, or of attributes no base class has
+    pool = {a for name in bench.train_sets[0].class_names
+            for a in bench.table.classes[name]}
+    classes = dict(bench.table.classes)
+    uncovered = set()
+    for fs in bench.train_sets[1:]:
+        for name in fs.class_names:
+            if data.draw(st.booleans()):
+                classes[name] = data.draw(st.lists(
+                    st.sampled_from(["unseen_a", "unseen_b", "unseen_c"]),
+                    max_size=3))
+                uncovered.add(name)
+    assert not pool & {a for n in uncovered for a in classes[n]}
+    cfg = tiny_cfg(epochs_base=2, epochs_incremental=1, meta_episodes=3,
+                   alpha=data.draw(st.floats(0.0, 1.0)))
+    result = run_pipeline(PipelineInputs(
+        config=cfg, train_sets=bench.train_sets, test_sets=bench.test_sets,
+        table=AttributeTable(classes), embeddings=bench.embeddings))
+    assert len(result.report.sessions) == cfg.sessions + 1
+    repo = result.state.repository
+    cid = cfg.base_classes
+    for fs in bench.train_sets[1:]:
+        for local, name in enumerate(fs.class_names):
+            if name in uncovered:
+                np.testing.assert_allclose(repo.get(cid).mean,
+                                           fs.class_features(local).mean(axis=0),
+                                           rtol=0, atol=1e-12)
+            cid += 1
+
+
+def test_pipeline_holds_one_augmentation_epoch_at_a_time(inputs, monkeypatch,
+                                                         mapping_of):
     # when an epoch is drawn, every earlier draw has been released: the
-    # first draw is not pinned for the session, nor the last by training
+    # first draw is not pinned for the session, nor the last by training,
+    # nor by a view of its rows that a training step was fed
     drawn = []
     real = session.sample_augmented
 
     def sample(*args, **kwargs):
         assert all(ref() is None for ref in drawn), len(drawn)
         out = real(*args, **kwargs)
-        drawn.append(weakref.ref(out.features))
+        drawn.append(weakref.ref(mapping_of(out.features)))
         return out
 
     monkeypatch.setattr(session, "sample_augmented", sample)

@@ -10,10 +10,9 @@ from .attributes import (AssociationMatrix, AttributePool, AttributeTable,
                          SemanticKnowledge, attribute_visual_prototypes,
                          build_knowledge, load_attribute_table,
                          load_semantic_embeddings)
-from .augment import (AugmentedEpoch, ClassStats, PrototypeRepository,
-                      SampleCounts, class_statistics, epoch_labels,
-                      novel_covariance, sample_augmented, shot_variance,
-                      transfer_weights)
+from .augment import (ClassStats, PrototypeRepository, SampleCounts,
+                      class_statistics, epoch_labels, novel_covariance,
+                      sample_augmented, shot_variance, transfer_weights)
 from .autodiff import Tape, grad_check
 from .calibration import (CalibrationParams, MetaTrainConfig, Prototype, blend,
                           calibrate, init_calibration_params, meta_train,

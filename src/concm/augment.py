@@ -164,13 +164,12 @@ def epoch_labels(repo: PrototypeRepository, counts: SampleCounts,
 class AugmentedEpoch:
     """The rows of one epoch that training takes, and its class means.
 
-    ``features`` (in its own mapping) and ``labels`` hold the requested rows
-    of the full layout, in the requested order; ``means`` (classes, d) holds
-    the mean of each repository class's full draw.
+    ``features`` (in its own mapping) holds the requested rows of the full
+    layout, in the requested order; ``means`` (classes, d) holds the mean of
+    each repository class's full draw.
     """
 
     features: np.ndarray
-    labels: np.ndarray
     means: np.ndarray
 
     @property
@@ -199,31 +198,25 @@ def sample_augmented(repo: PrototypeRepository, counts: SampleCounts,
     # position of each full-layout row in the output, -1 where it is dropped
     dest = np.full(sum(sizes), -1, dtype=np.int64)
     dest[order] = np.arange(order.size)
-    starts = np.cumsum([0] + sizes[:-1])
-    whole = np.add.reduceat(dest >= 0, starts, dtype=np.int64) == sizes
     features = mapped_rows(order.size, d)
     classes = len(repo.entries)
-    sums = np.empty((classes, d))
+    means = np.empty((classes, d))
     scratch = np.empty((max(sizes[:classes]), d))
-    for k, (cid, n, start) in enumerate(zip(ids, sizes, starts)):
+    start = 0
+    for k, (cid, n) in enumerate(zip(ids, sizes)):
         if k < classes:
             stats = repo.entries[k]
             rows = rng.gaussian(rng.stream(seed, "augment", epoch, cid), (n, d),
                                 out=scratch[:n])
             rows *= np.sqrt(stats.cov_diag)
             rows += stats.mean
-            np.add.reduce(rows, axis=0, out=sums[k])
+            rows.mean(axis=0, out=means[k])
         else:
             rows = replay[cid]
         at = dest[start:start + n]
-        if whole[k]:  # no copy of the rows when the batches take them all
-            features[at] = rows
-        else:
-            kept = at >= 0
-            features[at[kept]] = rows[kept]
-    # what rows.mean(axis=0) computes: the sum over rows, over the count
-    means = np.divide(sums, np.array(sizes[:classes])[:, None], out=sums)
+        kept = at >= 0
+        features[at[kept]] = rows[kept]
+        start += n
     if not np.isfinite(means).all():
         raise InvalidInput("augmented draws contain non-finite values")
-    labels = np.repeat(np.array(ids, dtype=np.int64), sizes)[order]
-    return AugmentedEpoch(features=features, labels=labels, means=means)
+    return AugmentedEpoch(features=features, means=means)

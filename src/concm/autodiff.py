@@ -320,15 +320,11 @@ class Tape:
                              f"not {value.shape}")
         if self._step is None:
             self._step = np.empty(_STEP_CHUNK)
-        if value.size <= _STEP_CHUNK:  # one chunk: no flat views needed
-            step = self._step[:value.size].reshape(value.shape)
-            value -= np.multiply(lr, g, out=step)
-        else:
-            flat, g = value.reshape(-1), g.reshape(-1)
-            for start in range(0, flat.size, _STEP_CHUNK):
-                part = g[start:start + _STEP_CHUNK]
-                flat[start:start + part.size] -= np.multiply(
-                    lr, part, out=self._step[:part.size])
+        flat, g = value.reshape(-1), g.reshape(-1)
+        for start in range(0, flat.size, _STEP_CHUNK):
+            part = g[start:start + _STEP_CHUNK]
+            flat[start:start + part.size] -= np.multiply(
+                lr, part, out=self._step[:part.size])
         self._forward_done = False
         if not np.isfinite(value).all():
             raise InvalidInput(f"param {name!r} contains non-finite entries")

@@ -171,8 +171,11 @@ def _fit(config: SessionConfig, strategy: str, t: int, repo: PrototypeRepository
     if train:
         def epoch_data(epoch: int, order: np.ndarray) -> np.ndarray:
             nonlocal aug0
-            if epoch == 0:  # hand over the draw above and keep no reference;
-                aug, aug0 = aug0, None  # it was drawn in this same order
+            if epoch == 0:  # hand over the draw above and keep no reference
+                if not np.array_equal(order, order0):
+                    raise ProtocolViolation("training planned epoch 0 in an "
+                                            "order other than its draw's")
+                aug, aug0 = aug0, None
             else:
                 aug = sample_augmented(repo, counts, seed, epoch, order, replay)
             return aug.features

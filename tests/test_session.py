@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concm import rng, session
+from concm import projector, rng, session
 from concm.attributes import AttributeTable
 from concm.data import FeatureSet
 from concm.errors import InvalidConfig, ProtocolViolation
@@ -317,6 +317,21 @@ def test_pipeline_holds_one_augmentation_epoch_at_a_time(inputs, monkeypatch,
     config = tiny_cfg(epochs_base=3, epochs_incremental=2, meta_episodes=5)
     run_pipeline(replace(inputs, config=config))
     assert len(drawn) == 3 + 2 * 2
+
+
+def test_epoch_zero_planned_apart_from_its_draw_is_refused(inputs, monkeypatch):
+    # epoch 0 is drawn before training, in the order the session planned;
+    # if training plans it otherwise, its rows would not match its labels
+    real = projector.plan_epoch
+
+    def plan(labels, schedule, epoch, anchored):
+        order, batches = real(labels, schedule, epoch, anchored)
+        return order[::-1].copy(), [b[::-1].copy() for b in batches[::-1]]
+
+    monkeypatch.setattr(projector, "plan_epoch", plan)
+    config = tiny_cfg(epochs_base=1, epochs_incremental=1, meta_episodes=2)
+    with pytest.raises(ProtocolViolation, match="epoch 0"):
+        run_pipeline(replace(inputs, config=config))
 
 
 def test_evaluation_heap_peak_holds_no_feature_rows(base_state):

@@ -11,15 +11,16 @@ from .attributes import (AssociationMatrix, AttributePool, AttributeTable,
                          build_knowledge, load_attribute_table,
                          load_semantic_embeddings)
 from .augment import (ClassStats, PrototypeRepository, SampleCounts,
-                      class_statistics, epoch_labels, novel_covariance,
-                      sample_augmented, shot_variance, transfer_weights)
+                      class_statistics, epoch_labels, epoch_means,
+                      novel_covariance, sample_augmented, shot_variance,
+                      transfer_weights)
 from .autodiff import Tape, grad_check
 from .calibration import (CalibrationParams, MetaTrainConfig, Prototype, blend,
                           calibrate, init_calibration_params, meta_train,
                           relevance_weights)
 from .data import FeatureSet, Manifest, load_features, load_manifest, save_features
 from .linalg import svd_compact
-from .metrics import (RunReport, SessionRecord, balanced_error_rate,
+from .metrics import (ClassSums, RunReport, SessionRecord, balanced_error_rate,
                       format_report_table, harmonic_mean, ncm_classify,
                       report_from_json, report_to_csv, report_to_json,
                       run_metrics, session_metrics, similarity_stats)
@@ -29,7 +30,7 @@ from .projector import (ProjectorParams, TrainSchedule, build_contrastive_loss,
 from .session import (STRATEGIES, PipelineInputs, RunResult, SessionConfig,
                       SessionState, SessionTrace, evaluate_session, load_inputs,
                       run_base_session, run_from_files, run_incremental_session,
-                      run_pipeline)
+                      run_pipeline, session_record)
 from .structure import (InitialStructure, StructureMatrix,
                         geometric_optimality_deviation, initial_structure,
                         nearest_optimal_structure, random_optimal_structure,

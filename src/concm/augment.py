@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .buffers import mapped_rows
 from .data import FeatureSet
 from .errors import (DegenerateInput, InsufficientSamples, InvalidConfig,
                      InvalidInput, InvalidStats, MissingClass)
@@ -160,63 +159,90 @@ def epoch_labels(repo: PrototypeRepository, counts: SampleCounts,
     return np.repeat(np.array(ids, dtype=np.int64), sizes)
 
 
-@dataclass
-class AugmentedEpoch:
-    """The rows of one epoch that training takes, and its class means.
+def epoch_means(repo: PrototypeRepository, counts: SampleCounts, seed: int,
+                epoch: int) -> np.ndarray:
+    """The mean of each repository class's full draw in ``epoch`` (classes, d).
 
-    ``features`` (in its own mapping) holds the requested rows of the full
-    layout, in the requested order; ``means`` (classes, d) holds the mean of
-    each repository class's full draw.
+    Each class is drawn whole from its ``(seed, "augment", epoch, class id)``
+    stream into a one-class scratch buffer, scaled and shifted as in
+    ``sample_augmented``.  Raises InvalidInput if a draw is non-finite.
+    """
+    ids, sizes = _layout(repo, counts, {})
+    d = repo.entries[0].mean.shape[0]
+    means = np.empty((len(ids), d))
+    scratch = np.empty((max(sizes), d))
+    for k, (cid, n) in enumerate(zip(ids, sizes)):
+        stats = repo.entries[k]
+        rows = rng.gaussian(rng.stream(seed, "augment", epoch, cid), (n, d),
+                            out=scratch[:n])
+        rows *= np.sqrt(stats.cov_diag)
+        rows += stats.mean
+        rows.mean(axis=0, out=means[k])
+    if not np.isfinite(means).all():
+        raise InvalidInput("augmented draws contain non-finite values")
+    return means
+
+
+class AugmentedEpoch:
+    """One epoch's Gaussian draws, made batch by batch.
+
+    Row i of the epoch's full layout (``epoch_labels``) is a draw of its
+    class or, past the draws, a replay row.  ``rows(idx, out)`` writes rows
+    ``idx`` into ``out[:idx.size]`` and returns that view.  Class k keeps
+    one generator for the epoch, so its drawn slots get consecutive rows of
+    its stream in the order the calls reach them (within a call, in slot
+    order), whichever layout rows they name; a replay slot copies its
+    replay row.  No row array of the epoch is held: a call's draws pass
+    through one scratch buffer the size of ``out``.
     """
 
-    features: np.ndarray
-    means: np.ndarray
+    def __init__(self, repo: PrototypeRepository, counts: SampleCounts,
+                 seed: int, epoch: int, replay: dict[int, np.ndarray]):
+        ids, sizes = _layout(repo, counts, replay)
+        classes = len(repo.entries)
+        self._ends = np.cumsum(sizes[:classes])
+        self._gens = [rng.stream(seed, "augment", epoch, cid)
+                      for cid in ids[:classes]]
+        self._std = np.sqrt([e.cov_diag for e in repo.entries])
+        self._mean = np.array([e.mean for e in repo.entries])
+        self._replay = [row for cid in ids[classes:] for row in replay[cid]]
+        self._scratch: np.ndarray | None = None
+        self.n_samples = sum(sizes)
 
-    @property
-    def n_samples(self) -> int:
-        return self.features.shape[0]
+    def rows(self, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+        batch = out[:idx.size]
+        drawn = self._ends[-1]
+        slots = np.flatnonzero(idx < drawn)
+        cls = np.searchsorted(self._ends, idx[slots], side="right")
+        by_class = np.argsort(cls, kind="stable")
+        slots, cls = slots[by_class], cls[by_class]
+        if self._scratch is None or self._scratch.shape[0] < slots.size:
+            self._scratch = np.empty_like(out)
+        z = self._scratch[:slots.size]
+        # one run of consecutive slots per class
+        starts = np.flatnonzero(np.diff(cls, prepend=-1))
+        for k, a, b in zip(cls[starts].tolist(), starts.tolist(),
+                           [*starts[1:].tolist(), cls.size]):
+            rng.gaussian(self._gens[k], (b - a, z.shape[1]), out=z[a:b])
+        # the batch's first rows hold each slot's std, then its mean, until
+        # the draws are written over them; take() with mode "raise" would
+        # gather through a temporary of their size
+        per_row = batch[:slots.size]
+        z *= np.take(self._std, cls, axis=0, out=per_row, mode="clip")
+        z += np.take(self._mean, cls, axis=0, out=per_row, mode="clip")
+        batch[slots] = z
+        for j in np.flatnonzero(idx >= drawn):
+            batch[j] = self._replay[idx[j] - drawn]
+        return batch
 
 
 def sample_augmented(repo: PrototypeRepository, counts: SampleCounts,
-                     seed: int, epoch: int, order: np.ndarray,
+                     seed: int, epoch: int,
                      replay: dict[int, np.ndarray] | None = None) -> AugmentedEpoch:
-    """Draw per-class Gaussian samples and keep rows ``order`` of the epoch.
+    """The sampler of one epoch's per-class Gaussian draws.
 
-    Streams are keyed by (seed, epoch, class id) so classes are independent
-    and every epoch's resample is reproducible.  ``order`` indexes the full
-    layout of ``epoch_labels`` (each class's draws, then the replay rows);
-    ``np.arange`` of its size gives the whole epoch in class order.  Each
-    class is drawn whole into a one-class scratch buffer, which gives its
-    mean, and only its rows named in ``order`` are copied out, to their
-    positions in ``order``.  So an epoch holds the rows that training uses,
-    in batch order, and not the rows its batches drop.
+    Streams are keyed by (seed, epoch, class id), so classes are independent
+    and every epoch's resample is reproducible.  ``n_samples`` is the row
+    count of the epoch's full layout; rows are drawn only when asked for.
     """
-    replay = replay or {}
-    ids, sizes = _layout(repo, counts, replay)
-    d = repo.entries[0].mean.shape[0]
-    order = np.asarray(order, dtype=np.int64)
-    # position of each full-layout row in the output, -1 where it is dropped
-    dest = np.full(sum(sizes), -1, dtype=np.int64)
-    dest[order] = np.arange(order.size)
-    features = mapped_rows(order.size, d)
-    classes = len(repo.entries)
-    means = np.empty((classes, d))
-    scratch = np.empty((max(sizes[:classes]), d))
-    start = 0
-    for k, (cid, n) in enumerate(zip(ids, sizes)):
-        if k < classes:
-            stats = repo.entries[k]
-            rows = rng.gaussian(rng.stream(seed, "augment", epoch, cid), (n, d),
-                                out=scratch[:n])
-            rows *= np.sqrt(stats.cov_diag)
-            rows += stats.mean
-            rows.mean(axis=0, out=means[k])
-        else:
-            rows = replay[cid]
-        at = dest[start:start + n]
-        kept = at >= 0
-        features[at[kept]] = rows[kept]
-        start += n
-    if not np.isfinite(means).all():
-        raise InvalidInput("augmented draws contain non-finite values")
-    return AugmentedEpoch(features=features, means=means)
+    return AugmentedEpoch(repo, counts, seed, epoch, replay or {})

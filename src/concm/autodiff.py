@@ -4,15 +4,13 @@ A Tape records a straight-line program over 2-D float64 arrays (plus 0-d
 scalars).  Nodes are appended in construction order, which is therefore a
 topological order; forward() evaluates every node for a given feed of
 inputs, backward() accumulates adjoints in reverse and returns gradients
-for the named parameters.  The primitive set is what the calibration and
-projector networks need, plus exp, log, sum and log_softmax, from which
-the tests compose the reference graphs of the fused losses; this is not a
-general autodiff library:
+for the named parameters.  The primitive set is what the calibration and projector networks need;
+this is not a general autodiff library:
 
-* elementwise: add, sub, mul, scale, exp, log, softplus;
+* elementwise: add, sub, mul, scale, softplus;
 * linear algebra: matmul, transpose, stack (row-wise concatenation);
-* reductions: sum, mean;
-* row-wise: softmax (optionally masked), log_softmax, l2_normalize;
+* reductions: mean;
+* row-wise: softmax (optionally masked), l2_normalize;
 * fused losses, one node each with a hand-derived backward:
   cross_entropy (the projector's matching loss) and anchored_contrastive
   (its supervised contrastive loss with structure anchors).  Their forward
@@ -230,12 +228,6 @@ class Tape:
     def softplus(self, a: int) -> int:
         return self._push("softplus", (a,))
 
-    def exp(self, a: int) -> int:
-        return self._push("exp", (a,))
-
-    def log(self, a: int) -> int:
-        return self._push("log", (a,))
-
     def softmax(self, a: int, axis: int = 1, mask=None) -> int:
         """Softmax along ``axis``; entries where the boolean ``mask`` is
         False get weight exactly 0.  Every slice must keep one entry."""
@@ -246,14 +238,8 @@ class Tape:
                                    "slice an unmasked entry")
         return self._push("softmax", (a,), (axis, mask))
 
-    def log_softmax(self, a: int, axis: int = 1) -> int:
-        return self._push("log_softmax", (a,), axis)
-
     def l2_normalize(self, a: int, axis: int = 1) -> int:
         return self._push("l2_normalize", (a,), axis)
-
-    def sum(self, a: int, axis: int | None = None) -> int:
-        return self._push("sum", (a,), axis)
 
     def mean(self, a: int, axis: int | None = None) -> int:
         return self._push("mean", (a,), axis)
@@ -369,10 +355,6 @@ class Tape:
         if op == "softplus":
             x = a[0]
             return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-        if op == "exp":
-            return np.exp(a[0])
-        if op == "log":
-            return np.log(a[0])
         if op == "softmax":
             axis, mask = pay
             x = a[0]
@@ -383,10 +365,6 @@ class Tape:
             sh = x - x.max(axis=axis, keepdims=True)
             e = np.exp(sh)
             return e / e.sum(axis=axis, keepdims=True)
-        if op == "log_softmax":
-            x = a[0]
-            sh = x - x.max(axis=pay, keepdims=True)
-            return sh - np.log(np.exp(sh).sum(axis=pay, keepdims=True))
         if op == "l2_normalize":
             x = a[0]
             n = np.sqrt((x * x).sum(axis=pay, keepdims=True))
@@ -395,8 +373,6 @@ class Tape:
                 raise DegenerateInput(f"l2_normalize: zero-norm row(s) {rows}",
                                       rows=rows)
             return x / n
-        if op == "sum":
-            return np.asarray(a[0].sum()) if pay is None else a[0].sum(axis=pay, keepdims=True)
         if op == "mean":
             return np.asarray(a[0].mean()) if pay is None else a[0].mean(axis=pay, keepdims=True)
         if op == "scale":
@@ -406,13 +382,6 @@ class Tape:
                 raise ShapeError(f"stack: incompatible shapes {[x.shape for x in a]}")
             return np.vstack(a)
         raise ShapeError(f"unknown op {op!r}")  # pragma: no cover
-
-    def clear(self) -> None:
-        """Drop every node value and saved forward state, the fed arrays
-        (which may be views of a larger array) included."""
-        self._values = [None] * len(self._nodes)
-        self._saved = [None] * len(self._nodes)
-        self._forward_done = False
 
     def value(self, node: int) -> np.ndarray:
         if not self._forward_done:
@@ -483,23 +452,14 @@ class Tape:
         if op == "softplus":
             # the sigmoid, from the forward value: e^x / (1 + e^x)
             return (g * np.exp(ins[0] - out),)
-        if op == "exp":
-            return (g * out,)
-        if op == "log":
-            return (g / ins[0],)
         if op == "softmax":
             # masked entries have out == 0, so they get no adjoint
             dot = (g * out).sum(axis=pay[0], keepdims=True)
             return (out * (g - dot),)
-        if op == "log_softmax":
-            sm = np.exp(out)
-            return (g - sm * g.sum(axis=pay, keepdims=True),)
         if op == "l2_normalize":
             n = np.sqrt((ins[0] * ins[0]).sum(axis=pay, keepdims=True))
             dot = (g * out).sum(axis=pay, keepdims=True)
             return ((g - out * dot) / n,)
-        if op == "sum":
-            return (np.broadcast_to(g, ins[0].shape).copy(),)
         if op == "mean":
             count = ins[0].size if pay is None else ins[0].shape[pay]
             return (np.broadcast_to(g / count, ins[0].shape).copy(),)

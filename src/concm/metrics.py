@@ -100,42 +100,65 @@ def run_metrics(records: list[SessionRecord],
     return ahm, fa, base_acc - fa
 
 
-def similarity_stats(z: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+@dataclass
+class ClassSums:
+    """Per-class row count, sum of rows and sum of unit-normalized rows:
+    what ``similarity_stats`` needs, added up a block of rows at a time."""
+
+    count: np.ndarray  # (classes,)
+    rows: np.ndarray  # (classes, d)
+    unit_rows: np.ndarray  # (classes, d)
+
+    @classmethod
+    def zeros(cls, n_classes: int, d: int) -> "ClassSums":
+        return cls(np.zeros(n_classes, dtype=np.int64), np.zeros((n_classes, d)),
+                   np.zeros((n_classes, d)))
+
+    def add(self, z: np.ndarray, labels: np.ndarray) -> None:
+        """Add the rows ``z`` of classes ``labels``: each class's rows in
+        order, then onto its running sum."""
+        order = np.argsort(labels, kind="stable")
+        classes, firsts = np.unique(labels[order], return_index=True)
+        z = z[order]
+        self.count += np.bincount(labels, minlength=self.count.size)
+        self.rows[classes] += np.add.reduceat(z, firsts, axis=0)
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        self.unit_rows[classes] += np.add.reduceat(z, firsts, axis=0)
+
+    def __iadd__(self, other: "ClassSums") -> "ClassSums":
+        self.count += other.count
+        self.rows += other.rows
+        self.unit_rows += other.unit_rows
+        return self
+
+
+def similarity_stats(sums: ClassSums) -> tuple[float, float]:
     """(between-class, within-class) cosine similarity diagnostics.
 
     The first value is the mean pairwise cosine between distinct class-mean
     directions (lower = better separated); the second is the mean cosine of
     samples to their own class-mean direction (higher = more compact).
-    Singleton classes are skipped in the within-class term.
+    Classes without rows are absent; singleton classes are skipped in the
+    within-class term.
     """
-    z = np.asarray(z, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    classes = np.unique(labels)
-    if classes.size < 2:
+    count = sums.count
+    present = count > 0
+    if present.sum() < 2:
         raise ShapeError("similarity stats need at least two classes")
-    dirs = []
-    within = []
-    for c in classes:
-        rows = z[labels == c]
-        mean = rows.mean(axis=0)
-        norm = np.linalg.norm(mean)
-        if norm < 1e-12:
-            logger.warning("class %d has a zero-norm mean; skipped", int(c))
-            continue
-        direction = mean / norm
-        dirs.append(direction)
-        if rows.shape[0] < 2:
-            logger.debug("class %d is a singleton; skipped in within-class term",
-                         int(c))
-            continue
-        rn = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-        within.append(rn @ direction)
-    d = np.vstack(dirs)
-    gram = d @ d.T
-    iu = np.triu_indices(d.shape[0], k=1)
-    sim_cls = float(gram[iu].mean())
-    sim_in = float(np.concatenate(within).mean()) if within else float("nan")
-    return sim_cls, sim_in
+    norms = np.linalg.norm(sums.rows, axis=1)
+    # the class mean is rows / count
+    flat = present & (norms < 1e-12 * count)
+    for c in np.flatnonzero(flat):
+        logger.warning("class %d has a zero-norm mean; skipped", int(c))
+    kept = present & ~flat
+    dirs = sums.rows[kept] / norms[kept, None]
+    gram = dirs @ dirs.T
+    sim_cls = float(gram[np.triu_indices(dirs.shape[0], k=1)].mean())
+    within = count[kept] >= 2
+    if not within.any():
+        return sim_cls, float("nan")
+    dots = (sums.unit_rows[kept][within] * dirs[within]).sum(axis=1)
+    return sim_cls, float(dots.sum() / count[kept][within].sum())
 
 
 @dataclass

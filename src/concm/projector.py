@@ -18,7 +18,6 @@ import numpy as np
 
 from . import rng
 from .autodiff import Tape
-from .buffers import mapped_rows
 from .errors import (DegenerateBatch, DegenerateInput, InvalidConfig,
                      InvalidInput, LabelOutOfRange, TrainingDiverged)
 from .optim import cosine_lr, sgd_step
@@ -82,12 +81,20 @@ def projection_nodes(tape: Tape, pnodes: dict[str, int], x_node: int) -> int:
 _BLOCK_ROWS = 256
 
 
+def row_blocks(n: int):
+    """(lo, start, stop) of each fixed-size block of ``n`` rows: the block
+    is rows lo..lo + _BLOCK_ROWS (all rows if there are fewer), and rows
+    start..stop of it are new.  The last block overlaps its predecessor."""
+    for start in range(0, n, _BLOCK_ROWS):
+        lo = min(start, max(n - _BLOCK_ROWS, 0))
+        yield lo, start, min(start + _BLOCK_ROWS, n)
+
+
 def project(params: ProjectorParams, x: np.ndarray) -> np.ndarray:
     """Unit-norm projection of one feature vector or a batch of rows.
 
-    The rows pass through one projection graph in blocks of a fixed row
-    count, each written into the output, which has its own mapping
-    (``buffers.mapped_rows``).  A zero-norm feature or projected row raises
+    The rows pass through one projection graph in ``row_blocks``, each
+    written into the output.  A zero-norm feature or projected row raises
     DegenerateInput naming the row.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -95,22 +102,20 @@ def project(params: ProjectorParams, x: np.ndarray) -> np.ndarray:
     rows = x.reshape(1, -1) if single else x
     tape = Tape()
     z = projection_nodes(tape, _register(tape, params), tape.input("x"))
-    n = rows.shape[0]
-    out = mapped_rows(n, params.d_g)
-    for start in range(0, n, _BLOCK_ROWS):
-        start = min(start, max(n - _BLOCK_ROWS, 0))
-        block = rows[start:start + _BLOCK_ROWS]
+    out = np.empty((rows.shape[0], params.d_g))
+    for lo, _, stop in row_blocks(rows.shape[0]):
+        block = rows[lo:stop]
         zero = np.flatnonzero(np.linalg.norm(block, axis=1) < 1e-12)
         if zero.size:
             raise DegenerateInput("cannot project zero-norm feature row(s) "
-                                  f"{(start + zero).tolist()}")
+                                  f"{(lo + zero).tolist()}")
         try:
             tape.forward({"x": block})
         except DegenerateInput as exc:
-            bad = [start + r for r in exc.rows]
+            bad = [lo + r for r in exc.rows]
             raise DegenerateInput(f"zero-norm projected row(s) {bad}",
                                   rows=bad) from exc
-        out[start:start + block.shape[0]] = tape.value(z)
+        out[lo:stop] = tape.value(z)
     return out.ravel() if single else out
 
 
@@ -232,13 +237,11 @@ def _balanced_batches(labels: np.ndarray, batch_size: int, seed: int, epoch: int
 
 
 def plan_epoch(labels: np.ndarray, schedule: TrainSchedule, epoch: int,
-               anchored: frozenset[int]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The order in which ``train_projector`` takes an epoch's rows, and its
-    batches: the row indices into ``labels`` of each batch, and all of them
-    concatenated (the ``order`` its ``epoch_data`` is called with)."""
-    batches = _balanced_batches(labels, schedule.batch_size, schedule.seed,
-                                epoch, anchored)
-    return np.concatenate([np.zeros(0, dtype=np.int64), *batches]), batches
+               anchored: frozenset[int]) -> list[np.ndarray]:
+    """The batches of one epoch of ``train_projector``: the row indices into
+    ``labels`` of each batch, in the order the steps take them."""
+    return _balanced_batches(labels, schedule.batch_size, schedule.seed,
+                             epoch, anchored)
 
 
 def _zero_norm_cause(features: np.ndarray, idx: np.ndarray) -> str:
@@ -254,15 +257,16 @@ def train_projector(params: ProjectorParams, structure: StructureMatrix,
                     tau: float = 0.07) -> tuple[ProjectorParams, list[float]]:
     """Optimize the projector against a structure.
 
-    ``labels`` are the class ids of the rows of one epoch, the same in every
-    epoch (augmented samples are redrawn each epoch by the caller).  Each
-    epoch's batches are planned from them before its rows exist, and
-    ``epoch_data(epoch, order)`` returns the features of rows ``order``
-    (the batches' row indices, concatenated) in that order, as one array.
-    It is called once per epoch, in order, and the previous epoch's rows
-    and every view of them are dropped before the call, so one epoch is
-    held at a time.  A step trains on its batch's contiguous slice of that
-    array.  Returns updated parameters and the per-epoch mean loss.
+    ``labels`` are the class ids of the rows of one epoch's layout, the same
+    in every epoch (augmented samples are redrawn each epoch by the caller).
+    Each epoch's batches are planned from them (``plan_epoch``), and
+    ``epoch_data(epoch)`` returns that epoch's source, once per epoch, in
+    order, after the previous source is dropped.  A step asks the source
+    for its batch: ``source.rows(idx, buf)`` writes the features of layout
+    rows ``idx``, in that order, into ``buf[:idx.size]`` and returns that
+    view.  ``buf`` is one (batch_size, d_f) array kept for the whole call,
+    so no step holds more than one batch of rows.  Returns updated
+    parameters and the per-epoch mean loss.
 
     The loss graph is built once per call, by the same builders that serve
     a single batch: the batch features (input ``x``) and the masks of
@@ -283,21 +287,17 @@ def train_projector(params: ProjectorParams, structure: StructureMatrix,
     y = np.asarray(labels, dtype=np.int64)
     steps_per_epoch = max(1, math.ceil(y.size / schedule.batch_size))
     total_steps = schedule.epochs * steps_per_epoch
+    buf = np.empty((schedule.batch_size, params.d_f))
     step = 0
     trace: list[float] = []
     for epoch in range(schedule.epochs):
-        order, batches = plan_epoch(y, schedule, epoch, anchored_classes)
-        # drop the last epoch, and the tape's view of its last batch,
-        # before drawing the next
-        x = feeds = None
-        tape.clear()
-        x = epoch_data(epoch, order)
+        batches = plan_epoch(y, schedule, epoch, anchored_classes)
+        source = None  # drop the last epoch's source before making the next
+        source = epoch_data(epoch)
         epoch_losses = []
-        start = 0
         for idx in batches:
             feeds = batch_masks(y[idx], structure, anchored_classes)
-            feeds["x"] = x[start:start + idx.size]
-            start += idx.size
+            feeds["x"] = source.rows(idx, buf)
             try:
                 tape.forward(feeds)
             except DegenerateInput as exc:

@@ -11,6 +11,7 @@ sampled bytes are identical across process runs on the same numpy build.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -54,7 +55,7 @@ def gaussian(gen: np.random.Generator, shape, out: np.ndarray | None = None) -> 
     """
     if out is None:
         return gen.standard_normal(shape)
-    n = int(np.prod(shape)) if shape else 1
+    n = shape if isinstance(shape, int) else math.prod(shape)
     if out.size != n or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ShapeError(f"gaussian: out must be C-contiguous float64 of size {n}")
     gen.standard_normal(out=out)

@@ -25,17 +25,17 @@ from . import rng
 from .attributes import (AttributeTable, SemanticKnowledge, build_knowledge,
                          load_attribute_table, load_semantic_embeddings)
 from .augment import (ClassStats, PrototypeRepository, SampleCounts,
-                      class_statistics, epoch_labels, novel_covariance,
-                      sample_augmented, shot_variance, transfer_weights)
-from .buffers import mapped_rows
+                      class_statistics, epoch_labels, epoch_means,
+                      novel_covariance, sample_augmented, shot_variance,
+                      transfer_weights)
 from .calibration import (CalibrationParams, MetaTrainConfig, Prototype, blend,
                           calibrate, init_calibration_params, meta_train)
 from .data import FeatureSet, Manifest, load_config, load_features, load_manifest
 from .errors import InvalidConfig, ProtocolViolation
-from .metrics import (RunReport, SessionRecord, ncm_classify, run_metrics,
-                      session_metrics, similarity_stats)
+from .metrics import (ClassSums, RunReport, SessionRecord, ncm_classify,
+                      run_metrics, session_metrics, similarity_stats)
 from .projector import (ProjectorParams, TrainSchedule, init_projector_params,
-                        plan_epoch, project, train_projector)
+                        project, row_blocks, train_projector)
 from .structure import (InitialStructure, StructureMatrix, initial_structure,
                         nearest_optimal_structure, random_optimal_structure,
                         structure_matching_rate)
@@ -146,42 +146,30 @@ def _fit(config: SessionConfig, strategy: str, t: int, repo: PrototypeRepository
          replay: dict[int, np.ndarray], anchored: frozenset[int]):
     """Session t's (initial, structure, smr, theta_g); ``prev`` is None at t = 0.
 
-    Every epoch is drawn with the rows its batches take, in batch order;
-    epoch 0 is drawn first, since the initial structure needs its class
-    means, which cover the rows the batches drop too.
+    The initial structure takes each class's mean over its full epoch-0
+    draw; training then draws each epoch batch by batch from the same
+    streams.
     """
     counts = SampleCounts(base=config.n_aug_base, novel=config.n_aug_novel)
     seed = rng.derive_seed(config.seed, "augment", t)
-    labels = epoch_labels(repo, counts, replay)
-    train = strategy != "frozen"
-    schedule = TrainSchedule(lr_max=config.lr_projector,
-                             epochs=config.epochs_base if t == 0
-                             else config.epochs_incremental,
-                             warmup_steps=config.warmup_steps,
-                             batch_size=config.batch_size,
-                             seed=rng.derive_seed(config.seed, "train", t))
-    order0 = plan_epoch(labels, schedule, 0, anchored)[0] if train \
-        else np.zeros(0, dtype=np.int64)
-    aug0 = sample_augmented(repo, counts, seed, 0, order0, replay)
+    means = epoch_means(repo, counts, seed, 0)
     init = initial_structure(prev, lambda v: project(theta_g, v),
-                             dict(enumerate(aug0.means)))
+                             dict(enumerate(means)))
     structure = _strategy_structure(strategy, init, t, config)
     smr = structure_matching_rate(init, structure)
 
-    if train:
-        def epoch_data(epoch: int, order: np.ndarray) -> np.ndarray:
-            nonlocal aug0
-            if epoch == 0:  # hand over the draw above and keep no reference
-                if not np.array_equal(order, order0):
-                    raise ProtocolViolation("training planned epoch 0 in an "
-                                            "order other than its draw's")
-                aug, aug0 = aug0, None
-            else:
-                aug = sample_augmented(repo, counts, seed, epoch, order, replay)
-            return aug.features
-
-        theta_g, _ = train_projector(theta_g, structure, anchored, schedule,
-                                     labels, epoch_data, tau=config.tau)
+    if strategy != "frozen":
+        schedule = TrainSchedule(lr_max=config.lr_projector,
+                                 epochs=config.epochs_base if t == 0
+                                 else config.epochs_incremental,
+                                 warmup_steps=config.warmup_steps,
+                                 batch_size=config.batch_size,
+                                 seed=rng.derive_seed(config.seed, "train", t))
+        theta_g, _ = train_projector(
+            theta_g, structure, anchored, schedule,
+            epoch_labels(repo, counts, replay),
+            lambda epoch: sample_augmented(repo, counts, seed, epoch, replay),
+            tau=config.tau)
     return init, structure, smr, theta_g
 
 
@@ -297,13 +285,45 @@ def run_incremental_session(state: SessionState, novel: FeatureSet,
                         replay=new_replay)
 
 
+@dataclass
+class Evaluation:
+    """NCM predictions and per-class sums of the projected rows of one
+    evaluation set, with its labels."""
+
+    preds: np.ndarray
+    labels: np.ndarray
+    sums: ClassSums
+
+
 def evaluate_session(state: SessionState, features: np.ndarray,
-                     labels: np.ndarray) -> SessionRecord:
-    """Project, classify with NCM, and compute the session record."""
-    z = project(state.theta_g, features)
-    preds = ncm_classify(z, state.structure)
-    record = session_metrics(preds, labels, state.base_class_ids, t=state.t)
-    sim_cls, sim_in = similarity_stats(z, labels)
+                     labels: np.ndarray) -> Evaluation:
+    """Project and classify one evaluation set with NCM.
+
+    The rows go through ``row_blocks``: each block is projected, classified
+    and added to the class sums, and its projection and class scores are
+    dropped before the next.
+    """
+    preds = np.empty(labels.size, dtype=np.int64)
+    sums = ClassSums.zeros(state.n_classes, state.structure.columns.shape[0])
+    for lo, start, stop in row_blocks(features.shape[0]):
+        z = project(state.theta_g, features[lo:stop])[start - lo:]
+        preds[start:stop] = ncm_classify(z, state.structure)
+        sums.add(z, labels[start:stop])
+    return Evaluation(preds=preds, labels=labels, sums=sums)
+
+
+def session_record(state: SessionState, evaluations) -> SessionRecord:
+    """The session record of ``evaluations`` (an iterable of Evaluation,
+    taken one at a time) combined."""
+    preds, labels = [], []
+    sums = ClassSums.zeros(state.n_classes, state.structure.columns.shape[0])
+    for ev in evaluations:
+        preds.append(ev.preds)
+        labels.append(ev.labels)
+        sums += ev.sums
+    record = session_metrics(np.concatenate(preds), np.concatenate(labels),
+                             state.base_class_ids, t=state.t)
+    sim_cls, sim_in = similarity_stats(sums)
     record.smr = state.smr
     # all-singleton evaluation sets leave the within-class term undefined
     record.sim_cls = sim_cls if np.isfinite(sim_cls) else None
@@ -340,19 +360,15 @@ def load_inputs(manifest: Manifest, config: SessionConfig) -> PipelineInputs:
                           embeddings=embeddings)
 
 
-def _evaluation_rows(sets: list[FeatureSet],
-                     class_names: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``sets`` stacked in one array in its own mapping, and
-    their labels as indices into ``class_names``."""
+def _evaluation_labels(sets: list[FeatureSet],
+                       class_names: list[str]) -> list[np.ndarray]:
+    """The labels of each of ``sets`` as indices into ``class_names``."""
     name_to_id = {n: i for i, n in enumerate(class_names)}
     missing = [n for fs in sets for n in fs.class_names if n not in name_to_id]
     if missing:
         raise ProtocolViolation(f"evaluation classes never seen: {missing}")
-    features = mapped_rows(sum(fs.n_samples for fs in sets), sets[0].dim)
-    np.concatenate([fs.features for fs in sets], out=features)
-    labels = [np.array([name_to_id[n] for n in fs.class_names],
-                       dtype=np.int64)[fs.labels] for fs in sets]
-    return features, np.concatenate(labels)
+    return [np.array([name_to_id[n] for n in fs.class_names],
+                     dtype=np.int64)[fs.labels] for fs in sets]
 
 
 @dataclass
@@ -393,10 +409,10 @@ def run_pipeline(inputs: PipelineInputs, strategy: str = "concm",
         else:
             state = run_incremental_session(state, inputs.train_sets[t],
                                             inputs.table, inputs.embeddings)
-        # the rows are referenced by the call alone, so they and their
-        # projection are released once the record is returned
-        records.append(evaluate_session(
-            state, *_evaluation_rows(eval_pool[:t + 1], state.class_names)))
+        sets = eval_pool[:t + 1]
+        records.append(session_record(state, (
+            evaluate_session(state, fs.features, labels) for fs, labels in
+            zip(sets, _evaluation_labels(sets, state.class_names)))))
         traces.append(SessionTrace(t=t, initial=state.initial,
                                    structure=state.structure, smr=state.smr))
         logger.info("session %d: top1=%.2f hm=%s", t, records[-1].top1,

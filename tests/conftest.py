@@ -1,4 +1,5 @@
 import mmap
+import tracemalloc
 
 import pytest
 
@@ -19,13 +20,27 @@ def unpruned_backward():
     return _unpruned_backward
 
 
-def _mapping_of(a):
-    """The mmap an array's memory lives in, or None."""
-    while a is not None and not isinstance(a, mmap.mmap):
-        a = a.obj if isinstance(a, memoryview) else getattr(a, "base", None)
-    return a
-
-
 @pytest.fixture
-def mapping_of():
-    return _mapping_of
+def peak_bytes(monkeypatch):
+    """``peak_bytes(fn)``: the traced heap peak of ``fn()`` plus the size of
+    every memory mapping it opened, which tracemalloc does not see.  So
+    neither a heap array nor a mapped one escapes the count."""
+    mapped = []
+    real = mmap.mmap
+
+    def counting(fileno, length, *args, **kwargs):
+        mapped.append(length)
+        return real(fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", counting)
+
+    def measure(fn):
+        mapped.clear()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] + sum(mapped)
+        finally:
+            tracemalloc.stop()
+
+    return measure

@@ -1,24 +1,24 @@
-import errno
-import gc
-import json
 import math
-import tracemalloc
-import weakref
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from concm import buffers, rng
+from concm import rng
 from concm.augment import (ClassStats, PrototypeRepository, SampleCounts,
-                           class_statistics, epoch_labels, novel_covariance,
-                           sample_augmented, shot_variance, transfer_weights)
+                           class_statistics, epoch_labels, epoch_means,
+                           novel_covariance, sample_augmented, shot_variance,
+                           transfer_weights)
+from concm.autodiff import Tape
 from concm.data import FeatureSet
 from concm.errors import (DegenerateInput, InsufficientSamples, InvalidConfig,
                           InvalidStats, MissingClass)
-from concm.projector import _balanced_batches
+from concm.projector import (TrainSchedule, init_projector_params, plan_epoch,
+                             train_projector)
+from concm.structure import random_optimal_structure
 
 
 def test_two_point_statistics():
@@ -111,13 +111,15 @@ def test_novel_covariance_errors():
 
 
 def full_epoch(repo, counts, seed, epoch=0, replay=None):
-    """Every row of an epoch, in class order (its full layout), with the
-    class id of each row as ``labels``."""
+    """Every row of an epoch, in class order (its full layout), asked for
+    in one call, with the class id of each row as ``labels`` and the
+    epoch's class means."""
     labels = epoch_labels(repo, counts, replay)
-    aug = sample_augmented(repo, counts, seed, epoch, np.arange(labels.size),
-                           replay)
-    return SimpleNamespace(features=aug.features, labels=labels,
-                           means=aug.means, n_samples=aug.n_samples)
+    aug = sample_augmented(repo, counts, seed, epoch, replay)
+    out = np.empty((labels.size, repo.entries[0].mean.shape[0]))
+    return SimpleNamespace(features=aug.rows(np.arange(labels.size), out),
+                           labels=labels, n_samples=aug.n_samples,
+                           means=epoch_means(repo, counts, seed, epoch))
 
 
 def repo_fixture():
@@ -309,6 +311,27 @@ def test_replay_rows_follow_the_draws_by_class():
     assert fs.means.tobytes() == plain.means.tobytes()
 
 
+def reference_steps(repo, counts, seed, replay, labels, schedule, anchored):
+    """(rows, labels) of every training step: each class's stream drawn
+    once per epoch, its rows handed out in slot order (batch by batch, in
+    batch order), replay slots filled with their replay rows."""
+    d = repo.entries[0].mean.shape[0]
+    drawn = sum(counts.base if e.exact else counts.novel for e in repo.entries)
+    replayed = [row for cid in sorted(replay) for row in replay[cid]]
+    steps = []
+    for epoch in range(schedule.epochs):
+        full = {}
+        for e in repo.entries:
+            n = counts.base if e.exact else counts.novel
+            z = rng.gaussian(rng.stream(seed, "augment", epoch, e.class_id), (n, d))
+            full[e.class_id] = list(z * np.sqrt(e.cov_diag) + e.mean)
+        for idx in plan_epoch(labels, schedule, epoch, anchored):
+            rows = [full[labels[i]].pop(0) if i < drawn else replayed[i - drawn]
+                    for i in idx]
+            steps.append((np.array(rows), labels[idx]))
+    return steps
+
+
 @settings(max_examples=80, deadline=None)
 @given(exact=st.lists(st.booleans(), min_size=1, max_size=7),
        base=st.integers(1, 9), novel=st.integers(1, 9), d=st.integers(1, 4),
@@ -316,9 +339,9 @@ def test_replay_rows_follow_the_draws_by_class():
                                 max_size=4),
        anchored=st.frozensets(st.integers(0, 7), max_size=4),
        batch_size=st.integers(1, 40), seed=st.integers(0, 2 ** 32),
-       epoch=st.integers(0, 4))
-def test_batch_ordered_epoch_is_the_full_epoch_in_batch_order(
-        exact, base, novel, d, replayed, anchored, batch_size, seed, epoch):
+       epochs=st.integers(1, 3))
+def test_batches_draw_each_class_stream_in_slot_order(
+        exact, base, novel, d, replayed, anchored, batch_size, seed, epochs):
     repo = random_repo(len(exact), d, seed=seed)
     for e, is_exact in zip(repo.entries, exact):
         e.exact = is_exact
@@ -326,81 +349,59 @@ def test_batch_ordered_epoch_is_the_full_epoch_in_batch_order(
               for c, k in replayed.items() if c < len(exact)}
     counts = SampleCounts(base=base, novel=novel)
     labels = epoch_labels(repo, counts, replay)
-    full = full_epoch(repo, counts, seed, epoch, replay)
-    batches = _balanced_batches(labels, batch_size, seed, epoch, anchored)
-    order = np.concatenate(batches) if batches else np.zeros(0, np.int64)
-    got = sample_augmented(repo, counts, seed, epoch, order, replay)
-    assert got.features.tobytes() == full.features[order].tobytes()
-    # the class means cover every draw, the rows the batches drop included
-    drawn = labels.size - sum(rows.shape[0] for rows in replay.values())
-    for cid in range(len(repo)):
-        masked = full.features[:drawn][full.labels[:drawn] == cid]
-        assert got.means[cid].tobytes() == masked.mean(axis=0).tobytes()
-    assert got.means.tobytes() == full.means.tobytes()
+    schedule = TrainSchedule(lr_max=0.0, epochs=epochs, warmup_steps=0,
+                             batch_size=batch_size, seed=seed)
+    n = len(repo)
+    fed = []
+    forward = Tape.forward
+
+    def recording_forward(tape, feeds=None):
+        fed.append((feeds["x"].copy(), feeds["onehot"].argmax(axis=1)))
+        return forward(tape, feeds)
+
+    with patch.object(Tape, "forward", recording_forward):
+        train_projector(init_projector_params(d, 3, n + 2, seed=1),
+                        random_optimal_structure(n + 1, n + 2, seed=2), anchored,
+                        schedule, labels,
+                        lambda epoch: sample_augmented(repo, counts, seed,
+                                                       epoch, replay))
+    want = reference_steps(repo, counts, seed, replay, labels, schedule,
+                           anchored)
+    assert len(fed) == len(want)
+    for (x, y), (want_x, want_y) in zip(fed, want):
+        assert x.tobytes() == want_x.tobytes()
+        assert y.tolist() == want_y.tolist()
+    # the epoch-0 means cover each class's full draw, dropped rows included
+    means = epoch_means(repo, counts, seed, 0)
+    for e in repo.entries:
+        k = counts.base if e.exact else counts.novel
+        z = rng.gaussian(rng.stream(seed, "augment", 0, e.class_id), (k, d))
+        full = z * np.sqrt(e.cov_diag) + e.mean
+        assert means[e.class_id].tobytes() == full.mean(axis=0).tobytes()
 
 
-def test_epoch_with_replay_is_held_once(mapping_of):
-    # the draws and the replay rows share one array, so drawing an epoch
-    # allocates little beyond it; the array lives in its own mapping, which
-    # tracemalloc does not see, so everything traced comes on top of it.
-    # The rows to keep are the caller's input, as the replay rows are.
+def test_epoch_with_replay_is_held_once(peak_bytes):
+    # a batch is written into the caller's buffer through one batch of
+    # scratch: drawing it allocates little beyond that scratch
     repo = random_repo(12, 64)
     replay = replay_buffer(range(9, 12), 64, k=5)
     counts = SampleCounts(base=60, novel=30)
-    rows = np.arange(epoch_labels(repo, counts, replay).size)
-    tracemalloc.start()
-    try:
-        fs = sample_augmented(repo, counts, 1, 2, rows, replay)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert mapping_of(fs.features) is not None
-    assert fs.features.nbytes + peak < 1.25 * fs.features.nbytes
-
-
-def test_epoch_mapping_is_released_with_its_feature_set(mapping_of):
-    fs = full_epoch(random_repo(5, 8), SampleCounts(), seed=2,
-                          replay=replay_buffer([4], 8))
-    ref = weakref.ref(mapping_of(fs.features))
-    del fs
-    gc.collect()
-    assert ref() is None
-
-
-def no_memory(*args):
-    raise OSError(errno.ENOMEM, "Cannot allocate memory")
-
-
-def test_failed_epoch_mapping_is_a_memory_error(monkeypatch):
-    monkeypatch.setattr(buffers.mmap, "mmap", no_memory)
-    with pytest.raises(MemoryError):
-        full_epoch(random_repo(4, 3), SampleCounts(), seed=0)
-
-
-def test_failed_epoch_mapping_exits_2(tmp_path, capsys, monkeypatch):
-    from concm.cli import main
-    gen = dict(base_classes=4, sessions=1, way=2, shot=2, d_f=8, d_s=4,
-               pool_size=6, attrs_per_class=2, base_samples=10,
-               test_samples=4, seed=1)
-    (tmp_path / "gen.json").write_text(json.dumps(gen))
-    assert main(["gen", "--config", str(tmp_path / "gen.json"),
-                 "--out", str(tmp_path / "data")]) == 0
-    cfg = json.loads((tmp_path / "data" / "config.json").read_text())
-    (tmp_path / "run.json").write_text(json.dumps(dict(cfg, meta_episodes=2)))
-    monkeypatch.setattr(buffers.mmap, "mmap", no_memory)
-    assert main(["run", "--manifest", str(tmp_path / "data" / "manifest.json"),
-                 "--config", str(tmp_path / "run.json"),
-                 "--out", str(tmp_path / "run")]) == 2
-    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record["error"] == "MemoryError"
+    labels = epoch_labels(repo, counts, replay)
+    idx = np.flatnonzero(labels >= 6)[::-3][:128]
+    assert (idx >= labels.size - 15).any()
+    aug = sample_augmented(repo, counts, 1, 2, replay)
+    out = np.empty((128, 64))
+    assert peak_bytes(lambda: aug.rows(idx, out)) < 1.25 * out.nbytes
+    assert np.shares_memory(aug.rows(idx, out), out)
 
 
 def test_sampling_empty_repository_rejected():
     with pytest.raises(MissingClass):
         epoch_labels(PrototypeRepository(), SampleCounts())
     with pytest.raises(MissingClass):
-        sample_augmented(PrototypeRepository(), SampleCounts(), 0, 0,
-                         np.zeros(0, dtype=np.int64))
+        sample_augmented(PrototypeRepository(), SampleCounts(), 0, 0)
+    with pytest.raises(MissingClass):
+        epoch_means(PrototypeRepository(), SampleCounts(), 0, 0)
 
 
 def test_negative_stats_rejected():

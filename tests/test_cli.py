@@ -9,6 +9,7 @@ import time
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from concm.attributes import load_semantic_embeddings
 from concm.cli import _setup_logging, main
 from concm.data import load_config, load_features
-from concm.errors import ValidationError
+from concm.errors import SchemaError, ValidationError
 from concm.metrics import report_from_json
 from concm.session import SessionConfig
 from concm.synth import GenConfig
@@ -391,3 +392,44 @@ def test_mutated_config_rejected_at_load_with_path(dataset, command, data):
             _check_rejection(lambda p: load_config(GenConfig, p), path,
                              ["gen", "--config", str(path), "--out", str(out)])
             assert not (out / "manifest.json").exists()
+
+
+ZERO_SPELLINGS = ("0", "0.0", "-0.0", "0e7", "0.000")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_all_zero_row_in_any_spelling_exits_1_before_training(dataset, data):
+    # whichever feature CSV and data line holds it, and however its zeros
+    # are written, an all-zero row is a SchemaError at path:line from the
+    # loader, and `concm run` exits 1 with it before any training step
+    manifest = json.loads((dataset / "data" / "manifest.json").read_text())
+    target = data.draw(st.sampled_from(
+        [manifest["base"], *manifest["sessions"], *manifest["tests"]]))
+    lines = (dataset / "data" / target).read_text().splitlines()
+    at = data.draw(st.integers(1, len(lines) - 1))
+    fields = lines[at].split(",")
+    zeros = data.draw(st.lists(st.sampled_from(ZERO_SPELLINGS),
+                               min_size=len(fields) - 2,
+                               max_size=len(fields) - 2))
+    lines[at] = ",".join(fields[:2] + zeros)
+    trained = []
+    with tempfile.TemporaryDirectory() as tmp, \
+            patch("concm.session.meta_train",
+                  lambda *a, **k: trained.append("meta_train")), \
+            patch("concm.session.train_projector",
+                  lambda *a, **k: trained.append("train_projector")):
+        root = Path(tmp) / "data"
+        shutil.copytree(dataset / "data", root)
+        path = root / target
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError,
+                           match=re.escape(f"{path}:{at + 1}: all-zero feature row")):
+            load_features(path)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["run", "--manifest", str(root / "manifest.json"),
+                         "--config", str(dataset / "run_cfg.json"),
+                         "--out", str(Path(tmp) / "o")]) == 1
+        assert f"{path}:{at + 1}: all-zero feature row" in err.getvalue()
+    assert trained == []

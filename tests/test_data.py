@@ -1,5 +1,8 @@
 import csv
+import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +101,30 @@ def test_all_zero_row_rejected_with_line(tmp_path, row):
     p.write_text(f"label,class_name,f0,f1\n0,x,1.0,0.0\n1,y,{row}\n")
     with pytest.raises(SchemaError, match=r"z\.csv:3: all-zero feature row"):
         load_features(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n_rows=st.integers(1, 8), dim=st.integers(1, 5))
+def test_all_zero_row_in_any_spelling_rejected_at_its_line(data, n_rows, dim):
+    # rows with some zero fields load; the row whose every field is a zero,
+    # in any spelling, is named by its file line, blank lines counted
+    spelling = st.sampled_from(["0", "0.0", "-0.0", "0e7", "0.000"])
+    bad = data.draw(st.integers(0, n_rows - 1))
+    lines = ["label,class_name," + ",".join(f"f{i}" for i in range(dim))]
+    for r in range(n_rows):
+        lines += [""] * data.draw(st.integers(0, 2))
+        values = data.draw(st.lists(spelling, min_size=dim, max_size=dim))
+        if r != bad:
+            values[data.draw(st.integers(0, dim - 1))] = "1.5"
+        lines.append(f"{r % 2},c{r % 2}," + ",".join(values))
+        if r == bad:
+            line = len(lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "z.csv"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError,
+                           match=re.escape(f"{p}:{line}: all-zero feature row")):
+            load_features(p)
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999", "NaN"])

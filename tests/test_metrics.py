@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from concm import rng
 from concm.errors import SchemaError, ShapeError
-from concm.metrics import (RunReport, SessionRecord, balanced_error_rate,
+from concm.metrics import (ClassSums, RunReport, SessionRecord,
+                           balanced_error_rate,
                            format_report_table, harmonic_mean, ncm_classify,
                            report_from_json, report_to_csv, report_to_json,
                            run_metrics, session_metrics, similarity_stats)
@@ -159,11 +160,17 @@ def test_run_metrics_single_session():
     assert fa == 70.0 and pd == pytest.approx(20.0)
 
 
+def sums_of(z, labels):
+    sums = ClassSums.zeros(int(labels.max()) + 1, z.shape[1])
+    sums.add(z, labels)
+    return sums
+
+
 def test_similarity_stats_on_etf_points():
     s = random_optimal_structure(3, 6, seed=4)
     z = np.repeat(s.columns.T, 4, axis=0)
     labels = np.repeat(np.arange(3), 4)
-    sim_cls, sim_in = similarity_stats(z, labels)
+    sim_cls, sim_in = similarity_stats(sums_of(z, labels))
     assert sim_in == pytest.approx(1.0)
     assert sim_cls == pytest.approx(-0.5, abs=1e-10)
 
@@ -172,7 +179,7 @@ def test_similarity_stats_identical_classes():
     z = np.tile(np.array([1.0, 0.0, 0.0]), (6, 1))
     z[1::2, 1] = 0.01
     labels = np.array([0, 0, 0, 1, 1, 1])
-    sim_cls, _ = similarity_stats(z, labels)
+    sim_cls, _ = similarity_stats(sums_of(z, labels))
     assert sim_cls == pytest.approx(1.0, abs=1e-4)
 
 
@@ -181,9 +188,43 @@ def test_similarity_stats_random_near_zero():
     z = rng.gaussian(gen, (400, 256))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     labels = np.repeat(np.arange(8), 50)
-    sim_cls, sim_in = similarity_stats(z, labels)
+    sim_cls, sim_in = similarity_stats(sums_of(z, labels))
     assert abs(sim_cls) < 0.1
     assert abs(sim_in) < 0.3
+
+
+def similarity_stats_per_row(z, labels):
+    """The diagnostics from every row at once: cosines of class-mean
+    directions, and of each unit row to its class's direction."""
+    classes = np.unique(labels)
+    dirs = np.array([z[labels == c].mean(axis=0) for c in classes])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    gram = dirs @ dirs.T
+    unit = z / np.linalg.norm(z, axis=1, keepdims=True)
+    within = [unit[labels == c] @ dirs[k] for k, c in enumerate(classes)
+              if (labels == c).sum() >= 2]
+    return (gram[np.triu_indices(classes.size, k=1)].mean(),
+            np.concatenate(within).mean() if within else np.nan)
+
+
+@settings(max_examples=60, deadline=None)
+@given(labels=st.lists(st.integers(0, 5), min_size=2, max_size=60),
+       block=st.integers(1, 20), d=st.integers(2, 6), seed=st.integers(0, 2 ** 32))
+def test_similarity_stats_from_block_sums_match_per_row(labels, block, d, seed):
+    labels = np.asarray(labels)
+    assume(np.unique(labels).size >= 2)
+    z = rng.gaussian(rng.stream(seed, "sim-blocks"), (labels.size, d)) + 0.5
+    sums = ClassSums.zeros(6, d)
+    for start in range(0, labels.size, block):
+        sums.add(z[start:start + block], labels[start:start + block])
+    assert sums.count.tolist() == np.bincount(labels, minlength=6).tolist()
+    got = similarity_stats(sums)
+    want = similarity_stats_per_row(z, labels)
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+    if np.isnan(want[1]):
+        assert np.isnan(got[1])
+    else:
+        np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
 
 
 def report_fixture():

@@ -1,6 +1,5 @@
 import math
 import re
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,17 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concm import rng
+from concm.augment import (ClassStats, PrototypeRepository, SampleCounts,
+                           epoch_labels, sample_augmented)
 from concm.autodiff import Tape, grad_check
 from concm.errors import (DegenerateBatch, DegenerateInput, InvalidConfig,
                           LabelOutOfRange, TrainingDiverged)
-from concm.metrics import similarity_stats
+from concm.metrics import ClassSums, similarity_stats
 from concm.optim import cosine_lr
 from concm.projector import (ProjectorParams, TrainSchedule, batch_masks,
                              build_contrastive_loss, build_matching_loss,
                              init_projector_params, project, projection_nodes,
                              train_projector)
-from concm.projector import _BLOCK_ROWS, _balanced_batches, _onehot, _register
+from concm.projector import _BLOCK_ROWS, _balanced_batches, _register
 from concm.structure import random_optimal_structure
+from reference_graphs import (ReferenceTape, composed_contrastive_loss,
+                              composed_matching_loss)
 
 
 def matching_value(z, labels, structure) -> float:
@@ -40,31 +43,6 @@ def contrastive_value(batch, structure, tau) -> float:
                                   anchored, tau)
     t.forward({})
     return float(t.value(loss))
-
-
-def composed_matching_loss(tape, z_node, labels, structure):
-    """The matching loss as a graph of elementwise tape ops: the reference
-    for the fused cross_entropy node."""
-    logits = tape.matmul(z_node, tape.constant(structure.columns))
-    ls = tape.log_softmax(logits, axis=1)
-    onehot = tape.constant(_onehot(labels, structure.num_classes))
-    picked = tape.sum(tape.mul(ls, onehot), axis=1)
-    return tape.scale(tape.mean(picked), -1.0)
-
-
-def composed_contrastive_loss(tape, z_node, labels, structure, anchored, tau):
-    """The contrastive loss as a graph of elementwise tape ops: the
-    reference for the fused anchored_contrastive node."""
-    m = {k: tape.constant(v) for k, v in
-         batch_masks(labels, structure, anchored).items()}
-    sims = tape.scale(tape.matmul(z_node, tape.transpose(z_node)), 1.0 / tau)
-    denom = tape.sum(tape.mul(tape.exp(sims), m["allow"]), axis=1)
-    pos_sum = tape.sum(tape.mul(sims, m["pos"]), axis=1)
-    asims = tape.scale(tape.matmul(z_node, m["anchor_cols"]), 1.0 / tau)
-    denom = tape.add(denom, tape.sum(tape.mul(tape.exp(asims), m["own"]), axis=1))
-    pos_sum = tape.add(pos_sum, tape.sum(tape.mul(asims, m["own"]), axis=1))
-    per_sample = tape.sub(tape.log(denom), tape.mul(pos_sum, m["inv_pos"]))
-    return tape.mean(per_sample)
 
 
 def params_fixture(d_f=6, d_h=6, d_g=5, seed=0):
@@ -139,20 +117,12 @@ def test_project_zero_norm_projected_row_names_its_row():
         project(params_fixture(2, 2, 3), np.vstack([x[:300], [0.0, 0.0]]))
 
 
-def test_project_peak_memory_does_not_grow_with_rows(mapping_of):
+def test_project_peak_memory_does_not_grow_with_rows(peak_bytes):
     p = params_fixture(32, 32, 32, seed=5)
 
     def extra_bytes(n):
         x = rng.gaussian(rng.stream(n, "peak"), (n, 32))
-        tracemalloc.start()
-        try:
-            z = project(p, x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # a mapped output is outside the traced heap: count it on top
-        held = peak + (z.nbytes if mapping_of(z) is not None else 0)
-        return held - z.nbytes
+        return peak_bytes(lambda: project(p, x)) - n * 32 * 8
 
     small, large = extra_bytes(2 * _BLOCK_ROWS), extra_bytes(16 * _BLOCK_ROWS)
     assert large <= small + 16 * 1024, (small, large)
@@ -166,7 +136,9 @@ def test_projector_init_does_not_collapse(d_f):
     # 0-4); with w1 ~ N(0, 1), 0.66-0.76 and 0.68-0.73.
     x = rng.gaussian(rng.stream(d_f, "collapse"), (200, d_f))
     z = project(init_projector_params(d_f, d_f, d_f, seed=0), x)
-    sim_cls, _ = similarity_stats(z, np.arange(200))
+    sums = ClassSums.zeros(200, d_f)
+    sums.add(z, np.arange(200))
+    sim_cls, _ = similarity_stats(sums)
     assert sim_cls <= 0.9
 
 
@@ -337,7 +309,7 @@ def test_gradient_checks_on_losses():
 
 def loss_value_and_z_grad(build, z):
     """Value and z-gradient of a loss built on a parameter node z."""
-    t = Tape()
+    t = ReferenceTape()
     loss = build(t, t.param("z", z))
     t.forward({})
     return float(t.value(loss)), t.backward(loss)["z"]
@@ -436,10 +408,20 @@ def training_data(seed=0, n=3, per=16, d=6):
     return epoch_data
 
 
+class Gathered:
+    """An epoch source over a whole epoch's rows, gathered batch by batch."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def rows(self, idx, out):
+        return np.take(self.x, idx, axis=0, out=out[:idx.size])
+
+
 def planned(data):
     """(labels, epoch_data) for train_projector from a source of whole
-    epochs: each epoch's rows gathered in the order asked for."""
-    return data(0)[1], lambda epoch, order: data(epoch)[0][order]
+    epochs: each batch's rows gathered in the order asked for."""
+    return data(0)[1], lambda epoch: Gathered(data(epoch)[0])
 
 
 def test_train_lr_zero_keeps_params():
@@ -464,23 +446,59 @@ def test_train_loss_decreases():
 
 
 def test_train_holds_one_epoch_at_a_time():
-    # each epoch's arrays are released before the next epoch is requested
+    # each epoch's source is released before the next epoch is requested,
+    # and every step's rows are written into one batch-sized buffer
     s = random_optimal_structure(3, 8, seed=11)
     data = training_data()
-    alive = []
+    alive, buffers = [], []
 
-    def epoch_data(epoch, order):
-        # the rows are fed to the steps as slices of x, which keep it alive
+    class Tracked(Gathered):
+        def rows(self, idx, out):
+            buffers.append(out)
+            batch = super().rows(idx, out)
+            assert np.shares_memory(batch, out)
+            return batch
+
+    def epoch_data(epoch):
         assert all(ref() is None for ref in alive), epoch
-        x = data(epoch)[0][order]
-        alive.extend([weakref.ref(x), weakref.ref(order)])
-        return x
+        source = Tracked(data(epoch)[0])
+        alive.append(weakref.ref(source))
+        return source
 
     sched = TrainSchedule(lr_max=0.1, epochs=4, warmup_steps=0, batch_size=24,
                           seed=0)
     train_projector(params_fixture(6, 6, 8, seed=12), s, frozenset(), sched,
                     data(0)[1], epoch_data)
-    assert len(alive) == 8
+    assert len(alive) == 4
+    assert len(buffers) == 4 * 2
+    assert all(out is buffers[0] for out in buffers)
+    assert buffers[0].shape == (24, 6)
+
+
+def test_train_peak_grows_by_less_than_a_batch_with_the_epoch(peak_bytes):
+    # an epoch of 16,000 drawn rows at d = 256 is 32.8 MB; training on it
+    # holds one batch of them at a time, so its peak (heap and mappings)
+    # grows by less than one batch of rows over an epoch of 2,000
+    d, batch_size = 256, 128
+    gen = rng.stream(3, "one-batch")
+    repo = PrototypeRepository()
+    for cid in range(8):
+        repo.add(ClassStats(cid, f"c{cid}", rng.gaussian(gen, (d,)),
+                            rng.uniform(gen, d), exact=True))
+    s = random_optimal_structure(8, 9, seed=1)
+    sched = TrainSchedule(lr_max=0.1, epochs=1, warmup_steps=0,
+                          batch_size=batch_size, seed=0)
+
+    def peak(per_class):
+        counts = SampleCounts(base=per_class, novel=1)
+        labels = epoch_labels(repo, counts)
+        params = init_projector_params(d, 16, 9, seed=2)
+        return peak_bytes(lambda: train_projector(
+            params, s, frozenset(), sched, labels,
+            lambda epoch: sample_augmented(repo, counts, 5, epoch)))
+
+    small, large = peak(250), peak(2000)
+    assert large - small < batch_size * d * 8, (small, large)
 
 
 def test_train_divergence_detected():

@@ -1,4 +1,3 @@
-import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concm import projector, rng, session
+from concm import augment, rng, session
 from concm.attributes import AttributeTable
 from concm.data import FeatureSet
 from concm.errors import InvalidConfig, ProtocolViolation
@@ -17,8 +16,8 @@ from concm.metrics import report_to_json
 from concm.projector import init_projector_params
 from concm.session import (PipelineInputs, SessionConfig, evaluate_session,
                            run_base_session, run_incremental_session,
-                           run_pipeline)
-from concm.session import _evaluation_rows
+                           run_pipeline, session_record)
+from concm.session import _evaluation_labels
 from concm.structure import (geometric_optimality_deviation,
                              random_optimal_structure, structure_matching_rate)
 from concm.synth import GenConfig, generate_benchmark
@@ -60,9 +59,8 @@ def test_base_session_structure_and_accuracy(bench, base_state):
     state = base_state
     assert state.t == 0 and state.n_classes == 6
     assert geometric_optimality_deviation(state.structure) <= 1e-8
-    from concm.session import evaluate_session
-    rec = evaluate_session(state, bench.test_sets[0].features,
-                           bench.test_sets[0].labels)
+    rec = session_record(state, [evaluate_session(
+        state, bench.test_sets[0].features, bench.test_sets[0].labels)])
     assert rec.top1 > 100.0 / 6.0  # well above chance
     assert rec.nacc is None and rec.hm is None
 
@@ -299,46 +297,39 @@ def test_novel_classes_sharing_no_pool_attribute_keep_raw_prototypes(bench,
             cid += 1
 
 
-def test_pipeline_holds_one_augmentation_epoch_at_a_time(inputs, monkeypatch,
-                                                         mapping_of):
-    # when an epoch is drawn, every earlier draw has been released: the
-    # first draw is not pinned for the session, nor the last by training,
-    # nor by a view of its rows that a training step was fed
-    drawn = []
-    real = session.sample_augmented
+def test_pipeline_holds_one_augmentation_epoch_at_a_time(inputs, monkeypatch):
+    # when an epoch's sampler is made, every earlier one has been released,
+    # and every batch of a session is written into one batch-sized buffer
+    drawn, buffers = [], []
+    real, real_rows = session.sample_augmented, augment.AugmentedEpoch.rows
 
     def sample(*args, **kwargs):
         assert all(ref() is None for ref in drawn), len(drawn)
         out = real(*args, **kwargs)
-        drawn.append(weakref.ref(mapping_of(out.features)))
+        drawn.append(weakref.ref(out))
         return out
 
+    def rows(self, idx, out):
+        buffers.append(out)
+        batch = real_rows(self, idx, out)
+        assert np.shares_memory(batch, out)
+        return batch
+
     monkeypatch.setattr(session, "sample_augmented", sample)
+    monkeypatch.setattr(augment.AugmentedEpoch, "rows", rows)
     config = tiny_cfg(epochs_base=3, epochs_incremental=2, meta_episodes=5)
     run_pipeline(replace(inputs, config=config))
     assert len(drawn) == 3 + 2 * 2
+    assert len({id(out) for out in buffers}) == 1 + 2
+    assert all(out.shape == (config.batch_size, 24) for out in buffers)
 
 
-def test_epoch_zero_planned_apart_from_its_draw_is_refused(inputs, monkeypatch):
-    # epoch 0 is drawn before training, in the order the session planned;
-    # if training plans it otherwise, its rows would not match its labels
-    real = projector.plan_epoch
-
-    def plan(labels, schedule, epoch, anchored):
-        order, batches = real(labels, schedule, epoch, anchored)
-        return order[::-1].copy(), [b[::-1].copy() for b in batches[::-1]]
-
-    monkeypatch.setattr(projector, "plan_epoch", plan)
-    config = tiny_cfg(epochs_base=1, epochs_incremental=1, meta_episodes=2)
-    with pytest.raises(ProtocolViolation, match="epoch 0"):
-        run_pipeline(replace(inputs, config=config))
-
-
-def test_evaluation_heap_peak_holds_no_feature_rows(base_state):
-    # the stacked rows and their projection live in their own mappings, so
-    # the traced heap grows only by per-row labels, predictions and class
-    # scores: less than a quarter of a feature row per evaluated row (the
-    # heap copies made it 2.1 feature rows per row)
+def test_evaluation_heap_peak_holds_no_feature_rows(base_state, peak_bytes):
+    # sets are evaluated one by one in fixed row blocks, so the peak (heap
+    # and mappings) grows only by per-row labels and predictions: less than
+    # a quarter of a feature row per evaluated row (the heap copies made it
+    # 2.1 feature rows per row).  Both sizes fill whole 256-row blocks, so
+    # the difference holds no change of block size.
     d, names = 256, [f"c{i}" for i in range(16)]
     structure = random_optimal_structure(16, d, seed=3)
     state = replace(base_state, t=1, class_names=names,
@@ -346,38 +337,35 @@ def test_evaluation_heap_peak_holds_no_feature_rows(base_state):
                     structure=replace(structure, class_ids=list(range(16))),
                     theta_g=init_projector_params(d, 64, d, seed=1))
 
-    def heap_peak(per_class):
+    def peak(per_class):
         sets = [FeatureSet(features=rng.gaussian(rng.stream(per_class, k),
                                                  (8 * per_class, d)),
                            labels=np.repeat(np.arange(8), per_class),
                            class_names=tuple(names[8 * k:8 * k + 8]))
                 for k in range(2)]
-        tracemalloc.start()
-        try:
-            evaluate_session(state, *_evaluation_rows(sets, names))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return peak_bytes(lambda: session_record(state, (
+            evaluate_session(state, fs.features, labels) for fs, labels in
+            zip(sets, _evaluation_labels(sets, names)))))
 
-    small, large = heap_peak(16), heap_peak(128)
-    assert large - small < (16 * 128 - 16 * 16) * d * 8 / 4, (small, large)
+    small, large = peak(32), peak(256)
+    assert large - small < (16 * 256 - 16 * 32) * d * 8 / 4, (small, large)
 
 
-def test_evaluation_mappings_are_released_with_the_record(inputs, monkeypatch,
-                                                          mapping_of):
-    # a session's evaluation rows and their projection are gone before the
-    # next session trains
+def test_evaluation_mappings_are_released_with_the_record(inputs, monkeypatch):
+    # a session's per-set evaluations and the projections of their blocks
+    # are gone before the next session trains
     held = []
     real_evaluate, real_project, real_fit = (session.evaluate_session,
                                              session.project, session._fit)
 
     def evaluate(state, features, labels):
-        held.append(weakref.ref(mapping_of(features)))
-        return real_evaluate(state, features, labels)
+        ev = real_evaluate(state, features, labels)
+        held.extend([weakref.ref(ev), weakref.ref(ev.sums)])
+        return ev
 
     def project(params, x):
         z = real_project(params, x)
-        held.append(weakref.ref(mapping_of(z)))
+        held.append(weakref.ref(z))
         return z
 
     def fit(*args):

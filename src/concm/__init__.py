@@ -11,15 +11,13 @@ from .attributes import (AssociationMatrix, AttributePool, AttributeTable,
                          build_knowledge, load_attribute_table,
                          load_semantic_embeddings)
 from .augment import (ClassStats, PrototypeRepository, SampleCounts,
-                      class_statistics, epoch_labels, epoch_means,
-                      novel_covariance, sample_augmented, shot_variance,
-                      transfer_weights)
+                      class_statistics, epoch_labels, novel_covariance,
+                      sample_augmented, shot_variance, transfer_weights)
 from .autodiff import Tape, grad_check
 from .calibration import (CalibrationParams, MetaTrainConfig, Prototype, blend,
                           calibrate, init_calibration_params, meta_train,
                           relevance_weights)
 from .data import FeatureSet, Manifest, load_features, load_manifest, save_features
-from .linalg import svd_compact
 from .metrics import (ClassSums, RunReport, SessionRecord, balanced_error_rate,
                       format_report_table, harmonic_mean, ncm_classify,
                       report_from_json, report_to_csv, report_to_json,
@@ -34,7 +32,7 @@ from .session import (STRATEGIES, PipelineInputs, RunResult, SessionConfig,
 from .structure import (InitialStructure, StructureMatrix,
                         geometric_optimality_deviation, initial_structure,
                         nearest_optimal_structure, random_optimal_structure,
-                        structure_matching_rate)
+                        structure_matching_rate, svd_compact)
 from .synth import GenConfig, GeneratedBenchmark, generate_benchmark, write_benchmark
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ import numpy as np
 from . import rng
 from .data import FeatureSet
 from .errors import (DegenerateInput, InsufficientSamples, InvalidConfig,
-                     InvalidInput, InvalidStats, MissingClass)
+                     InvalidStats, MissingClass)
 
 
 @dataclass
@@ -159,30 +159,6 @@ def epoch_labels(repo: PrototypeRepository, counts: SampleCounts,
     return np.repeat(np.array(ids, dtype=np.int64), sizes)
 
 
-def epoch_means(repo: PrototypeRepository, counts: SampleCounts, seed: int,
-                epoch: int) -> np.ndarray:
-    """The mean of each repository class's full draw in ``epoch`` (classes, d).
-
-    Each class is drawn whole from its ``(seed, "augment", epoch, class id)``
-    stream into a one-class scratch buffer, scaled and shifted as in
-    ``sample_augmented``.  Raises InvalidInput if a draw is non-finite.
-    """
-    ids, sizes = _layout(repo, counts, {})
-    d = repo.entries[0].mean.shape[0]
-    means = np.empty((len(ids), d))
-    scratch = np.empty((max(sizes), d))
-    for k, (cid, n) in enumerate(zip(ids, sizes)):
-        stats = repo.entries[k]
-        rows = rng.gaussian(rng.stream(seed, "augment", epoch, cid), (n, d),
-                            out=scratch[:n])
-        rows *= np.sqrt(stats.cov_diag)
-        rows += stats.mean
-        rows.mean(axis=0, out=means[k])
-    if not np.isfinite(means).all():
-        raise InvalidInput("augmented draws contain non-finite values")
-    return means
-
-
 class AugmentedEpoch:
     """One epoch's Gaussian draws, made batch by batch.
 
@@ -192,8 +168,9 @@ class AugmentedEpoch:
     one generator for the epoch, so its drawn slots get consecutive rows of
     its stream in the order the calls reach them (within a call, in slot
     order), whichever layout rows they name; a replay slot copies its
-    replay row.  No row array of the epoch is held: a call's draws pass
-    through one scratch buffer the size of ``out``.
+    replay row.  Each run of equal-class slots is drawn straight into its
+    rows of ``out``, so a batch in ascending layout order (one run per
+    class) costs one draw per class; no row array of the epoch is held.
     """
 
     def __init__(self, repo: PrototypeRepository, counts: SampleCounts,
@@ -205,34 +182,25 @@ class AugmentedEpoch:
                       for cid in ids[:classes]]
         self._std = np.sqrt([e.cov_diag for e in repo.entries])
         self._mean = np.array([e.mean for e in repo.entries])
-        self._replay = [row for cid in ids[classes:] for row in replay[cid]]
-        self._scratch: np.ndarray | None = None
+        self._replay = np.concatenate(
+            [replay[cid] for cid in ids[classes:]]
+            or [np.empty((0, self._mean.shape[1]))])
         self.n_samples = sum(sizes)
 
     def rows(self, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
         batch = out[:idx.size]
-        drawn = self._ends[-1]
-        slots = np.flatnonzero(idx < drawn)
-        cls = np.searchsorted(self._ends, idx[slots], side="right")
-        by_class = np.argsort(cls, kind="stable")
-        slots, cls = slots[by_class], cls[by_class]
-        if self._scratch is None or self._scratch.shape[0] < slots.size:
-            self._scratch = np.empty_like(out)
-        z = self._scratch[:slots.size]
-        # one run of consecutive slots per class
+        # class of each slot; every replay slot gets class len(self._gens)
+        cls = np.searchsorted(self._ends, idx, side="right")
         starts = np.flatnonzero(np.diff(cls, prepend=-1))
         for k, a, b in zip(cls[starts].tolist(), starts.tolist(),
                            [*starts[1:].tolist(), cls.size]):
-            rng.gaussian(self._gens[k], (b - a, z.shape[1]), out=z[a:b])
-        # the batch's first rows hold each slot's std, then its mean, until
-        # the draws are written over them; take() with mode "raise" would
-        # gather through a temporary of their size
-        per_row = batch[:slots.size]
-        z *= np.take(self._std, cls, axis=0, out=per_row, mode="clip")
-        z += np.take(self._mean, cls, axis=0, out=per_row, mode="clip")
-        batch[slots] = z
-        for j in np.flatnonzero(idx >= drawn):
-            batch[j] = self._replay[idx[j] - drawn]
+            run = batch[a:b]
+            if k < len(self._gens):
+                rng.gaussian(self._gens[k], run.shape, out=run)
+                run *= self._std[k]
+                run += self._mean[k]
+            else:
+                np.take(self._replay, idx[a:b] - self._ends[-1], axis=0, out=run)
         return batch
 
 

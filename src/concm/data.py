@@ -37,7 +37,10 @@ from .errors import InvalidConfig, InvalidInput, ParseError, SchemaError
 
 @dataclass
 class FeatureSet:
-    """Labeled feature vectors; class_names[label] gives the class string."""
+    """Labeled feature vectors; class_names[label] gives the class string.
+
+    Raises SchemaError for mismatched shapes or labels, and InvalidInput for
+    a non-finite value or an all-zero row (naming the first such row)."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -52,6 +55,10 @@ class FeatureSet:
             raise SchemaError("feature and label counts differ")
         if not np.all(np.isfinite(self.features)):
             raise InvalidInput("feature set contains non-finite values")
+        zero = ~self.features.any(axis=1)
+        if zero.any():
+            raise InvalidInput(f"feature row {int(np.argmax(zero))} is all zero: "
+                               "a zero vector has no direction to project")
         n_classes = len(self.class_names)
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= n_classes):
             raise SchemaError("labels must index class_names")

@@ -204,8 +204,13 @@ class TrainSchedule:
 
 def _balanced_batches(labels: np.ndarray, batch_size: int, seed: int, epoch: int,
                       anchored: frozenset[int]) -> list[np.ndarray]:
-    """Class-balanced batches; drops samples whose class would appear once
-    in a batch without an anchor (the contrastive loss needs a positive)."""
+    """Class-balanced batches, each in ascending layout order; drops
+    samples whose class would appear once in a batch without an anchor
+    (the contrastive loss needs a positive).
+
+    Batch membership comes from a round robin over the classes; sorting a
+    batch puts each class's slots in one run and the replay slots last,
+    so the sampler draws each class's rows in one call."""
     gen = rng.stream(seed, "batches", epoch)
     classes, sizes = np.unique(labels, return_counts=True)
     if not classes.size:
@@ -232,14 +237,15 @@ def _balanced_batches(labels: np.ndarray, batch_size: int, seed: int, epoch: int
         if lonely.any():
             idx = idx[~lonely[batch_labels]]
         if idx.size >= 2:
-            batches.append(idx)
+            batches.append(np.sort(idx))
     return batches
 
 
 def plan_epoch(labels: np.ndarray, schedule: TrainSchedule, epoch: int,
                anchored: frozenset[int]) -> list[np.ndarray]:
     """The batches of one epoch of ``train_projector``: the row indices into
-    ``labels`` of each batch, in the order the steps take them."""
+    ``labels`` of each batch, in ascending layout order, in the order the
+    steps take them."""
     return _balanced_batches(labels, schedule.batch_size, schedule.seed,
                              epoch, anchored)
 

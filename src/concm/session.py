@@ -4,9 +4,9 @@ The base session builds the semantic knowledge set, trains the calibration
 net episodically and stores exact base-class statistics; an incremental
 session calibrates and blends the novel prototypes, transfers covariances
 and extends the repository.  Every session then ends in one fit step:
-augmentation, an initial structure from the projected means (previous
+an initial structure from the projected repository means (previous
 columns carried over unchanged), the strategy's structure and its SMR, and
-projector training on the augmented data plus the replay buffer.
+projector training on Gaussian augmentation plus the replay buffer.
 
 Strategies: ``concm`` is the full pipeline; ``rm`` replaces the structure
 update with a random optimal structure per session; ``fs`` uses the prefix
@@ -25,9 +25,8 @@ from . import rng
 from .attributes import (AttributeTable, SemanticKnowledge, build_knowledge,
                          load_attribute_table, load_semantic_embeddings)
 from .augment import (ClassStats, PrototypeRepository, SampleCounts,
-                      class_statistics, epoch_labels, epoch_means,
-                      novel_covariance, sample_augmented, shot_variance,
-                      transfer_weights)
+                      class_statistics, epoch_labels, novel_covariance,
+                      sample_augmented, shot_variance, transfer_weights)
 from .calibration import (CalibrationParams, MetaTrainConfig, Prototype, blend,
                           calibrate, init_calibration_params, meta_train)
 from .data import FeatureSet, Manifest, load_config, load_features, load_manifest
@@ -146,19 +145,18 @@ def _fit(config: SessionConfig, strategy: str, t: int, repo: PrototypeRepository
          replay: dict[int, np.ndarray], anchored: frozenset[int]):
     """Session t's (initial, structure, smr, theta_g); ``prev`` is None at t = 0.
 
-    The initial structure takes each class's mean over its full epoch-0
-    draw; training then draws each epoch batch by batch from the same
-    streams.
+    The initial structure's new columns are the projected repository means:
+    the exact base means and the calibrated novel prototypes.  Training
+    then draws each epoch batch by batch.
     """
-    counts = SampleCounts(base=config.n_aug_base, novel=config.n_aug_novel)
-    seed = rng.derive_seed(config.seed, "augment", t)
-    means = epoch_means(repo, counts, seed, 0)
     init = initial_structure(prev, lambda v: project(theta_g, v),
-                             dict(enumerate(means)))
+                             {e.class_id: e.mean for e in repo.entries})
     structure = _strategy_structure(strategy, init, t, config)
     smr = structure_matching_rate(init, structure)
 
     if strategy != "frozen":
+        counts = SampleCounts(base=config.n_aug_base, novel=config.n_aug_novel)
+        seed = rng.derive_seed(config.seed, "augment", t)
         schedule = TrainSchedule(lr_max=config.lr_projector,
                                  epochs=config.epochs_base if t == 0
                                  else config.epochs_incremental,

@@ -44,10 +44,10 @@ def test_visual_prototype_two_point_mean():
 
 def test_shared_attribute_pools_raw_samples_not_class_means():
     # class A: 3 samples, class B: 1 sample; pooled mean weights samples
-    fs = featureset([[0.0], [0.0], [0.0], [4.0]], [0, 0, 0, 1], ["A", "B"])
+    fs = featureset([[1.0], [1.0], [1.0], [5.0]], [0, 0, 0, 1], ["A", "B"])
     table = AttributeTable({"A": ["s"], "B": ["s"]})
     _, visual = attribute_visual_prototypes(fs, table)
-    np.testing.assert_allclose(visual[0], [1.0])  # not (0 + 4)/2 = 2
+    np.testing.assert_allclose(visual[0], [2.0])  # not (1 + 5)/2 = 3
 
 
 def test_disjoint_attributes_equal_class_means():

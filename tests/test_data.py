@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from concm.data import (FeatureSet, load_features, load_manifest, read_json,
                         save_features)
-from concm.errors import ParseError, SchemaError, ValidationError
+from concm.errors import InvalidInput, ParseError, SchemaError, ValidationError
 
 
 def test_two_row_fixture(tmp_path):
@@ -125,6 +125,23 @@ def test_all_zero_row_in_any_spelling_rejected_at_its_line(data, n_rows, dim):
         with pytest.raises(SchemaError,
                            match=re.escape(f"{p}:{line}: all-zero feature row")):
             load_features(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n_rows=st.integers(1, 12), dim=st.integers(1, 5))
+def test_feature_set_built_in_code_rejects_first_all_zero_row(data, n_rows, dim):
+    # a zero row reaching the pipeline without a CSV fails when the set is
+    # built, so no training can start on it; later zero rows are not named
+    feats = data.draw(hnp.arrays(np.float64, (n_rows, dim),
+                                 elements=st.floats(-1e3, 1e3)))
+    feats[~feats.any(axis=1), 0] = 1.0
+    zero_rows = sorted(data.draw(st.sets(st.integers(0, n_rows - 1), min_size=1)))
+    signs = data.draw(hnp.arrays(np.bool_, (len(zero_rows), dim)))
+    feats[zero_rows] = np.where(signs, -0.0, 0.0)
+    with pytest.raises(InvalidInput,
+                       match=f"^feature row {zero_rows[0]} is all zero"):
+        FeatureSet(features=feats, labels=np.zeros(n_rows, dtype=np.int64),
+                   class_names=("c",))
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999", "NaN"])

@@ -1,9 +1,11 @@
+"""Checks of the compact SVD kernel, ``concm.structure.svd_compact``."""
+
 import numpy as np
 import pytest
 
 from concm import rng
 from concm.errors import InvalidInput
-from concm.linalg import svd_compact
+from concm.structure import svd_compact
 
 
 def frob(a):

@@ -13,7 +13,7 @@ from concm.attributes import AttributeTable
 from concm.data import FeatureSet
 from concm.errors import InvalidConfig, ProtocolViolation
 from concm.metrics import report_to_json
-from concm.projector import init_projector_params
+from concm.projector import init_projector_params, project
 from concm.session import (PipelineInputs, SessionConfig, evaluate_session,
                            run_base_session, run_incremental_session,
                            run_pipeline, session_record)
@@ -83,6 +83,29 @@ def test_incremental_session_growth_and_distillation(bench, base_state):
     smr_random = structure_matching_rate(
         state1.initial, random_optimal_structure(9, 24, seed=123))
     assert state1.smr > smr_random
+
+
+def test_initial_structure_columns_are_projected_repository_means(bench,
+                                                                  base_state):
+    # each new column is the normalized projection, before the session's
+    # training, of the class's repository prototype: the exact base mean
+    # at t = 0, the calibrated novel prototype at t = 1
+    def expected(theta_g, repo, ids):
+        cols = []
+        for k in ids:
+            z = project(theta_g, repo.get(k).mean)
+            cols.append(z / np.linalg.norm(z))
+        return np.column_stack(cols)
+
+    cfg = tiny_cfg()
+    theta0 = init_projector_params(24, 24, cfg.d_g,
+                                   seed=rng.derive_seed(cfg.seed, "projector"))
+    assert base_state.initial.columns.tobytes() == expected(
+        theta0, base_state.repository, range(6)).tobytes()
+    state1 = run_incremental_session(base_state, bench.train_sets[1],
+                                     bench.table, bench.embeddings)
+    assert state1.initial.columns[:, 6:].tobytes() == expected(
+        base_state.theta_g, state1.repository, range(6, 9)).tobytes()
 
 
 def test_incremental_protocol_violations(bench, base_state):

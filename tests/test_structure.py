@@ -111,7 +111,7 @@ def test_gram_equals_scaled_centering():
 
 
 def test_alignment_factor_is_column_orthonormal():
-    from concm.linalg import svd_compact
+    from concm.structure import svd_compact
     init = random_init(9, 12, 6)
     w, _, v = svd_compact(init.columns @ centering(6))
     u = w @ v.T

@@ -9,8 +9,8 @@ this is not a general autodiff library:
 
 * elementwise: add, sub, mul, scale, softplus;
 * linear algebra: matmul, transpose, stack (row-wise concatenation);
-* reductions: mean;
-* row-wise: softmax (optionally masked), l2_normalize;
+* reductions: mean (the scalar mean of all entries);
+* row-wise: masked softmax, l2_normalize;
 * fused losses, one node each with a hand-derived backward:
   cross_entropy (the projector's matching loss) and anchored_contrastive
   (its supervised contrastive loss with structure anchors).  Their forward
@@ -20,9 +20,12 @@ this is not a general autodiff library:
 softplus is max(x, 0) + log1p(exp(-|x|)); its backward takes the sigmoid
 from the forward value as exp(x - softplus(x)).
 
-Elementwise binary ops support limited broadcasting: equal shapes, a
-(1, n) row or (m, 1) column against an (m, n) matrix, or a 0-d scalar
-against anything.
+Elementwise binary ops take operands of equal shape, except that add also
+takes a (1, n) row as its second operand against an (m, n) matrix: the
+bias of a linear layer.  Every other pairing is a ShapeError.
+
+A row is zero-norm when sqrt(sum(x * x)) < MIN_NORM; l2_normalize rejects
+it, and ``zero_norm_rows`` applies the same test to feature rows.
 """
 
 from __future__ import annotations
@@ -44,25 +47,16 @@ def _as_value(x, what: str = "value") -> np.ndarray:
     return v
 
 
-def _broadcast_ok(sa: tuple, sb: tuple) -> bool:
-    if sa == sb or sa == () or sb == ():
-        return True
-    if len(sa) == 2 and len(sb) == 2:
-        return all(a == b or a == 1 or b == 1 for a, b in zip(sa, sb))
-    return False
+# rows whose Euclidean norm falls below this have no direction
+MIN_NORM = 1e-300
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcasted gradient back down to the operand's shape."""
-    if grad.shape == shape:
-        return grad
-    if shape == ():
-        return np.asarray(grad.sum())
-    g = grad
-    for axis in range(2):
-        if shape[axis] == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
+def zero_norm_rows(x: np.ndarray) -> np.ndarray:
+    """Indices of the rows of the 2-D ``x`` that l2_normalize rejects:
+    sqrt(sum(x * x)) < MIN_NORM, which holds exactly when every square
+    underflows to 0, so einsum's order of summation gives the same rows."""
+    with np.errstate(over="ignore"):
+        return np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", x, x)) < MIN_NORM)
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -97,23 +91,23 @@ def _anchored_contrastive(args: list[np.ndarray], tau: float):
 
     ``z`` (b, d) are the samples and ``cols`` (d, n_a) the anchor columns;
     similarities are inner products over tau.  Sample i's denominator sums
-    exp(sim) over ``allow``[i] and its own anchor ``own``[i]; its positive
-    similarities are those under ``pos``[i] and ``own``[i], weighted by
-    ``inv_pos``[i] (b, 1).  Keeps for the backward the masked exponentials
-    over the row denominators and the weighted positive masks.
+    exp(sim) over every other sample and its own anchor ``own``[i]; its
+    positive similarities are those under ``pos``[i] and ``own``[i],
+    weighted by ``inv_pos``[i] (b, 1).  Keeps for the backward the masked
+    exponentials over the row denominators and the weighted positive masks.
     """
-    z, cols, allow, pos, own, inv_pos = args
+    z, cols, pos, own, inv_pos = args
     b = z.shape[0]
     if (z.ndim != 2 or cols.ndim != 2 or cols.shape[0] != z.shape[1]
-            or allow.shape != (b, b) or pos.shape != (b, b)
-            or own.shape != (b, cols.shape[1]) or inv_pos.shape != (b, 1)):
+            or pos.shape != (b, b) or own.shape != (b, cols.shape[1])
+            or inv_pos.shape != (b, 1)):
         raise ShapeError(f"anchored_contrastive: incompatible shapes "
                          f"{[x.shape for x in args]}")
     inv_tau = 1.0 / tau
     sims = (z @ z.T) * inv_tau
     asims = (z @ cols) * inv_tau
     e = np.exp(sims)
-    e *= allow
+    np.fill_diagonal(e, 0.0)
     ea = np.exp(asims)
     ea *= own
     denom = e.sum(axis=1, keepdims=True) + ea.sum(axis=1, keepdims=True)
@@ -228,21 +222,20 @@ class Tape:
     def softplus(self, a: int) -> int:
         return self._push("softplus", (a,))
 
-    def softmax(self, a: int, axis: int = 1, mask=None) -> int:
-        """Softmax along ``axis``; entries where the boolean ``mask`` is
-        False get weight exactly 0.  Every slice must keep one entry."""
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.ndim != 2 or not mask.any(axis=axis).all():
-                raise InvalidInput("softmax mask must be 2-D and leave every "
-                                   "slice an unmasked entry")
-        return self._push("softmax", (a,), (axis, mask))
+    def softmax(self, a: int, mask) -> int:
+        """Row-wise softmax; entries where the boolean ``mask`` is False get
+        weight exactly 0.  Every row must keep one entry."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.ndim != 2 or not mask.any(axis=1).all():
+            raise InvalidInput("softmax mask must be 2-D and leave every "
+                               "row an unmasked entry")
+        return self._push("softmax", (a,), mask)
 
-    def l2_normalize(self, a: int, axis: int = 1) -> int:
-        return self._push("l2_normalize", (a,), axis)
+    def l2_normalize(self, a: int) -> int:
+        return self._push("l2_normalize", (a,))
 
-    def mean(self, a: int, axis: int | None = None) -> int:
-        return self._push("mean", (a,), axis)
+    def mean(self, a: int) -> int:
+        return self._push("mean", (a,))
 
     def scale(self, a: int, c: float) -> int:
         return self._push("scale", (a,), float(c))
@@ -260,22 +253,21 @@ class Tape:
         """
         return self._push("cross_entropy", (logits, weights))
 
-    def anchored_contrastive(self, z: int, anchor_cols: int, allow: int,
-                             pos: int, own: int, inv_pos: int,
-                             tau: float) -> int:
+    def anchored_contrastive(self, z: int, anchor_cols: int, pos: int,
+                             own: int, inv_pos: int, tau: float) -> int:
         """Scalar supervised contrastive loss of the rows of ``z`` with
         anchor columns: the mean over samples i of
 
-            log(sum_j allow_ij e^{s_ij} + sum_k own_ik e^{a_ik})
+            log(sum_{j != i} e^{s_ij} + sum_k own_ik e^{a_ik})
                 - inv_pos_i (sum_j pos_ij s_ij + sum_k own_ik a_ik),
 
         where s = z z^T / tau and a = z anchor_cols / tau.  Shapes: z
-        (b, d), anchor_cols (d, n_a), allow and pos (b, b), own (b, n_a),
-        inv_pos (b, 1).  Only ``z`` gets an adjoint: the anchors, masks and
-        weights are treated as data even when they depend on a parameter.
+        (b, d), anchor_cols (d, n_a), pos (b, b), own (b, n_a), inv_pos
+        (b, 1).  Only ``z`` gets an adjoint: the anchors, masks and weights
+        are treated as data even when they depend on a parameter.
         """
         return self._push("anchored_contrastive",
-                          (z, anchor_cols, allow, pos, own, inv_pos), float(tau))
+                          (z, anchor_cols, pos, own, inv_pos), float(tau))
 
     # ---- parameter access --------------------------------------------------
 
@@ -284,13 +276,6 @@ class Tape:
 
     def param_value(self, name: str) -> np.ndarray:
         return self._param_values[name]
-
-    def set_param(self, name: str, value) -> None:
-        new = _as_value(value, f"param {name!r}")
-        if new.shape != self._param_values[name].shape:
-            raise ShapeError(f"param {name!r} shape changed")
-        self._param_values[name] = new.copy()
-        self._forward_done = False
 
     def update_param(self, name: str, g: np.ndarray, lr: float) -> None:
         """Subtract ``lr * g`` from a parameter in place.
@@ -342,7 +327,8 @@ class Tape:
     def _eval(self, op: str, a: list[np.ndarray], pay) -> np.ndarray:
         if op in ("add", "sub", "mul"):
             x, y = a
-            if not _broadcast_ok(x.shape, y.shape):
+            if x.shape != y.shape and not (op == "add" and x.ndim == 2
+                                           and y.shape == (1, x.shape[1])):
                 raise ShapeError(f"{op}: incompatible shapes {x.shape} and {y.shape}")
             return {"add": np.add, "sub": np.subtract, "mul": np.multiply}[op](x, y)
         if op == "matmul":
@@ -356,25 +342,22 @@ class Tape:
             x = a[0]
             return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
         if op == "softmax":
-            axis, mask = pay
-            x = a[0]
-            if mask is not None:
-                if mask.shape != x.shape:
-                    raise ShapeError(f"softmax: mask shape {mask.shape} != {x.shape}")
-                x = np.where(mask, x, -np.inf)
-            sh = x - x.max(axis=axis, keepdims=True)
+            if pay.shape != a[0].shape:
+                raise ShapeError(f"softmax: mask shape {pay.shape} != {a[0].shape}")
+            x = np.where(pay, a[0], -np.inf)
+            sh = x - x.max(axis=1, keepdims=True)
             e = np.exp(sh)
-            return e / e.sum(axis=axis, keepdims=True)
+            return e / e.sum(axis=1, keepdims=True)
         if op == "l2_normalize":
             x = a[0]
-            n = np.sqrt((x * x).sum(axis=pay, keepdims=True))
-            if (n < 1e-300).any():
-                rows = np.flatnonzero(n.ravel() < 1e-300).tolist()
+            n = np.sqrt((x * x).sum(axis=1, keepdims=True))
+            if (n < MIN_NORM).any():
+                rows = np.flatnonzero(n.ravel() < MIN_NORM).tolist()
                 raise DegenerateInput(f"l2_normalize: zero-norm row(s) {rows}",
                                       rows=rows)
             return x / n
         if op == "mean":
-            return np.asarray(a[0].mean()) if pay is None else a[0].mean(axis=pay, keepdims=True)
+            return np.asarray(a[0].mean())
         if op == "scale":
             return a[0] * pay
         if op == "stack":
@@ -438,14 +421,13 @@ class Tape:
             wa, wb = want
             x, y = ins
             if op == "add":
-                return (_unbroadcast(g, x.shape) if wa else None,
-                        _unbroadcast(g, y.shape) if wb else None)
+                # a (1, n) bias row gets the column sums of the adjoint
+                gb = g if y.shape == g.shape else g.sum(axis=0, keepdims=True)
+                return (g if wa else None, gb if wb else None)
             if op == "sub":
-                return (_unbroadcast(g, x.shape) if wa else None,
-                        _unbroadcast(-g, y.shape) if wb else None)
+                return (g if wa else None, -g if wb else None)
             if op == "mul":
-                return (_unbroadcast(g * y, x.shape) if wa else None,
-                        _unbroadcast(g * x, y.shape) if wb else None)
+                return (g * y if wa else None, g * x if wb else None)
             return (g @ y.T if wa else None, x.T @ g if wb else None)
         if op == "transpose":
             return (g.T,)
@@ -454,15 +436,14 @@ class Tape:
             return (g * np.exp(ins[0] - out),)
         if op == "softmax":
             # masked entries have out == 0, so they get no adjoint
-            dot = (g * out).sum(axis=pay[0], keepdims=True)
+            dot = (g * out).sum(axis=1, keepdims=True)
             return (out * (g - dot),)
         if op == "l2_normalize":
-            n = np.sqrt((ins[0] * ins[0]).sum(axis=pay, keepdims=True))
-            dot = (g * out).sum(axis=pay, keepdims=True)
+            n = np.sqrt((ins[0] * ins[0]).sum(axis=1, keepdims=True))
+            dot = (g * out).sum(axis=1, keepdims=True)
             return ((g - out * dot) / n,)
         if op == "mean":
-            count = ins[0].size if pay is None else ins[0].shape[pay]
-            return (np.broadcast_to(g / count, ins[0].shape).copy(),)
+            return (np.broadcast_to(g / ins[0].size, ins[0].shape).copy(),)
         if op == "scale":
             return (g * pay,)
         if op == "stack":
@@ -471,34 +452,32 @@ class Tape:
         raise ShapeError(f"unknown op {op!r}")  # pragma: no cover
 
 
-def grad_check(tape: Tape, feeds: dict[str, Any], loss: int,
-               h: float = 1e-5, params: list[str] | None = None) -> float:
+def grad_check(tape: Tape, feeds: dict[str, Any], loss: int) -> float:
     """Max relative error between tape gradients and central differences.
 
     The relative error for one parameter entry is
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-12).
+    |analytic - numeric| / max(|analytic|, |numeric|, 1e-12).  Each entry
+    of the tape's own parameter array is perturbed in place and restored.
     """
+    h = 1e-5
     tape.forward(feeds)
     grads = tape.backward(loss)
     worst = 0.0
-    for name in params if params is not None else tape.param_names():
-        base = tape.param_value(name).copy()
+    for name in tape.param_names():
+        value = tape.param_value(name)
         analytic = grads[name]
-        pert = base.copy()
-        for idx in np.ndindex(base.shape):
-            pert[idx] = base[idx] + h
-            tape.set_param(name, pert)
+        for idx in np.ndindex(value.shape):
+            entry = value[idx]
+            value[idx] = entry + h
             tape.forward(feeds)
             lp = float(tape.value(loss))
-            pert[idx] = base[idx] - h
-            tape.set_param(name, pert)
+            value[idx] = entry - h
             tape.forward(feeds)
             lm = float(tape.value(loss))
-            pert[idx] = base[idx]
+            value[idx] = entry
             numeric = (lp - lm) / (2.0 * h)
-            a = float(analytic[idx]) if analytic.shape else float(analytic)
+            a = float(analytic[idx])
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-12)
             worst = max(worst, err)
-        tape.set_param(name, base)
     tape.forward(feeds)
     return worst

@@ -31,7 +31,8 @@ from . import rng
 from .attributes import AttributePool, SemanticKnowledge
 from .autodiff import Tape
 from .data import FeatureSet
-from .errors import AllMasked, InsufficientSamples, InvalidConfig, ShapeError
+from .errors import (AllMasked, InsufficientSamples, InvalidConfig,
+                     InvalidInput, ShapeError, TrainingDiverged)
 from .optim import cosine_lr, sgd_step
 
 logger = logging.getLogger("concm.calibration")
@@ -137,7 +138,7 @@ def _calibration_nodes(tape: Tape, pnodes: dict[str, int], protos: int,
         return tape.softplus(tape.add(tape.matmul(x, pnodes["w_enc"]),
                                       pnodes["b_enc"]))
 
-    weights = tape.softmax(scores, axis=1, mask=mask)
+    weights = tape.softmax(scores, mask)
     agg = tape.add(encode(protos), tape.matmul(weights, encode(f_pool)))
     out = tape.add(tape.matmul(agg, pnodes["w_dec"]), pnodes["b_dec"])
     return scores, out
@@ -242,7 +243,7 @@ def _draw_shots(rows: np.ndarray, shots: int,
                 gen: np.random.Generator) -> np.ndarray:
     """(C, shots) distinct row indices per class of a ``_class_rows`` table:
     one uniform key per entry, padding keyed off, each class's smallest."""
-    keys = np.where(rows >= 0, rng.uniform(gen, rows.shape), np.inf)
+    keys = np.where(rows >= 0, gen.random(rows.shape), np.inf)
     picks = np.argpartition(keys, shots - 1, axis=1)[:, :shots]
     return np.take_along_axis(rows, picks, axis=1)
 
@@ -256,6 +257,8 @@ def meta_train(base_features: FeatureSet, knowledge: SemanticKnowledge,
     the shot prototypes, and takes one SGD step on the MSE against the
     exact class means.  Returns the trained parameters and the loss trace.
     An episode's shots of all classes are one gather of the base features.
+    A non-finite loss or parameter raises TrainingDiverged naming the
+    episode.
     """
     if config.shots < 1:
         raise InvalidConfig("shots must be >= 1")
@@ -279,10 +282,17 @@ def meta_train(base_features: FeatureSet, knowledge: SemanticKnowledge,
         gen = rng.stream(config.seed, "meta-episode", ep)
         protos = features[_draw_shots(rows, config.shots, gen)].mean(axis=1)
         tape.forward({"p_meta": protos})
-        trace.append(float(tape.value(loss)))
+        value = float(tape.value(loss))
+        if not np.isfinite(value):
+            raise TrainingDiverged(f"meta-training loss became {value} at "
+                                   f"episode {ep}")
+        trace.append(value)
         grads = tape.backward(loss)
-        sgd_step(tape, grads, cosine_lr(ep, config.episodes, config.lr_max,
-                                        config.warmup))
+        try:
+            sgd_step(tape, grads, cosine_lr(ep, config.episodes,
+                                            config.lr_max, config.warmup))
+        except InvalidInput as exc:
+            raise TrainingDiverged(f"meta-training episode {ep}: {exc}") from exc
     logger.info("meta training: %d episodes, loss %.5f -> %.5f",
                 config.episodes, trace[0] if trace else float("nan"),
                 trace[-1] if trace else float("nan"))

@@ -1,8 +1,9 @@
 """Feature sets and file formats.
 
 Feature CSV: UTF-8, header ``label,class_name,f0,...,f{d-1}``; labels are
-nonnegative integers, contiguous from 0 within a file; a row needs one
-nonzero feature, since a zero vector has no direction to project; floats
+nonnegative integers, contiguous from 0 within a file; a row must not be
+zero-norm (sqrt(sum(x * x)) < 1e-300, the rule of the tape's
+l2_normalize), since it has no direction to project; floats
 are written with repr() so a write-read round trip is exact.  Fields are
 not quoted: the class name is the raw text between the first two commas
 and may hold no comma, quote or line break, and ``#`` is data, not a
@@ -32,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import zero_norm_rows
 from .errors import InvalidConfig, InvalidInput, ParseError, SchemaError
 
 
@@ -40,7 +42,7 @@ class FeatureSet:
     """Labeled feature vectors; class_names[label] gives the class string.
 
     Raises SchemaError for mismatched shapes or labels, and InvalidInput for
-    a non-finite value or an all-zero row (naming the first such row)."""
+    a non-finite value or a zero-norm row (naming the first such row)."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -55,10 +57,12 @@ class FeatureSet:
             raise SchemaError("feature and label counts differ")
         if not np.all(np.isfinite(self.features)):
             raise InvalidInput("feature set contains non-finite values")
-        zero = ~self.features.any(axis=1)
-        if zero.any():
-            raise InvalidInput(f"feature row {int(np.argmax(zero))} is all zero: "
-                               "a zero vector has no direction to project")
+        zero = zero_norm_rows(self.features)
+        if zero.size:
+            row = self.features[zero[0]]
+            raise InvalidInput(f"feature row {zero[0]} is " + (
+                "all zero" if not row.any() else "zero-norm") +
+                ": a zero vector has no direction to project")
         n_classes = len(self.class_names)
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= n_classes):
             raise SchemaError("labels must index class_names")
@@ -161,12 +165,15 @@ def load_features(path) -> FeatureSet:
             raise ParseError(f"{path}:{linenos[int(where[1])]}: "
                              f"{str(exc)[:where.start()]} (field {field_no})") from exc
     features = features.reshape(len(linenos), dim)
-    zero = ~features.any(axis=1)
+    zero = np.zeros(len(linenos), dtype=bool)
+    zero[zero_norm_rows(features)] = True
     bad = zero | ~np.isfinite(features).all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
-        raise SchemaError(f"{path}:{linenos[i]}: " + (
-            "all-zero feature row" if zero[i] else "non-finite value"))
+        cause = "non-finite value" if not zero[i] else \
+            "all-zero feature row" if not features[i].any() else \
+            "zero-norm feature row: sqrt(sum(x * x)) < 1e-300"
+        raise SchemaError(f"{path}:{linenos[i]}: {cause}")
     if len(names) != max(names) + 1:
         raise SchemaError(f"{path}: labels are not contiguous from 0")
     return FeatureSet(features=features, labels=np.array(labels, dtype=np.int64),

@@ -24,17 +24,13 @@ from .structure import StructureMatrix
 logger = logging.getLogger("concm.metrics")
 
 
-def ncm_classify(z: np.ndarray, structure: StructureMatrix):
-    """Class index with the highest inner product (ties: lowest index).
+def ncm_classify(z: np.ndarray, structure: StructureMatrix) -> np.ndarray:
+    """Class index of each row of ``z`` with the highest inner product
+    (ties: lowest index).
 
     On unit vectors this equals minimum Euclidean distance to the columns.
-    Accepts a single vector or a batch of rows.
     """
-    z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    scores = (z.reshape(1, -1) if single else z) @ structure.columns
-    picks = np.argmax(scores, axis=1)
-    return int(picks[0]) if single else picks
+    return np.argmax(z @ structure.columns, axis=1)
 
 
 @dataclass

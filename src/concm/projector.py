@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .autodiff import Tape
+from .autodiff import Tape, zero_norm_rows
 from .errors import (DegenerateBatch, DegenerateInput, InvalidConfig,
                      InvalidInput, LabelOutOfRange, TrainingDiverged)
 from .optim import cosine_lr, sgd_step
@@ -105,7 +105,7 @@ def project(params: ProjectorParams, x: np.ndarray) -> np.ndarray:
     out = np.empty((rows.shape[0], params.d_g))
     for lo, _, stop in row_blocks(rows.shape[0]):
         block = rows[lo:stop]
-        zero = np.flatnonzero(np.linalg.norm(block, axis=1) < 1e-12)
+        zero = zero_norm_rows(block)
         if zero.size:
             raise DegenerateInput("cannot project zero-norm feature row(s) "
                                   f"{(lo + zero).tolist()}")
@@ -132,19 +132,16 @@ def batch_masks(labels: np.ndarray, structure: StructureMatrix,
     """The per-batch inputs of the projector losses, by tape input name.
 
     For a batch of b samples: ``onehot`` (b, N) picks each sample's logit;
-    ``allow`` (b, b) keeps every pair but the sample itself in the
-    contrastive denominator; ``pos`` (b, b) marks the other same-class
-    samples; ``anchor_cols`` (d_g, n_a) holds the structure columns of the
-    anchored classes present in the batch (n_a may be 0), and ``own``
-    (b, n_a) marks each sample's own anchor; ``inv_pos`` (b, 1) is 1/|P| of
-    each sample's positive set.  Raises LabelOutOfRange, and DegenerateBatch
-    if any sample has no positive.
+    ``pos`` (b, b) marks the other same-class samples; ``anchor_cols``
+    (d_g, n_a) holds the structure columns of the anchored classes present
+    in the batch (n_a may be 0), and ``own`` (b, n_a) marks each sample's
+    own anchor; ``inv_pos`` (b, 1) is 1/|P| of each sample's positive set.
+    Raises LabelOutOfRange, and DegenerateBatch if any sample has no
+    positive.
     """
     onehot = _onehot(labels, structure.num_classes)
-    b = labels.size
-    allow = 1.0 - np.eye(b)
     pos = (labels[:, None] == labels[None, :]).astype(np.float64)
-    pos.flat[::b + 1] = 0.0
+    np.fill_diagonal(pos, 0.0)
     anchored = np.asarray(sorted(set(anchored_classes) & set(labels.tolist())),
                           dtype=np.int64)
     own = (labels[:, None] == anchored[None, :]).astype(np.float64)
@@ -153,7 +150,7 @@ def batch_masks(labels: np.ndarray, structure: StructureMatrix,
     if (pos_counts == 0).any():
         bad = labels[pos_counts == 0]
         raise DegenerateBatch(f"empty positive set for labels {sorted(set(bad.tolist()))}")
-    return {"onehot": onehot, "allow": allow, "pos": pos,
+    return {"onehot": onehot, "pos": pos,
             "anchor_cols": structure.columns[:, anchored], "own": own,
             "inv_pos": (1.0 / pos_counts).reshape(-1, 1)}
 
@@ -189,8 +186,8 @@ def build_contrastive_loss(tape: Tape, z_node: int, labels: np.ndarray,
              batch_masks(labels, structure, anchored_classes).items()
              if name != "onehot"}
     return tape.anchored_contrastive(
-        z_node, masks["anchor_cols"], masks["allow"], masks["pos"],
-        masks["own"], masks["inv_pos"], tau)
+        z_node, masks["anchor_cols"], masks["pos"], masks["own"],
+        masks["inv_pos"], tau)
 
 
 @dataclass
@@ -202,23 +199,25 @@ class TrainSchedule:
     seed: int = 0
 
 
-def _balanced_batches(labels: np.ndarray, batch_size: int, seed: int, epoch: int,
-                      anchored: frozenset[int]) -> list[np.ndarray]:
-    """Class-balanced batches, each in ascending layout order; drops
-    samples whose class would appear once in a batch without an anchor
-    (the contrastive loss needs a positive).
+def plan_epoch(labels: np.ndarray, schedule: TrainSchedule, epoch: int,
+               anchored: frozenset[int]) -> list[np.ndarray]:
+    """The batches of one epoch of ``train_projector``: the row indices into
+    ``labels`` of each batch, in ascending layout order, in the order the
+    steps take them.  Batches are class-balanced; a sample whose class
+    would appear once in a batch without an anchor is dropped (the
+    contrastive loss needs a positive).
 
     Batch membership comes from a round robin over the classes; sorting a
     batch puts each class's slots in one run and the replay slots last,
     so the sampler draws each class's rows in one call."""
-    gen = rng.stream(seed, "batches", epoch)
+    gen = rng.stream(schedule.seed, "batches", epoch)
     classes, sizes = np.unique(labels, return_counts=True)
     if not classes.size:
         return []
-    order = rng.permutation(gen, classes.size)
+    order = gen.permutation(classes.size)
     # each class's row indices in file order, then shuffled, classes in draw order
     by_class = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
-    streams = [by_class[k][rng.permutation(gen, sizes[k])] for k in order]
+    streams = [by_class[k][gen.permutation(sizes[k])] for k in order]
     # round robin: the r-th sample of every class, classes in draw order
     sizes = sizes[order]
     flat = np.concatenate(streams)
@@ -230,8 +229,8 @@ def _balanced_batches(labels: np.ndarray, batch_size: int, seed: int, epoch: int
     unanchored = ~np.isin(span, sorted(anchored))
     shifted = labels - classes[0]
     batches = []
-    for start in range(0, interleaved.size, batch_size):
-        idx = interleaved[start:start + batch_size]
+    for start in range(0, interleaved.size, schedule.batch_size):
+        idx = interleaved[start:start + schedule.batch_size]
         batch_labels = shifted[idx]
         lonely = (np.bincount(batch_labels, minlength=span.size) == 1) & unanchored
         if lonely.any():
@@ -241,17 +240,8 @@ def _balanced_batches(labels: np.ndarray, batch_size: int, seed: int, epoch: int
     return batches
 
 
-def plan_epoch(labels: np.ndarray, schedule: TrainSchedule, epoch: int,
-               anchored: frozenset[int]) -> list[np.ndarray]:
-    """The batches of one epoch of ``train_projector``: the row indices into
-    ``labels`` of each batch, in ascending layout order, in the order the
-    steps take them."""
-    return _balanced_batches(labels, schedule.batch_size, schedule.seed,
-                             epoch, anchored)
-
-
 def _zero_norm_cause(features: np.ndarray, idx: np.ndarray) -> str:
-    zero = idx[np.sqrt((features * features).sum(axis=1)) < 1e-300]
+    zero = idx[zero_norm_rows(features)]
     if zero.size:
         return f"zero-norm feature rows {zero.tolist()} in the training data"
     return "zero-norm projected row (hidden activation)"

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ShapeError
 
-__all__ = ["derive_seed", "stream", "gaussian", "uniform", "permutation", "choice"]
+__all__ = ["derive_seed", "stream", "gaussian"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -41,11 +41,6 @@ def stream(master: int, *labels) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(derive_seed(master, *labels)))
 
 
-def uniform(gen: np.random.Generator, shape) -> np.ndarray:
-    """Uniform draws in [0, 1) as 64-bit floats."""
-    return gen.random(shape, dtype=np.float64)
-
-
 def gaussian(gen: np.random.Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
     """Standard normal draws from numpy's ziggurat (``standard_normal``).
 
@@ -60,11 +55,3 @@ def gaussian(gen: np.random.Generator, shape, out: np.ndarray | None = None) -> 
         raise ShapeError(f"gaussian: out must be C-contiguous float64 of size {n}")
     gen.standard_normal(out=out)
     return out
-
-
-def permutation(gen: np.random.Generator, n: int) -> np.ndarray:
-    return gen.permutation(n)
-
-
-def choice(gen: np.random.Generator, n: int, size: int, replace: bool = False) -> np.ndarray:
-    return gen.choice(n, size=size, replace=replace)

@@ -30,7 +30,7 @@ from .augment import (ClassStats, PrototypeRepository, SampleCounts,
 from .calibration import (CalibrationParams, MetaTrainConfig, Prototype, blend,
                           calibrate, init_calibration_params, meta_train)
 from .data import FeatureSet, Manifest, load_config, load_features, load_manifest
-from .errors import InvalidConfig, ProtocolViolation
+from .errors import InvalidConfig, ProtocolViolation, SchemaError
 from .metrics import (ClassSums, RunReport, SessionRecord, ncm_classify,
                       run_metrics, session_metrics, similarity_stats)
 from .projector import (ProjectorParams, TrainSchedule, init_projector_params,
@@ -171,6 +171,27 @@ def _fit(config: SessionConfig, strategy: str, t: int, repo: PrototypeRepository
     return init, structure, smr, theta_g
 
 
+def check_session(config: SessionConfig, t: int, seen: list[str],
+                  train: FeatureSet) -> list[str]:
+    """The protocol checks of session t's training set, given the class
+    names ``seen`` in the sessions before it: its class count (base_classes
+    at t = 0, way after), exactly ``shot`` rows per novel class, and no
+    class seen before.  Returns the class names through session t; a
+    failed check raises ProtocolViolation."""
+    way = config.base_classes if t == 0 else config.way
+    if train.n_classes != way:
+        raise ProtocolViolation(f"session {t} brings {train.n_classes} "
+                                f"classes, config says {way}")
+    counts = train.counts()
+    if t > 0 and not np.all(counts == config.shot):
+        raise ProtocolViolation(f"session {t} must have exactly {config.shot} "
+                                f"shots per class, got {counts.tolist()}")
+    overlap = set(train.class_names) & set(seen)
+    if overlap:
+        raise ProtocolViolation(f"classes reappear across sessions: {sorted(overlap)}")
+    return seen + list(train.class_names)
+
+
 def run_base_session(config: SessionConfig, base: FeatureSet,
                      table: AttributeTable, embeddings: dict[str, np.ndarray],
                      strategy: str = "concm") -> SessionState:
@@ -178,10 +199,7 @@ def run_base_session(config: SessionConfig, base: FeatureSet,
     config.validate()
     if strategy not in STRATEGIES:
         raise InvalidConfig(f"unknown strategy {strategy!r}")
-    if base.n_classes != config.base_classes:
-        raise ProtocolViolation(f"base set has {base.n_classes} classes, "
-                                f"config says {config.base_classes}")
-    names = list(base.class_names)
+    names = check_session(config, 0, [], base)
     knowledge = build_knowledge(names, embeddings, table, base_features=base)
 
     theta_h = init_calibration_params(
@@ -234,18 +252,7 @@ def run_incremental_session(state: SessionState, novel: FeatureSet,
     """Execute one incremental session and return the new state."""
     config = state.config
     t = state.t + 1
-    if novel.n_classes != config.way:
-        raise ProtocolViolation(f"session {t} brings {novel.n_classes} classes, "
-                                f"config says {config.way}")
-    counts = novel.counts()
-    if not np.all(counts == config.shot):
-        raise ProtocolViolation(f"session {t} must have exactly {config.shot} "
-                                f"shots per class, got {counts.tolist()}")
-    overlap = set(novel.class_names) & set(state.class_names)
-    if overlap:
-        raise ProtocolViolation(f"classes reappear across sessions: {sorted(overlap)}")
-
-    names = state.class_names + list(novel.class_names)
+    names = check_session(config, t, state.class_names, novel)
     knowledge = build_knowledge(names, embeddings, table,
                                 pool=state.knowledge.pool)
     state = replace(state, knowledge=knowledge)
@@ -341,6 +348,10 @@ class PipelineInputs:
 
 
 def load_inputs(manifest: Manifest, config: SessionConfig) -> PipelineInputs:
+    """Load every input file and check the files against each other: each
+    class of a train or test file needs an attribute list and an
+    embedding, and each attribute of a base class an embedding.  A gap is
+    a SchemaError naming the attributes or the semantic file."""
     train_sets = [load_features(manifest.base)]
     train_sets += [load_features(p) for p in manifest.sessions]
     test_sets = [load_features(p) for p in manifest.tests]
@@ -350,6 +361,18 @@ def load_inputs(manifest: Manifest, config: SessionConfig) -> PipelineInputs:
             f"{len(train_sets)} sessions")
     table = load_attribute_table(manifest.attributes)
     embeddings = load_semantic_embeddings(manifest.semantic)
+    classes = dict.fromkeys(n for fs in train_sets + test_sets
+                            for n in fs.class_names)
+    missing = [n for n in classes if n not in table]
+    if missing:
+        raise SchemaError(f"{manifest.attributes}: no attribute list for "
+                          f"classes {missing}")
+    attrs = dict.fromkeys(a for n in train_sets[0].class_names
+                          for a in table.attributes_for(n))
+    missing = [n for n in [*classes, *attrs] if n not in embeddings]
+    if missing:
+        raise SchemaError(f"{manifest.semantic}: no embedding for the classes "
+                          f"or base-class attributes {missing}")
     if config.sessions != len(manifest.sessions):
         raise InvalidConfig(f"config declares {config.sessions} sessions, "
                             f"manifest lists {len(manifest.sessions)}")
@@ -358,15 +381,15 @@ def load_inputs(manifest: Manifest, config: SessionConfig) -> PipelineInputs:
                           embeddings=embeddings)
 
 
-def _evaluation_labels(sets: list[FeatureSet],
-                       class_names: list[str]) -> list[np.ndarray]:
-    """The labels of each of ``sets`` as indices into ``class_names``."""
+def _evaluation_labels(fs: FeatureSet, class_names: list[str]) -> np.ndarray:
+    """The labels of ``fs`` as indices into ``class_names``; a class not
+    in ``class_names`` raises ProtocolViolation."""
     name_to_id = {n: i for i, n in enumerate(class_names)}
-    missing = [n for fs in sets for n in fs.class_names if n not in name_to_id]
+    missing = [n for n in fs.class_names if n not in name_to_id]
     if missing:
         raise ProtocolViolation(f"evaluation classes never seen: {missing}")
-    return [np.array([name_to_id[n] for n in fs.class_names],
-                     dtype=np.int64)[fs.labels] for fs in sets]
+    return np.array([name_to_id[n] for n in fs.class_names],
+                    dtype=np.int64)[fs.labels]
 
 
 @dataclass
@@ -392,12 +415,20 @@ def run_pipeline(inputs: PipelineInputs, strategy: str = "concm",
     """Run the base session plus every incremental session and evaluate each.
 
     When the manifest carries no test files, evaluation falls back to the
-    accumulated training features.
+    accumulated training features.  Every session's protocol checks
+    (``check_session``, and that each evaluation set holds only classes
+    seen by its session) run before the base session trains.
     """
     config = inputs.config if seed is None else replace(inputs.config, seed=seed)
+    config.validate()
     if not inputs.test_sets:
         logger.info("no test files in manifest; evaluating on training features")
     eval_pool = inputs.test_sets or inputs.train_sets
+    names: list[str] = []
+    eval_labels = []
+    for t in range(config.sessions + 1):
+        names = check_session(config, t, names, inputs.train_sets[t])
+        eval_labels.append(_evaluation_labels(eval_pool[t], names))
 
     records, traces = [], []
     for t in range(config.sessions + 1):
@@ -407,10 +438,9 @@ def run_pipeline(inputs: PipelineInputs, strategy: str = "concm",
         else:
             state = run_incremental_session(state, inputs.train_sets[t],
                                             inputs.table, inputs.embeddings)
-        sets = eval_pool[:t + 1]
         records.append(session_record(state, (
             evaluate_session(state, fs.features, labels) for fs, labels in
-            zip(sets, _evaluation_labels(sets, state.class_names)))))
+            zip(eval_pool[:t + 1], eval_labels))))
         traces.append(SessionTrace(t=t, initial=state.initial,
                                    structure=state.structure, smr=state.smr))
         logger.info("session %d: top1=%.2f hm=%s", t, records[-1].top1,

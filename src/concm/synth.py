@@ -115,9 +115,6 @@ class GeneratedBenchmark:
     truth: dict[str, ClassTruth]
     attribute_visual: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def session_class_names(self, t: int) -> list[str]:
-        return list(self.train_sets[t].class_names)
-
 
 def _unit_rows(gen, n: int, d: int) -> np.ndarray:
     m = rng.gaussian(gen, (n, d))
@@ -135,7 +132,8 @@ def _assign_attributes(cfg: GenConfig) -> list[tuple[int, ...]]:
         forced = forced[:cfg.attrs_per_class]
         for _ in range(10000):
             pool = [a for a in range(cfg.pool_size) if a not in forced]
-            extra = rng.choice(gen, len(pool), cfg.attrs_per_class - len(forced))
+            extra = gen.choice(len(pool), cfg.attrs_per_class - len(forced),
+                               replace=False)
             combo = tuple(sorted(forced + [pool[i] for i in extra]))
             if combo not in seen:
                 break

@@ -67,8 +67,10 @@ def composed_contrastive_loss(tape, z_node, labels, structure, anchored, tau):
     ReferenceTape."""
     m = {k: tape.constant(v) for k, v in
          batch_masks(labels, structure, anchored).items()}
+    # every pair but the sample itself enters the denominator
+    allow = tape.constant(1.0 - np.eye(labels.size))
     sims = tape.scale(tape.matmul(z_node, tape.transpose(z_node)), 1.0 / tau)
-    denom = tape.sum(tape.mul(tape.exp(sims), m["allow"]), axis=1)
+    denom = tape.sum(tape.mul(tape.exp(sims), allow), axis=1)
     pos_sum = tape.sum(tape.mul(sims, m["pos"]), axis=1)
     asims = tape.scale(tape.matmul(z_node, m["anchor_cols"]), 1.0 / tau)
     denom = tape.add(denom, tape.sum(tape.mul(tape.exp(asims), m["own"]), axis=1))

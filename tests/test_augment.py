@@ -11,7 +11,7 @@ from concm import rng
 from concm.augment import (ClassStats, PrototypeRepository, SampleCounts,
                            class_statistics, epoch_labels, novel_covariance,
                            sample_augmented, shot_variance, transfer_weights)
-from concm.autodiff import Tape
+from concm.autodiff import Tape, zero_norm_rows
 from concm.data import FeatureSet
 from concm.errors import (DegenerateInput, InsufficientSamples, InvalidConfig,
                           InvalidStats, MissingClass)
@@ -165,7 +165,7 @@ def test_sampling_bitwise_equals_per_class_reference():
     repo = PrototypeRepository()
     for cid in range(5):
         repo.add(ClassStats(cid, f"c{cid}", rng.gaussian(gen, (9,)) * 3.0,
-                            rng.uniform(gen, 9) * 2.0, exact=cid < 3))
+                            gen.random(9) * 2.0, exact=cid < 3))
     counts = SampleCounts(base=11, novel=4)
     for epoch in (0, 3):
         fs = full_epoch(repo, counts, seed=2, epoch=epoch)
@@ -191,7 +191,7 @@ def test_adding_a_class_leaves_other_classes_draws_unchanged(
 
     def stats(cid, is_exact):
         return ClassStats(cid, f"c{cid}", rng.gaussian(gen, (d,)),
-                          rng.uniform(gen, d) * 2.0, is_exact)
+                          gen.random(d) * 2.0, is_exact)
 
     repo = PrototypeRepository()
     for cid, is_exact in enumerate(exact):
@@ -221,9 +221,9 @@ def test_zero_variance_dimensions_draw_the_class_mean(columns, n_base, per_class
     # the class mean there; duplicate shot rows have zero shot variance
     const = np.array([c is not None for c in columns])
     values = np.array([0.0 if c is None else c for c in columns])[const]
-    # an all-zero row is no FeatureSet; the zero-mean assume below
-    # discarded this case before FeatureSet checked it
-    assume(values.any() or not const.all())
+    # a zero-norm row is no FeatureSet; the zero-mean assume below
+    # discarded the all-zero case before FeatureSet checked it
+    assume(zero_norm_rows(values[None]).size == 0 or not const.all())
     gen = rng.stream(seed, "dead-units")
 
     def rows(n):
@@ -266,7 +266,7 @@ def test_one_shot_session_statistics_and_draws_are_finite(d, n_base, scale,
     repo = PrototypeRepository()
     for cid in range(n_base):
         repo.add(ClassStats(cid, f"b{cid}", rng.gaussian(gen, (d,)) * scale + 1.0,
-                            rng.uniform(gen, d) * scale ** 2, exact=True))
+                            gen.random(d) * scale ** 2, exact=True))
     shot = rng.gaussian(gen, (1, d)) * scale
     assume(np.linalg.norm(shot) > 1e-9)
     shot_cov = shot_variance(shot)
@@ -285,7 +285,7 @@ def random_repo(n_classes, d, seed=7):
     repo = PrototypeRepository()
     for cid in range(n_classes):
         repo.add(ClassStats(cid, f"c{cid}", rng.gaussian(gen, (d,)),
-                            rng.uniform(gen, d), exact=cid < n_classes - 3))
+                            gen.random(d), exact=cid < n_classes - 3))
     return repo
 
 
@@ -311,7 +311,7 @@ def test_replay_rows_follow_the_draws_by_class():
 
 def shuffled_plan(labels, schedule, epoch, anchored):
     """``plan_epoch`` with the slots of each batch in a seeded random order."""
-    return [b[rng.permutation(rng.stream(schedule.seed, "slots", epoch, i), b.size)]
+    return [b[rng.stream(schedule.seed, "slots", epoch, i).permutation(b.size)]
             for i, b in enumerate(plan_epoch(labels, schedule, epoch, anchored))]
 
 

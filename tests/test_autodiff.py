@@ -21,7 +21,7 @@ def test_linear_identity_weights_passthrough():
 
 def test_softmax_symmetry():
     t = Tape()
-    s = t.softmax(t.constant(np.array([[0.0, 0.0]])))
+    s = t.softmax(t.constant(np.array([[0.0, 0.0]])), np.ones((1, 2)))
     t.forward({})
     np.testing.assert_allclose(t.value(s), [[0.5, 0.5]])
 
@@ -52,14 +52,38 @@ def test_quadratic_loss_gradient_is_x():
 
 
 def test_broadcast_gradients():
+    # the one broadcast the tape keeps: a (1, n) bias row added to a matrix
     gen = np.random.default_rng(3)
     t = Tape()
     m = t.param("m", gen.standard_normal((4, 3)))
     row = t.param("row", gen.standard_normal((1, 3)))
-    col = t.param("col", gen.standard_normal((4, 1)))
-    out = t.mul(t.add(m, row), col)
+    other = t.param("other", gen.standard_normal((4, 3)))
+    out = t.mul(t.add(m, row), other)
     loss = t.mean(t.mul(out, out))
+    # the bias row's adjoint sums the adjoint over the matrix's rows
+    mean = t.mean(t.add(m, row))
+    t.forward({})
+    np.testing.assert_array_equal(t.backward(mean)["row"],
+                                  np.full((1, 3), 4 / 12))
     assert grad_check(t, {}, loss) <= 1e-7
+
+
+@pytest.mark.parametrize("op,sa,sb", [
+    ("add", (1, 3), (4, 3)),   # the row must be the second operand
+    ("add", (4, 3), (4, 1)),   # no column broadcast
+    ("add", (4, 3), ()),       # no scalar broadcast
+    ("add", (), (4, 3)),
+    ("add", (1, 3), (1, 4)),
+    ("sub", (4, 3), (1, 3)),   # only add takes a bias row
+    ("mul", (4, 3), (1, 3)),
+    ("mul", (4, 3), (4, 1)),
+    ("mul", (), (4, 3)),
+])
+def test_unsupported_broadcast_is_shape_error(op, sa, sb):
+    t = Tape()
+    getattr(t, op)(t.constant(np.ones(sa)), t.constant(np.ones(sb)))
+    with pytest.raises(ShapeError, match=op):
+        t.forward({})
 
 
 def test_normalize_softmax_log_chain_gradients():
@@ -67,7 +91,7 @@ def test_normalize_softmax_log_chain_gradients():
     t = ReferenceTape()
     p = t.param("p", gen.standard_normal((3, 4)))
     z = t.l2_normalize(p)
-    sm = t.softmax(t.scale(z, 3.0))
+    sm = t.softmax(t.scale(z, 3.0), np.ones((3, 4)))
     loss = t.scale(t.mean(t.log(sm)), -1.0)
     assert grad_check(t, {}, loss) <= 1e-6
     t2 = ReferenceTape()
@@ -82,7 +106,7 @@ def test_masked_softmax_weights_and_gradients():
     mask = np.array([[1, 0, 1, 1, 0], [0, 0, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=bool)
     t = ReferenceTape()
     p = t.param("p", x)
-    w = t.softmax(p, axis=1, mask=mask)
+    w = t.softmax(p, mask)
     loss = t.sum(t.mul(w, t.constant(gen.standard_normal((3, 5)))))
     t.forward({})
     out = t.value(w)
@@ -228,7 +252,7 @@ def test_parameter_free_subgraph_gets_no_adjoint(monkeypatch, unpruned_backward)
     gen = np.random.default_rng(9)
     t = ReferenceTape()
     xn = t.l2_normalize(t.input("x"))
-    scale = t.exp(t.constant(gen.standard_normal((1, 3))))
+    scale = t.exp(t.constant(gen.standard_normal((5, 3))))
     w = t.param("w", gen.standard_normal((4, 3)))
     loss = t.sum(t.softplus(t.mul(t.matmul(xn, w), scale)))
     t.forward({"x": gen.standard_normal((5, 4))})

@@ -14,7 +14,8 @@ from concm.calibration import (MetaTrainConfig, Prototype, blend,
                                relevance_weights)
 from concm.calibration import _class_rows, _draw_shots
 from concm.data import FeatureSet
-from concm.errors import AllMasked, InsufficientSamples, InvalidConfig
+from concm.errors import (AllMasked, InsufficientSamples, InvalidConfig,
+                          TrainingDiverged)
 from concm.optim import cosine_lr, sgd_step
 
 
@@ -346,6 +347,19 @@ def test_meta_train_matches_the_per_class_meta_tape():
     assert trace == ref_trace
     for name in tape.param_names():
         assert getattr(trained, name).tobytes() == tape.param_value(name).tobytes()
+
+
+@pytest.mark.parametrize("lr_max,message", [
+    (1e200, "^meta-training loss became nan at episode 1$"),
+    (math.inf, "^meta-training episode 0: param 'w_enc' contains non-finite"),
+])
+def test_meta_train_divergence_names_the_episode(lr_max, message):
+    fs, kn = episodic_fixture()
+    config = MetaTrainConfig(shots=3, episodes=4, lr_max=lr_max, warmup=0,
+                             seed=4)
+    with np.errstate(all="ignore"), \
+            pytest.raises(TrainingDiverged, match=message):
+        meta_train(fs, kn, init_calibration_params(8, 4, seed=6), config)
 
 
 def test_meta_train_insufficient_samples():

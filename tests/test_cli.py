@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -11,16 +12,18 @@ import warnings
 from pathlib import Path
 from unittest.mock import patch
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from concm.attributes import load_semantic_embeddings
+from concm.autodiff import zero_norm_rows
 from concm.cli import _setup_logging, main
-from concm.data import load_config, load_features
+from concm.data import load_config, load_features, load_manifest
 from concm.errors import SchemaError, ValidationError
 from concm.metrics import report_from_json
-from concm.session import SessionConfig
+from concm.session import SessionConfig, load_inputs, run_pipeline
 from concm.synth import GenConfig
 
 
@@ -140,6 +143,51 @@ def test_exit_codes(dataset, tmp_path, capsys):
     capsys.readouterr()
 
 
+FEATURE_FILES = ("base.csv", "session_01.csv", "session_02.csv",
+                 "test_00.csv", "test_01.csv", "test_02.csv")
+
+
+@settings(max_examples=50, deadline=None)
+@given(target=st.sampled_from(FEATURE_FILES), line=st.integers(0, 10 ** 6),
+       mantissa=st.floats(1.0, 9.99), exponent=st.integers(-330, 0),
+       one_entry=st.booleans())
+@example(target="test_00.csv", line=0, mantissa=1.0, exponent=-13,
+         one_entry=True)
+@example(target="session_01.csv", line=0, mantissa=1.0, exponent=-170,
+         one_entry=False)
+def test_tiny_feature_row_runs_or_is_rejected_at_load(dataset, target, line,
+                                                      mantissa, exponent,
+                                                      one_entry):
+    # a feature row scaled toward zero, in any feature file and line:
+    # either the loader rejects it as zero-norm at path:line, or the whole
+    # run completes; no session fails on it later
+    lines = (dataset / "data" / target).read_text().splitlines()
+    at = 1 + line % (len(lines) - 1)
+    fields = lines[at].split(",")
+    scale = float(f"{mantissa!r}e{exponent}")
+    row = [scale] + [0.0] * (len(fields) - 3) if one_entry \
+        else [float(v) * scale for v in fields[2:]]
+    lines[at] = ",".join(fields[:2] + [repr(v) for v in row])
+    config = SessionConfig.from_json(dataset / "run_cfg.json")
+    config = dataclasses.replace(config, epochs_base=1, epochs_incremental=1,
+                                 meta_episodes=2, n_aug_base=8, n_aug_novel=4)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "data"
+        shutil.copytree(dataset / "data", root)
+        path = root / target
+        path.write_text("\n".join(lines) + "\n")
+        zero = zero_norm_rows(np.array([row])).size == 1
+        try:
+            inputs = load_inputs(load_manifest(root / "manifest.json"), config)
+        except SchemaError as exc:
+            assert zero
+            assert re.match(re.escape(f"{path}:{at + 1}: ") +
+                            "(all-zero|zero-norm) feature row", str(exc))
+            return
+        assert not zero
+        assert len(run_pipeline(inputs).report.sessions) == 3
+
+
 @pytest.mark.parametrize("kind", ["base", "sessions", "tests"])
 def test_run_all_zero_feature_row_is_validation_error(dataset, tmp_path, kind,
                                                       capsys):
@@ -251,6 +299,69 @@ def test_run_protocol_violation_is_runtime_error(dataset, tmp_path, capsys):
                "--config", str(p), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "ProtocolViolation" in capsys.readouterr().err
+
+
+def _drop_lines(path: Path, prefix: str) -> None:
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(l for l in lines if not l.startswith(prefix)) + "\n")
+
+
+def _drop_class(path: Path, name: str) -> None:
+    obj = json.loads(path.read_text())
+    del obj["classes"][name]
+    path.write_text(json.dumps(obj))
+
+
+def _sixth_shot(path: Path, name: str) -> None:
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [lines[1]]) + "\n")
+
+
+def _unseen_test_class(path: Path, name: str) -> None:
+    path.write_text(path.read_text().replace(",class_08,", f",{name},"))
+
+
+# (file, edit, argument, exit code, error message); the CLI data
+# set has base classes class_00..05, then class_06..08 and class_09..11
+INPUT_FAULTS = {
+    "class embedding": ("semantic.csv", _drop_lines, "class_07,", 1,
+                        "{path}: no embedding for the classes or base-class "
+                        "attributes ['class_07']"),
+    "base attribute embedding": ("semantic.csv", _drop_lines, "attr_00,", 1,
+                                 "{path}: no embedding for the classes or "
+                                 "base-class attributes ['attr_00']"),
+    "attribute list": ("attributes.json", _drop_class, "class_10", 1,
+                       "{path}: no attribute list for classes ['class_10']"),
+    "sixth shot": ("session_02.csv", _sixth_shot, None, 2,
+                   "session 2 must have exactly 5 shots per class, "
+                   "got [6, 5, 5]"),
+    "unseen test class": ("test_01.csv", _unseen_test_class, "class_10", 2,
+                          "evaluation classes never seen: ['class_10']"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(INPUT_FAULTS))
+def test_input_faults_stop_the_run_before_training(dataset, tmp_path, fault,
+                                                   capsys):
+    # a gap between the feature files and the semantic inputs is a
+    # validation error naming the semantic or attributes file; a protocol
+    # fault in any session is a runtime error; both before any training
+    target, edit, arg, code, message = INPUT_FAULTS[fault]
+    data = tmp_path / "data"
+    shutil.copytree(dataset / "data", data)
+    edit(data / target, arg)
+    trained = []
+    with patch("concm.session.meta_train",
+               lambda *a, **k: trained.append("meta_train")), \
+            patch("concm.session.train_projector",
+                  lambda *a, **k: trained.append("train_projector")):
+        rc = main(["run", "--manifest", str(data / "manifest.json"),
+                   "--config", str(dataset / "run_cfg.json"),
+                   "--out", str(tmp_path / "o")])
+    assert trained == []
+    assert rc == code
+    assert _error_message(capsys.readouterr().err) == \
+        message.format(path=data / target)
 
 
 def test_gen_with_default_config(tmp_path, capsys):

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from concm.data import (FeatureSet, load_features, load_manifest, read_json,
                         save_features)
+from concm.autodiff import zero_norm_rows
 from concm.errors import InvalidInput, ParseError, SchemaError, ValidationError
 
 
@@ -134,7 +135,7 @@ def test_feature_set_built_in_code_rejects_first_all_zero_row(data, n_rows, dim)
     # built, so no training can start on it; later zero rows are not named
     feats = data.draw(hnp.arrays(np.float64, (n_rows, dim),
                                  elements=st.floats(-1e3, 1e3)))
-    feats[~feats.any(axis=1), 0] = 1.0
+    feats[zero_norm_rows(feats), 0] = 1.0
     zero_rows = sorted(data.draw(st.sets(st.integers(0, n_rows - 1), min_size=1)))
     signs = data.draw(hnp.arrays(np.bool_, (len(zero_rows), dim)))
     feats[zero_rows] = np.where(signs, -0.0, 0.0)
@@ -179,7 +180,7 @@ def feature_sets(draw):
                             elements=st.floats(allow_nan=False,
                                                allow_infinity=False,
                                                allow_subnormal=True)))
-    feats[~feats.any(axis=1), 0] = 1.0
+    feats[zero_norm_rows(feats), 0] = 1.0
     names = draw(st.lists(st.from_regex(r"[A-Za-z0-9_ .-]{1,8}", fullmatch=True),
                           min_size=n_classes, max_size=n_classes, unique=True))
     return FeatureSet(features=feats, labels=labels, class_names=tuple(names))

@@ -15,13 +15,13 @@ from concm.structure import random_optimal_structure
 
 def test_ncm_trivial_and_tie():
     s = random_optimal_structure(4, 6, seed=0)
-    assert ncm_classify(s.columns[:, 2], s) == 2
+    np.testing.assert_array_equal(ncm_classify(s.columns.T, s), np.arange(4))
     # exact tie between columns 0 and 1: equidistant midpoint direction
     mid = s.columns[:, 0] + s.columns[:, 1]
     mid /= np.linalg.norm(mid)
     scores = mid @ s.columns
     assert scores[0] == pytest.approx(scores[1])
-    assert ncm_classify(mid, s) == 0  # lowest index wins
+    assert ncm_classify(mid[None], s).tolist() == [0]  # lowest index wins
 
 
 def test_ncm_matches_brute_force_distances():
@@ -32,13 +32,13 @@ def test_ncm_matches_brute_force_distances():
         z = rng.gaussian(gen, (n + 3,))
         z /= np.linalg.norm(z)
         dists = np.linalg.norm(s.columns - z[:, None], axis=0)
-        assert ncm_classify(z, s) == int(np.argmin(dists))
+        assert ncm_classify(z[None], s).tolist() == [int(np.argmin(dists))]
 
 
 def test_ncm_scale_invariant():
     s = random_optimal_structure(5, 8, seed=2)
-    z = rng.gaussian(rng.stream(2, "scale"), (8,))
-    assert ncm_classify(z, s) == ncm_classify(10.0 * z, s)
+    z = rng.gaussian(rng.stream(2, "scale"), (6, 8))
+    np.testing.assert_array_equal(ncm_classify(z, s), ncm_classify(10.0 * z, s))
 
 
 def test_harmonic_mean_value():
@@ -49,7 +49,7 @@ def test_harmonic_mean_value():
 def test_hm_bounds_property():
     gen = rng.stream(3, "hm")
     for _ in range(100):
-        b, n = 100.0 * rng.uniform(gen, (2,))
+        b, n = 100.0 * gen.random((2,))
         hm = harmonic_mean(b, n)
         assert hm <= 2.0 * min(b, n) + 1e-12
         assert hm <= (b + n) / 2.0 + 1e-12

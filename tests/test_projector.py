@@ -17,9 +17,9 @@ from concm.metrics import ClassSums, similarity_stats
 from concm.optim import cosine_lr
 from concm.projector import (ProjectorParams, TrainSchedule, batch_masks,
                              build_contrastive_loss, build_matching_loss,
-                             init_projector_params, project, projection_nodes,
-                             train_projector)
-from concm.projector import _BLOCK_ROWS, _balanced_batches, _register
+                             init_projector_params, plan_epoch, project,
+                             projection_nodes, train_projector)
+from concm.projector import _BLOCK_ROWS, _register
 from concm.structure import random_optimal_structure
 from reference_graphs import (ReferenceTape, composed_contrastive_loss,
                               composed_matching_loss)
@@ -173,7 +173,7 @@ def test_matching_loss_argmin_matches_ncm():
         z = rng.gaussian(gen, (9,))
         z /= np.linalg.norm(z)
         losses = [matching_value(z, k, s) for k in range(5)]
-        assert int(np.argmin(losses)) == ncm_classify(z, s)
+        assert ncm_classify(z[None], s).tolist() == [int(np.argmin(losses))]
 
 
 def manual_supcon(z, labels, structure, anchored, tau):
@@ -369,9 +369,8 @@ def test_fused_losses_give_masks_no_adjoint(unpruned_backward):
     nodes = {k: t.param(k, v) for k, v in m.items()}
     loss = t.add(t.cross_entropy(t.matmul(z, t.constant(s.columns)),
                                  nodes["onehot"]),
-                 t.anchored_contrastive(z, nodes["anchor_cols"], nodes["allow"],
-                                        nodes["pos"], nodes["own"],
-                                        nodes["inv_pos"], 0.1))
+                 t.anchored_contrastive(z, nodes["anchor_cols"], nodes["pos"],
+                                        nodes["own"], nodes["inv_pos"], 0.1))
     t.forward({})
     grads = unpruned_backward(t, loss)
     for k, v in m.items():
@@ -484,7 +483,7 @@ def test_train_peak_grows_by_less_than_a_batch_with_the_epoch(peak_bytes):
     repo = PrototypeRepository()
     for cid in range(8):
         repo.add(ClassStats(cid, f"c{cid}", rng.gaussian(gen, (d,)),
-                            rng.uniform(gen, d), exact=True))
+                            gen.random(d), exact=True))
     s = random_optimal_structure(8, 9, seed=1)
     sched = TrainSchedule(lr_max=0.1, epochs=1, warmup_steps=0,
                           batch_size=batch_size, seed=0)
@@ -593,8 +592,7 @@ def reference_train(params, structure, anchored, schedule, epoch_data, tau):
     for epoch in range(schedule.epochs):
         x, y = epoch_data(epoch)
         losses = []
-        for idx in _balanced_batches(y, schedule.batch_size, schedule.seed,
-                                     epoch, anchored):
+        for idx in plan_epoch(y, schedule, epoch, anchored):
             t = Tape()
             z = projection_nodes(t, _register(t, p), t.constant(x[idx]))
             loss = t.add(build_matching_loss(t, z, y[idx], structure),
@@ -679,12 +677,12 @@ def test_train_non_finite_parameter_names_it():
 
 
 def balanced_batches_loop(labels, batch_size, seed, epoch, anchored):
-    """The per-sample round-robin loop _balanced_batches replaced."""
+    """The per-sample round-robin loop that plan_epoch's batching replaced."""
     gen = rng.stream(seed, "batches", epoch)
     classes = np.unique(labels)
-    order = classes[rng.permutation(gen, classes.size)]
-    streams = {c: np.flatnonzero(labels == c)[rng.permutation(
-        gen, int((labels == c).sum()))] for c in order}
+    order = classes[gen.permutation(classes.size)]
+    streams = {c: np.flatnonzero(labels == c)[gen.permutation(
+        int((labels == c).sum()))] for c in order}
     interleaved = []
     cursors = {c: 0 for c in order}
     remaining = sum(s.size for s in streams.values())
@@ -716,7 +714,8 @@ def balanced_batches_loop(labels, batch_size, seed, epoch, anchored):
 def test_balanced_batches_match_round_robin_loop(labels, anchored, batch_size,
                                                  seed, epoch):
     labels = np.asarray(labels, dtype=np.int64)
-    got = _balanced_batches(labels, batch_size, seed, epoch, anchored)
+    got = plan_epoch(labels, TrainSchedule(batch_size=batch_size, seed=seed),
+                     epoch, anchored)
     want = balanced_batches_loop(labels, batch_size, seed, epoch, anchored)
     assert len(got) == len(want)
     # the same rows in the same batches, each batch in ascending layout order

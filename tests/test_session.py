@@ -367,8 +367,8 @@ def test_evaluation_heap_peak_holds_no_feature_rows(base_state, peak_bytes):
                            class_names=tuple(names[8 * k:8 * k + 8]))
                 for k in range(2)]
         return peak_bytes(lambda: session_record(state, (
-            evaluate_session(state, fs.features, labels) for fs, labels in
-            zip(sets, _evaluation_labels(sets, names)))))
+            evaluate_session(state, fs.features, _evaluation_labels(fs, names))
+            for fs in sets)))
 
     small, large = peak(32), peak(256)
     assert large - small < (16 * 256 - 16 * 32) * d * 8 / 4, (small, large)

@@ -15,8 +15,7 @@ from .augment import (ClassStats, PrototypeRepository, SampleCounts,
                       sample_augmented, shot_variance, transfer_weights)
 from .autodiff import Tape, grad_check
 from .calibration import (CalibrationParams, MetaTrainConfig, Prototype, blend,
-                          calibrate, init_calibration_params, meta_train,
-                          relevance_weights)
+                          calibrate, init_calibration_params, meta_train)
 from .data import FeatureSet, Manifest, load_features, load_manifest, save_features
 from .metrics import (ClassSums, RunReport, SessionRecord, balanced_error_rate,
                       format_report_table, harmonic_mean, ncm_classify,

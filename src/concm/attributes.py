@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureSet, read_json, read_lines
-from .errors import (EmptyAttribute, MissingEmbedding, ParseError, SchemaError,
-                     UnknownClass)
+from .data import FeatureSet, read_json, read_numeric_csv
+from .errors import EmptyAttribute, MissingEmbedding, SchemaError, UnknownClass
 
 logger = logging.getLogger("concm.attributes")
 
@@ -105,37 +103,18 @@ def load_attribute_table(path) -> AttributeTable:
 
 
 def load_semantic_embeddings(path) -> dict[str, np.ndarray]:
-    """Parse the name,s0,...,s{d-1} CSV of word embeddings."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        lines = read_lines(path, fh)
-        _, text = next(lines, (1, None))
-        if text is None:
-            raise ParseError(f"{path}:1: empty file")
-        header = text.split(",")
-        if header[0] != "name" or len(header) < 2:
-            raise ParseError(f"{path}:1: expected header 'name,s0,...'")
-        d_s = len(header) - 1
-        if header[1:] != [f"s{i}" for i in range(d_s)]:
-            raise ParseError(f"{path}:1: malformed embedding column names")
-        out: dict[str, np.ndarray] = {}
-        for lineno, line in lines:
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != d_s + 1:
-                raise SchemaError(f"{path}:{lineno}: expected {d_s + 1} fields")
-            name = parts[0]
-            if name in out:
-                raise SchemaError(f"{path}:{lineno}: duplicate name {name!r}")
-            try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if not np.isfinite(vec).all():
-                raise SchemaError(f"{path}:{lineno}: non-finite value")
-            out[name] = vec
-    return out
+    """Parse the name,s0,...,s{d-1} CSV of word embeddings with the feature
+    CSV's reader (``read_numeric_csv``), so both accept the same numbers;
+    each name's vector is a row of one array."""
+    names: dict[str, None] = {}
+
+    def check_keys(lineno, fields):
+        if fields[0] in names:
+            raise SchemaError(f"{path}:{lineno}: duplicate name {fields[0]!r}")
+        names[fields[0]] = None
+
+    values, _ = read_numeric_csv(path, ("name",), "s", check_keys)
+    return dict(zip(names, values))
 
 
 def pool_attribute_names(base_features: FeatureSet, table: AttributeTable) -> tuple[str, ...]:

@@ -24,8 +24,10 @@ Elementwise binary ops take operands of equal shape, except that add also
 takes a (1, n) row as its second operand against an (m, n) matrix: the
 bias of a linear layer.  Every other pairing is a ShapeError.
 
-A row is zero-norm when sqrt(sum(x * x)) < MIN_NORM; l2_normalize rejects
-it, and ``zero_norm_rows`` applies the same test to feature rows.
+A row is zero-norm when sqrt(sum(x * x)) < MIN_NORM or sum(x * x)
+overflows to +inf; l2_normalize rejects it (DegenerateInput, or InvalidInput
+when the row holds a non-finite entry), and ``zero_norm_rows`` applies the
+same test to feature rows.
 """
 
 from __future__ import annotations
@@ -54,9 +56,11 @@ MIN_NORM = 1e-300
 def zero_norm_rows(x: np.ndarray) -> np.ndarray:
     """Indices of the rows of the 2-D ``x`` that l2_normalize rejects:
     sqrt(sum(x * x)) < MIN_NORM, which holds exactly when every square
-    underflows to 0, so einsum's order of summation gives the same rows."""
+    underflows to 0, or sum(x * x) = +inf, which holds when some square or
+    the sum overflows.  Either way the row has no finite direction."""
     with np.errstate(over="ignore"):
-        return np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", x, x)) < MIN_NORM)
+        n = np.sqrt(np.einsum("ij,ij->i", x, x))
+    return np.flatnonzero((n < MIN_NORM) | (n == np.inf))
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -350,9 +354,13 @@ class Tape:
             return e / e.sum(axis=1, keepdims=True)
         if op == "l2_normalize":
             x = a[0]
-            n = np.sqrt((x * x).sum(axis=1, keepdims=True))
-            if (n < MIN_NORM).any():
-                rows = np.flatnonzero(n.ravel() < MIN_NORM).tolist()
+            with np.errstate(over="ignore"):
+                n = np.sqrt((x * x).sum(axis=1, keepdims=True))
+            bad = (n < MIN_NORM) | (n == np.inf)
+            if bad.any():
+                rows = np.flatnonzero(bad).tolist()
+                if not np.isfinite(x[rows]).all():
+                    raise InvalidInput(f"l2_normalize: non-finite row(s) {rows}")
                 raise DegenerateInput(f"l2_normalize: zero-norm row(s) {rows}",
                                       rows=rows)
             return x / n

@@ -116,13 +116,14 @@ def _mask(knowledge: SemanticKnowledge, class_names: list[str]) -> np.ndarray:
 
 def _calibration_nodes(tape: Tape, pnodes: dict[str, int], protos: int,
                        class_semantic: np.ndarray, mask: np.ndarray,
-                       pool: AttributePool) -> tuple[int, int]:
-    """Append the calibration graph of C classes; returns (scores, out).
+                       pool: AttributePool) -> int:
+    """Append the calibration graph of C classes; returns its (C, d_f)
+    output node, the calibrated prototypes.
 
     ``protos`` is a (C, d_f) node of class prototypes, ``class_semantic``
     the (C, d_s) class embeddings and ``mask`` the (C, N_a) associations.
-    The score node is (C, N_a): relevance scores over the whole pool.  The
-    output node is (C, d_f): the calibrated prototypes.
+    The relevance scores over the whole pool, (C, N_a), are softmaxed over
+    each class's associated attributes.
     """
     s_pool = tape.constant(pool.semantic)
     f_pool = tape.constant(pool.visual)
@@ -140,8 +141,7 @@ def _calibration_nodes(tape: Tape, pnodes: dict[str, int], protos: int,
 
     weights = tape.softmax(scores, mask)
     agg = tape.add(encode(protos), tape.matmul(weights, encode(f_pool)))
-    out = tape.add(tape.matmul(agg, pnodes["w_dec"]), pnodes["b_dec"])
-    return scores, out
+    return tape.add(tape.matmul(agg, pnodes["w_dec"]), pnodes["b_dec"])
 
 
 def _check_dims(proto: Prototype, s_k: np.ndarray, knowledge: SemanticKnowledge,
@@ -155,34 +155,18 @@ def _check_dims(proto: Prototype, s_k: np.ndarray, knowledge: SemanticKnowledge,
         raise ShapeError("calibration params do not match the pool dimensions")
 
 
-def _calibrate_one(proto: Prototype, s_k, knowledge: SemanticKnowledge,
-                   params: CalibrationParams) -> tuple[Tape, int, int, np.ndarray]:
-    """Evaluated single-class graph, with s_k as the class embedding;
-    returns (tape, score node, output node, mask)."""
-    s_k = np.asarray(s_k, dtype=np.float64)
-    _check_dims(proto, s_k, knowledge, params)
-    mask = _mask(knowledge, [proto.class_name])
-    tape = Tape()
-    scores, out = _calibration_nodes(
-        tape, _register_params(tape, params),
-        tape.constant(proto.mean.reshape(1, -1)), s_k.reshape(1, -1), mask,
-        knowledge.pool)
-    tape.forward({})
-    return tape, scores, out, mask
-
-
-def relevance_weights(proto: Prototype, s_k: np.ndarray,
-                      knowledge: SemanticKnowledge,
-                      params: CalibrationParams) -> np.ndarray:
-    """Masked relevance scores over the whole pool; masked entries are 0."""
-    tape, scores, _, mask = _calibrate_one(proto, s_k, knowledge, params)
-    return np.where(mask, tape.value(scores), 0.0).ravel()
-
-
 def calibrate(proto: Prototype, s_k: np.ndarray, knowledge: SemanticKnowledge,
               params: CalibrationParams) -> Prototype:
-    """Calibrated prototype via encode, attribute aggregation, decode."""
-    tape, _, out, _ = _calibrate_one(proto, s_k, knowledge, params)
+    """Calibrated prototype via encode, attribute aggregation, decode: the
+    calibration graph of the one class, with s_k as its embedding."""
+    s_k = np.asarray(s_k, dtype=np.float64)
+    _check_dims(proto, s_k, knowledge, params)
+    tape = Tape()
+    out = _calibration_nodes(
+        tape, _register_params(tape, params),
+        tape.constant(proto.mean.reshape(1, -1)), s_k.reshape(1, -1),
+        _mask(knowledge, [proto.class_name]), knowledge.pool)
+    tape.forward({})
     return replace(proto, mean=tape.value(out).ravel(), source="calibrated")
 
 
@@ -210,9 +194,9 @@ def _meta_loss(tape: Tape, params: CalibrationParams,
     (both (C, d_f) nodes), averaged over all classes and dimensions."""
     semantic = np.array([knowledge.class_semantic[name] for name in class_names],
                         dtype=np.float64)
-    _, out = _calibration_nodes(tape, _register_params(tape, params), protos,
-                                semantic, _mask(knowledge, class_names),
-                                knowledge.pool)
+    out = _calibration_nodes(tape, _register_params(tape, params), protos,
+                             semantic, _mask(knowledge, class_names),
+                             knowledge.pool)
     diff = tape.sub(out, targets)
     return tape.mean(tape.mul(diff, diff))
 

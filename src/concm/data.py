@@ -2,8 +2,8 @@
 
 Feature CSV: UTF-8, header ``label,class_name,f0,...,f{d-1}``; labels are
 nonnegative integers, contiguous from 0 within a file; a row must not be
-zero-norm (sqrt(sum(x * x)) < 1e-300, the rule of the tape's
-l2_normalize), since it has no direction to project; floats
+zero-norm (sqrt(sum(x * x)) < 1e-300 or sum(x * x) = +inf, the rule of the
+tape's l2_normalize), since it has no finite direction to project; floats
 are written with repr() so a write-read round trip is exact.  Fields are
 not quoted: the class name is the raw text between the first two commas
 and may hold no comma, quote or line break, and ``#`` is data, not a
@@ -57,12 +57,13 @@ class FeatureSet:
             raise SchemaError("feature and label counts differ")
         if not np.all(np.isfinite(self.features)):
             raise InvalidInput("feature set contains non-finite values")
-        zero = zero_norm_rows(self.features)
-        if zero.size:
-            row = self.features[zero[0]]
-            raise InvalidInput(f"feature row {zero[0]} is " + (
-                "all zero" if not row.any() else "zero-norm") +
-                ": a zero vector has no direction to project")
+        bad = zero_norm_rows(self.features)
+        if bad.size:
+            row = self.features[bad[0]]
+            raise InvalidInput(f"feature row {bad[0]} is " + (
+                "all zero" if not row.any() else "of overflowing norm"
+                if np.abs(row).max() > 1.0 else "zero-norm") +
+                ": it has no finite direction to project")
         n_classes = len(self.class_names)
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= n_classes):
             raise SchemaError("labels must index class_names")
@@ -97,83 +98,102 @@ def read_lines(path, fh):
                              f"{exc.start + 1}: {exc.reason}") from exc
 
 
-def load_features(path) -> FeatureSet:
-    """Parse a feature CSV; raises ParseError/SchemaError, never partial data.
+def read_numeric_csv(path, keys: tuple[str, ...], prefix: str,
+                     check_keys) -> tuple[np.ndarray, list[int]]:
+    """Read a CSV of key columns and numeric columns; returns the (rows, d)
+    float64 values and the file line of each row.
 
+    The header is ``keys`` then ``<prefix>0,...,<prefix>{d-1}`` with d >= 1.
     The file is read once, line by line: Python checks each row's field
-    count, label and name, and numpy's C parser converts the feature text
-    straight into the float64 array, so no per-value Python object exists.
+    count and passes its key fields to ``check_keys(lineno, fields)``, and
+    numpy's C parser converts the value text straight into the array, so no
+    per-value Python object exists.  A malformed or non-finite value is an
+    error at path:line; so are the field count and whatever ``check_keys``
+    raises.
     """
-    path = Path(path)
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise OSError(f"cannot read feature file {path}: {exc}") from exc
-    with fh:
+    n_keys = len(keys)
+    with open(path, "rb") as fh:
         lines = read_lines(path, fh)
         header = next(lines, (1, ""))[1].split(",")
-        if header[:2] != ["label", "class_name"]:
-            raise ParseError(f"{path}:1: expected header starting 'label,class_name'")
-        dim = len(header) - 2
-        if dim < 1 or header[2:] != [f"f{i}" for i in range(dim)]:
-            raise ParseError(f"{path}:1: malformed feature column names")
-        labels: list[int] = []
+        dim = len(header) - n_keys
+        if header[:n_keys] != list(keys) or dim < 1 or \
+                header[n_keys:] != [f"{prefix}{i}" for i in range(dim)]:
+            raise ParseError(f"{path}:1: expected header '{','.join(keys)},"
+                             f"{prefix}0,...,{prefix}<d-1>'")
         linenos: list[int] = []
-        names: dict[int, str] = {}
 
-        def feature_text():
+        def value_text():
             for lineno, line in lines:
                 if not line:
                     continue
                 n_fields = line.count(",") + 1
-                if n_fields != dim + 2:
-                    raise SchemaError(f"{path}:{lineno}: expected {dim + 2} "
+                if n_fields != n_keys + dim:
+                    raise SchemaError(f"{path}:{lineno}: expected {n_keys + dim} "
                                       f"fields, got {n_fields}")
-                label_text, name, values = line.split(",", 2)
+                fields = line.split(",", n_keys)
+                values = fields.pop()
                 if not values:  # numpy would skip it as a blank line
-                    raise ParseError(f"{path}:{lineno}: empty feature value")
-                try:
-                    label = int(label_text)
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
-                if label < 0:
-                    raise SchemaError(f"{path}:{lineno}: negative label")
-                if '"' in name:
-                    raise ParseError(f"{path}:{lineno}: quote in class name")
-                known = names.setdefault(label, name)
-                if known != name:
-                    raise SchemaError(f"{path}:{lineno}: label {label} maps to "
-                                      f"both {known!r} and {name!r}")
-                labels.append(label)
+                    raise ParseError(f"{path}:{lineno}: empty value")
+                check_keys(lineno, fields)
                 linenos.append(lineno)
                 yield values
 
-        rows = feature_text()
+        rows = value_text()
         first = next(rows, None)
         if first is None:
             raise SchemaError(f"{path}: no data rows")
         try:
-            features = np.loadtxt(itertools.chain([first], rows), delimiter=",",
-                                  comments=None, dtype=np.float64)
+            values = np.loadtxt(itertools.chain([first], rows), delimiter=",",
+                                comments=None, dtype=np.float64)
         except ValueError as exc:
             # numpy names the failing row as "at row N" over the rows fed
             # to it, all non-blank; map it back to the file line
             where = re.search(r" at row (\d+), column (\d+)", str(exc))
             if where is None:
                 raise ParseError(f"{path}:{linenos[-1]}: {exc}") from exc
-            field_no = int(where[2]) + 2
+            field_no = int(where[2]) + n_keys
             raise ParseError(f"{path}:{linenos[int(where[1])]}: "
                              f"{str(exc)[:where.start()]} (field {field_no})") from exc
-    features = features.reshape(len(linenos), dim)
-    zero = np.zeros(len(linenos), dtype=bool)
-    zero[zero_norm_rows(features)] = True
-    bad = zero | ~np.isfinite(features).all(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        cause = "non-finite value" if not zero[i] else \
-            "all-zero feature row" if not features[i].any() else \
-            "zero-norm feature row: sqrt(sum(x * x)) < 1e-300"
-        raise SchemaError(f"{path}:{linenos[i]}: {cause}")
+    values = values.reshape(len(linenos), dim)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise SchemaError(f"{path}:{linenos[int(np.argmin(finite))]}: "
+                          "non-finite value")
+    return values, linenos
+
+
+def load_features(path) -> FeatureSet:
+    """Parse a feature CSV (``read_numeric_csv``); raises ParseError or
+    SchemaError at path:line, never partial data."""
+    labels: list[int] = []
+    names: dict[int, str] = {}
+
+    def check_keys(lineno, fields):
+        label_text, name = fields
+        try:
+            label = int(label_text)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if label < 0:
+            raise SchemaError(f"{path}:{lineno}: negative label")
+        if '"' in name:
+            raise ParseError(f"{path}:{lineno}: quote in class name")
+        known = names.setdefault(label, name)
+        if known != name:
+            raise SchemaError(f"{path}:{lineno}: label {label} maps to "
+                              f"both {known!r} and {name!r}")
+        labels.append(label)
+
+    features, linenos = read_numeric_csv(path, ("label", "class_name"), "f",
+                                         check_keys)
+    bad = zero_norm_rows(features)
+    if bad.size:
+        row = features[bad[0]]
+        raise SchemaError(f"{path}:{linenos[bad[0]]}: " + (
+            "all-zero feature row" if not row.any() else
+            "feature row norm overflows: sum(x * x) is inf"
+            if np.abs(row).max() > 1.0 else
+            "zero-norm feature row: sqrt(sum(x * x)) < 1e-300"))
     if len(names) != max(names) + 1:
         raise SchemaError(f"{path}: labels are not contiguous from 0")
     return FeatureSet(features=features, labels=np.array(labels, dtype=np.int64),

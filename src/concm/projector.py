@@ -19,7 +19,8 @@ import numpy as np
 from . import rng
 from .autodiff import Tape, zero_norm_rows
 from .errors import (DegenerateBatch, DegenerateInput, InvalidConfig,
-                     InvalidInput, LabelOutOfRange, TrainingDiverged)
+                     InvalidInput, LabelOutOfRange, ShapeError,
+                     TrainingDiverged)
 from .optim import cosine_lr, sgd_step
 from .structure import StructureMatrix
 
@@ -74,49 +75,25 @@ def projection_nodes(tape: Tape, pnodes: dict[str, int], x_node: int) -> int:
     return tape.l2_normalize(tape.add(tape.matmul(h, pnodes["w2"]), pnodes["b2"]))
 
 
-# Rows per forward pass of project(): the node values of one block, not of
-# every row, are held at a time.  Every block has this row count (the last
-# one overlaps its predecessor), since a GEMM over few rows may round
-# differently from one over many.
-_BLOCK_ROWS = 256
-
-
-def row_blocks(n: int):
-    """(lo, start, stop) of each fixed-size block of ``n`` rows: the block
-    is rows lo..lo + _BLOCK_ROWS (all rows if there are fewer), and rows
-    start..stop of it are new.  The last block overlaps its predecessor."""
-    for start in range(0, n, _BLOCK_ROWS):
-        lo = min(start, max(n - _BLOCK_ROWS, 0))
-        yield lo, start, min(start + _BLOCK_ROWS, n)
-
-
 def project(params: ProjectorParams, x: np.ndarray) -> np.ndarray:
-    """Unit-norm projection of one feature vector or a batch of rows.
-
-    The rows pass through one projection graph in ``row_blocks``, each
-    written into the output.  A zero-norm feature or projected row raises
-    DegenerateInput naming the row.
-    """
+    """Unit-norm projections of the (n, d_f) rows ``x``, in one forward pass
+    of the projection graph.  A zero-norm feature or projected row raises
+    DegenerateInput naming the row."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    rows = x.reshape(1, -1) if single else x
+    if x.ndim != 2:
+        raise ShapeError(f"project takes (n, d_f) rows, got shape {x.shape}")
+    zero = zero_norm_rows(x)
+    if zero.size:
+        raise DegenerateInput("cannot project zero-norm feature row(s) "
+                              f"{zero.tolist()}")
     tape = Tape()
     z = projection_nodes(tape, _register(tape, params), tape.input("x"))
-    out = np.empty((rows.shape[0], params.d_g))
-    for lo, _, stop in row_blocks(rows.shape[0]):
-        block = rows[lo:stop]
-        zero = zero_norm_rows(block)
-        if zero.size:
-            raise DegenerateInput("cannot project zero-norm feature row(s) "
-                                  f"{(lo + zero).tolist()}")
-        try:
-            tape.forward({"x": block})
-        except DegenerateInput as exc:
-            bad = [lo + r for r in exc.rows]
-            raise DegenerateInput(f"zero-norm projected row(s) {bad}",
-                                  rows=bad) from exc
-        out[lo:stop] = tape.value(z)
-    return out.ravel() if single else out
+    try:
+        tape.forward({"x": x})
+    except DegenerateInput as exc:
+        raise DegenerateInput(f"zero-norm projected row(s) {exc.rows}",
+                              rows=exc.rows) from exc
+    return tape.value(z)
 
 
 def _onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:

@@ -34,7 +34,7 @@ from .errors import InvalidConfig, ProtocolViolation, SchemaError
 from .metrics import (ClassSums, RunReport, SessionRecord, ncm_classify,
                       run_metrics, session_metrics, similarity_stats)
 from .projector import (ProjectorParams, TrainSchedule, init_projector_params,
-                        project, row_blocks, train_projector)
+                        project, train_projector)
 from .structure import (InitialStructure, StructureMatrix, initial_structure,
                         nearest_optimal_structure, random_optimal_structure,
                         structure_matching_rate)
@@ -146,10 +146,11 @@ def _fit(config: SessionConfig, strategy: str, t: int, repo: PrototypeRepository
     """Session t's (initial, structure, smr, theta_g); ``prev`` is None at t = 0.
 
     The initial structure's new columns are the projected repository means:
-    the exact base means and the calibrated novel prototypes.  Training
-    then draws each epoch batch by batch.
+    the exact base means and the calibrated novel prototypes, each projected
+    as a (1, d_f) row.  Training then draws each epoch batch by batch.
     """
-    init = initial_structure(prev, lambda v: project(theta_g, v),
+    init = initial_structure(prev,
+                             lambda v: project(theta_g, v.reshape(1, -1)),
                              {e.class_id: e.mean for e in repo.entries})
     structure = _strategy_structure(strategy, init, t, config)
     smr = structure_matching_rate(init, structure)
@@ -300,17 +301,29 @@ class Evaluation:
     sums: ClassSums
 
 
+# Rows per projection in evaluate_session: the node values of one block,
+# not of every row, are held at a time.  Every block has this row count
+# (the last one overlaps its predecessor), since a GEMM over few rows may
+# round differently from one over many.
+_BLOCK_ROWS = 256
+
+
 def evaluate_session(state: SessionState, features: np.ndarray,
                      labels: np.ndarray) -> Evaluation:
     """Project and classify one evaluation set with NCM.
 
-    The rows go through ``row_blocks``: each block is projected, classified
-    and added to the class sums, and its projection and class scores are
-    dropped before the next.
+    The rows are projected in blocks of _BLOCK_ROWS (all rows if there are
+    fewer); each block is one ``project`` call, and the last block overlaps
+    its predecessor.  The new rows of a block are classified and added to
+    the class sums, and its projection and class scores are dropped before
+    the next.
     """
+    n = features.shape[0]
     preds = np.empty(labels.size, dtype=np.int64)
     sums = ClassSums.zeros(state.n_classes, state.structure.columns.shape[0])
-    for lo, start, stop in row_blocks(features.shape[0]):
+    for start in range(0, n, _BLOCK_ROWS):
+        lo = min(start, max(n - _BLOCK_ROWS, 0))
+        stop = min(start + _BLOCK_ROWS, n)
         z = project(state.theta_g, features[lo:stop])[start - lo:]
         preds[start:stop] = ncm_classify(z, state.structure)
         sums.add(z, labels[start:stop])

@@ -135,3 +135,15 @@ def test_semantic_csv_non_finite_rejected_with_line(tmp_path, token):
     p.write_text(f"name,s0,s1\nbeak,0.5,-1.25\nwing,{token},3.5\n")
     with pytest.raises(SchemaError, match=r"s\.csv:3: non-finite value"):
         load_semantic_embeddings(p)
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661\u0662", '"1.5"'])
+def test_semantic_csv_takes_the_feature_csv_number_grammar(tmp_path, token):
+    # Python's float() reads 1_0 as 10.0 and Arabic-Indic digits as 12.0;
+    # the feature CSV's parser rejects both, and so does the embeddings CSV.
+    # A quoted value is rejected too
+    p = tmp_path / "s.csv"
+    p.write_text(f"name,s0,s1\nbeak,0.5,-1.25\n\nwing,2.0,{token}\n",
+                 encoding="utf-8")
+    with pytest.raises(ParseError, match=r"s\.csv:4: "):
+        load_semantic_embeddings(p)

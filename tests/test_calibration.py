@@ -10,8 +10,7 @@ from concm.attributes import AssociationMatrix, AttributePool, SemanticKnowledge
 from concm.autodiff import Tape, grad_check
 from concm.calibration import (MetaTrainConfig, Prototype, blend,
                                build_meta_tape, calibrate,
-                               init_calibration_params, meta_train,
-                               relevance_weights)
+                               init_calibration_params, meta_train)
 from concm.calibration import _class_rows, _draw_shots
 from concm.data import FeatureSet
 from concm.errors import (AllMasked, InsufficientSamples, InvalidConfig,
@@ -39,37 +38,11 @@ def test_all_masked_raises():
     params = init_calibration_params(8, 5, seed=0)
     proto = Prototype(0, "x", np.ones(8), "raw", 5)
     with pytest.raises(AllMasked):
-        relevance_weights(proto, kn.class_semantic["x"], kn, params)
+        calibrate(proto, kn.class_semantic["x"], kn, params)
     # the all-class graph names the empty class when it is built
     kn = knowledge_fixture(mask=np.array([[1, 0], [1, 0], [0, 0], [1, 0]]))
     with pytest.raises(AllMasked, match="'y'"):
         build_meta_tape(params, kn, ["x", "y"])
-
-
-def test_identity_attention_score_value():
-    # identity maps, attribute equal to the class in both views
-    d = 4
-    pool = AttributePool(names=("a0", "a1"), semantic=np.eye(d)[:2],
-                         visual=np.eye(d)[:2])
-    assoc = AssociationMatrix(r=np.array([[1], [0]], dtype=np.int8),
-                              class_names=("c",))
-    kn = SemanticKnowledge(pool=pool, class_semantic={"c": np.eye(d)[0]},
-                           assoc=assoc)
-    params = init_calibration_params(d, d, d_attn=d, seed=0)
-    params.g_sem_attr = np.eye(d)
-    params.g_sem_cls = np.eye(d)
-    params.g_vis_attr = np.eye(d)
-    params.g_vis_cls = np.eye(d)
-    proto = Prototype(0, "c", np.eye(d)[0].copy(), "raw", 5)
-    w = relevance_weights(proto, np.eye(d)[0], kn, params)
-    expected = 1.0 / (2.0 * math.sqrt(d)) + 1.0 / (2.0 * math.sqrt(d))
-    assert w[0] == pytest.approx(expected, abs=1e-12)
-    assert w[1] == 0.0  # masked entries are exactly zero
-
-    # scaling the class embedding scales only the semantic term
-    w2 = relevance_weights(proto, 3.0 * np.eye(d)[0], kn, params)
-    semantic_term = 1.0 / (2.0 * math.sqrt(d))
-    assert w2[0] == pytest.approx(expected + 2.0 * semantic_term, abs=1e-12)
 
 
 def untaped_calibrate(mean, s_k, sel, pool, params):

@@ -145,6 +145,22 @@ def test_feature_set_built_in_code_rejects_first_all_zero_row(data, n_rows, dim)
                    class_names=("c",))
 
 
+@pytest.mark.parametrize("scale", [1e154, 1e200, 1e300])
+def test_row_whose_norm_overflows_rejected_with_line(tmp_path, scale):
+    # every value is finite, but the sum of squares is +inf: the row has no
+    # finite direction, so it fails at load like a zero-norm row
+    row = [1.0 * scale, 2.0 * scale]
+    p = tmp_path / "o.csv"
+    p.write_text("label,class_name,f0,f1\n0,x,1.0,2.0\n"
+                 f"1,y,{row[0]!r},{row[1]!r}\n")
+    with pytest.raises(SchemaError,
+                       match=r"o\.csv:3: feature row norm overflows"):
+        load_features(p)
+    with pytest.raises(InvalidInput, match="^feature row 1 is of overflowing norm"):
+        FeatureSet(features=np.vstack([[1.0, 2.0], row]),
+                   labels=np.array([0, 1]), class_names=("x", "y"))
+
+
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999", "NaN"])
 def test_non_finite_value_rejected_with_line(tmp_path, token):
     p = tmp_path / "v.csv"
@@ -176,9 +192,9 @@ def feature_sets(draw):
     labels = np.array(list(range(n_classes)) + labels, dtype=np.int64)
     labels = labels[draw(st.permutations(range(labels.size)))]
     dim = draw(st.integers(1, 5))
+    # |x| <= 1e150 keeps a row's sum of squares finite, as a valid row needs
     feats = draw(hnp.arrays(np.float64, (labels.size, dim),
-                            elements=st.floats(allow_nan=False,
-                                               allow_infinity=False,
+                            elements=st.floats(-1e150, 1e150,
                                                allow_subnormal=True)))
     feats[zero_norm_rows(feats), 0] = 1.0
     names = draw(st.lists(st.from_regex(r"[A-Za-z0-9_ .-]{1,8}", fullmatch=True),

@@ -1,25 +1,27 @@
 import math
 import re
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concm import rng
+from concm import rng, session
 from concm.augment import (ClassStats, PrototypeRepository, SampleCounts,
                            epoch_labels, sample_augmented)
 from concm.autodiff import Tape, grad_check
 from concm.errors import (DegenerateBatch, DegenerateInput, InvalidConfig,
                           LabelOutOfRange, TrainingDiverged)
-from concm.metrics import ClassSums, similarity_stats
+from concm.metrics import ClassSums, ncm_classify, similarity_stats
 from concm.optim import cosine_lr
 from concm.projector import (ProjectorParams, TrainSchedule, batch_masks,
                              build_contrastive_loss, build_matching_loss,
                              init_projector_params, plan_epoch, project,
                              projection_nodes, train_projector)
-from concm.projector import _BLOCK_ROWS, _register
+from concm.projector import _register
+from concm.session import _BLOCK_ROWS, evaluate_session
 from concm.structure import random_optimal_structure
 from reference_graphs import (ReferenceTape, composed_contrastive_loss,
                               composed_matching_loss)
@@ -56,50 +58,67 @@ def test_project_unit_norm_and_scale_invariance():
     np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-10)
     np.testing.assert_array_equal(project(p, 2.0 * x), z)
     # same values whether projected alone or in a batch (up to summation order)
-    np.testing.assert_allclose(project(p, x[0]), z[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(project(p, x[:1]), z[:1], rtol=0, atol=1e-12)
 
 
 def test_project_deterministic():
     p = params_fixture(seed=3)
-    x = rng.gaussian(rng.stream(1, "proj"), (6,))
+    x = rng.gaussian(rng.stream(1, "proj"), (1, 6))
     assert np.array_equal(project(p, x), project(p, x))
 
 
 def test_project_zero_input():
     with pytest.raises(DegenerateInput):
-        project(params_fixture(), np.zeros(6))
+        project(params_fixture(), np.zeros((1, 6)))
+
+
+def test_project_rejects_row_whose_norm_overflows():
+    # 1e200 squared overflows: the row has no finite direction
+    with pytest.raises(DegenerateInput, match=re.escape("feature row(s) [1]")):
+        project(params_fixture(4, 4, 3), np.array([[1.0, 2.0, 0.0, 0.0],
+                                                   [1e200, 0.0, 0.0, 0.0]]))
 
 
 def single_pass_projection(params, x):
     """Every row through the projection graph in one forward pass: the
     reference for the blocked projection."""
-    rows = np.atleast_2d(x)
     t = Tape()
-    z = projection_nodes(t, _register(t, params), t.constant(rows))
+    z = projection_nodes(t, _register(t, params), t.constant(x))
     t.forward({})
-    return t.value(z).ravel() if x.ndim == 1 else t.value(z)
+    return t.value(z)
 
 
-@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 1000, None])
+def evaluation_state(params, n_classes, seed):
+    """The fields of a session state that evaluate_session reads."""
+    structure = random_optimal_structure(n_classes, params.d_g, seed=seed)
+    return SimpleNamespace(theta_g=params, n_classes=n_classes,
+                           structure=structure)
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 1000])
 def test_project_in_blocks_equals_one_pass(n, monkeypatch):
-    fed = []
-    forward = Tape.forward
+    # evaluation projects its rows in fixed blocks, one project call each;
+    # the new rows of the blocks equal one pass over every row, bit for bit
+    calls = []
 
-    def counting_forward(tape, feeds=None):
-        fed.append(feeds["x"].shape[0])
-        return forward(tape, feeds)
+    def recording_project(params, x):
+        z = project(params, x)
+        calls.append(z)
+        return z
 
-    monkeypatch.setattr(Tape, "forward", counting_forward)
+    monkeypatch.setattr(session, "project", recording_project)
     p = params_fixture(12, 10, 9, seed=4)
-    shape = (12,) if n is None else (n, 12)
-    x = rng.gaussian(rng.stream(8, "blocks", str(n)), shape)
-    z = project(p, x)
-    monkeypatch.setattr(Tape, "forward", forward)
-    want = single_pass_projection(p, x) if n != 0 else np.empty((0, 9))
-    assert z.shape == want.shape
-    assert z.tobytes() == want.tobytes()
-    assert all(rows <= _BLOCK_ROWS for rows in fed)
-    assert sum(fed) >= (1 if n is None else n)
+    x = rng.gaussian(rng.stream(8, "blocks", str(n)), (n, 12))
+    labels = np.arange(n) % 4
+    state = evaluation_state(p, 4, seed=9)
+    ev = evaluate_session(state, x, labels)
+    assert all(z.shape[0] == min(n, _BLOCK_ROWS) for z in calls)
+    new = [min(_BLOCK_ROWS, n - start) for start in range(0, n, _BLOCK_ROWS)]
+    assert len(calls) == len(new)
+    z = np.concatenate([z[z.shape[0] - k:] for z, k in zip(calls, new)]) \
+        if calls else np.empty((0, 9))
+    assert z.tobytes() == single_pass_projection(p, x).tobytes()
+    assert ev.preds.tolist() == ncm_classify(z, state.structure).tolist()
 
 
 def test_project_zero_norm_projected_row_names_its_row():
@@ -118,11 +137,15 @@ def test_project_zero_norm_projected_row_names_its_row():
 
 
 def test_project_peak_memory_does_not_grow_with_rows(peak_bytes):
+    # evaluation holds one block's projection at a time: beyond its per-row
+    # predictions, its peak does not grow with the rows it projects
     p = params_fixture(32, 32, 32, seed=5)
+    state = evaluation_state(p, 4, seed=6)
 
     def extra_bytes(n):
         x = rng.gaussian(rng.stream(n, "peak"), (n, 32))
-        return peak_bytes(lambda: project(p, x)) - n * 32 * 8
+        labels = np.arange(n) % 4
+        return peak_bytes(lambda: evaluate_session(state, x, labels)) - n * 8
 
     small, large = extra_bytes(2 * _BLOCK_ROWS), extra_bytes(16 * _BLOCK_ROWS)
     assert large <= small + 16 * 1024, (small, large)

@@ -93,7 +93,7 @@ def test_initial_structure_columns_are_projected_repository_means(bench,
     def expected(theta_g, repo, ids):
         cols = []
         for k in ids:
-            z = project(theta_g, repo.get(k).mean)
+            z = project(theta_g, repo.get(k).mean.reshape(1, -1)).ravel()
             cols.append(z / np.linalg.norm(z))
         return np.column_stack(cols)
 

@@ -1,11 +1,13 @@
 """Prototype repository and Gaussian prototype augmentation.
 
-Base classes store exact mean and per-dimension (population) variance.
-Novel classes store the calibrated prototype; their covariance diagonal is
-the shot variance plus a similarity-weighted transfer of base-class
-variances, scaled by beta.  Training data is then drawn per class from
-N(mean, diag(cov)) with seed-partitioned streams, so resampling per epoch
-is deterministic given the run seed.
+The repository holds one array per statistic: row k of ``means`` and
+``variances`` is class id k.  Base classes store the exact mean and
+per-dimension (population) variance.  Novel classes store the calibrated
+prototype; their covariance diagonal is the shot variance plus a
+similarity-weighted transfer of the base-class variances, scaled by beta
+(the distribution calibration of Yang et al., ICLR 2021).  Training data is
+then drawn per class from N(mean, diag(cov)) with seed-partitioned streams,
+so resampling per epoch is deterministic given the run seed.
 """
 
 from __future__ import annotations
@@ -15,52 +17,45 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
+from .autodiff import zero_norm_rows
 from .data import FeatureSet
 from .errors import (DegenerateInput, InsufficientSamples, InvalidConfig,
                      InvalidStats, MissingClass)
 
 
-@dataclass
-class ClassStats:
-    """Per-class Gaussian statistics; exact=True marks base-session classes."""
-
-    class_id: int
-    class_name: str
-    mean: np.ndarray
-    cov_diag: np.ndarray
-    exact: bool
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.cov_diag = np.asarray(self.cov_diag, dtype=np.float64)
-        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.cov_diag))):
-            raise InvalidStats(f"class {self.class_name!r}: non-finite statistics")
-        if np.any(self.cov_diag < 0.0):
-            raise InvalidStats(f"class {self.class_name!r}: negative variance")
-
-
-@dataclass
+@dataclass(frozen=True)
 class PrototypeRepository:
-    """Ordered class statistics for all seen classes, keyed by class id."""
+    """Gaussian statistics of every seen class, row k for class id k:
+    ``means`` and ``variances`` are (N, d); ``exact[k]`` marks a base class."""
 
-    entries: list[ClassStats] = field(default_factory=list)
+    names: tuple[str, ...] = ()
+    means: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    variances: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    exact: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
 
-    def add(self, stats: ClassStats) -> None:
-        if stats.class_id != len(self.entries):
-            raise MissingClass(f"expected class id {len(self.entries)}, "
-                               f"got {stats.class_id}")
-        self.entries.append(stats)
-
-    def get(self, class_id: int) -> ClassStats:
-        if not 0 <= class_id < len(self.entries):
-            raise MissingClass(f"class id {class_id} not in repository")
-        return self.entries[class_id]
-
-    def base_entries(self) -> list[ClassStats]:
-        return [e for e in self.entries if e.exact]
+    def extended(self, names, means, variances,
+                 exact: bool) -> PrototypeRepository:
+        """A repository with the classes ``names`` appended as the next
+        class ids, holding copies of their (n, d) ``means`` and
+        ``variances``; non-finite statistics or a negative variance raise
+        InvalidStats naming the class."""
+        means = np.array(means, dtype=np.float64)
+        variances = np.array(variances, dtype=np.float64)
+        bad = ~(np.isfinite(means).all(axis=1) & np.isfinite(variances).all(axis=1))
+        if bad.any():
+            raise InvalidStats(f"class {names[bad.argmax()]!r}: non-finite statistics")
+        bad = (variances < 0.0).any(axis=1)
+        if bad.any():
+            raise InvalidStats(f"class {names[bad.argmax()]!r}: negative variance")
+        if len(self):
+            means = np.concatenate([self.means, means])
+            variances = np.concatenate([self.variances, variances])
+        return PrototypeRepository(
+            names=self.names + tuple(names), means=means, variances=variances,
+            exact=np.concatenate([self.exact, np.full(len(names), exact)]))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.names)
 
 
 def _population_variance(rows: np.ndarray) -> np.ndarray:
@@ -74,19 +69,16 @@ def _population_variance(rows: np.ndarray) -> np.ndarray:
     return var
 
 
-def class_statistics(features: FeatureSet) -> list[ClassStats]:
-    """Exact per-class sample mean and population (1/n) variance diagonal."""
-    out = []
-    for label, name in enumerate(features.class_names):
-        rows = features.class_features(label)
-        if rows.shape[0] < 2:
-            raise InsufficientSamples(f"class {name!r} has {rows.shape[0]} "
+def class_statistics(features: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
+    """(means, variances), (n_classes, d) each: the exact per-class sample
+    mean and population (1/n) variance diagonal, row k for label k."""
+    rows = [features.class_features(k) for k in range(features.n_classes)]
+    for name, r in zip(features.class_names, rows):
+        if r.shape[0] < 2:
+            raise InsufficientSamples(f"class {name!r} has {r.shape[0]} "
                                       "samples; needs >= 2")
-        out.append(ClassStats(class_id=label, class_name=name,
-                              mean=rows.mean(axis=0),
-                              cov_diag=_population_variance(rows),
-                              exact=True))
-    return out
+    return (np.array([r.mean(axis=0) for r in rows]),
+            np.array([_population_variance(r) for r in rows]))
 
 
 def shot_variance(shots: np.ndarray) -> np.ndarray:
@@ -94,41 +86,41 @@ def shot_variance(shots: np.ndarray) -> np.ndarray:
     return _population_variance(np.asarray(shots, dtype=np.float64))
 
 
-def transfer_weights(prototype: np.ndarray, base: list[ClassStats],
+def transfer_weights(prototype: np.ndarray, repo: PrototypeRepository,
                      gamma: float) -> np.ndarray:
-    """Softmax over gamma-scaled cosines between base means and the prototype."""
-    if not base:
+    """Softmax over gamma-scaled cosines between the base means and the
+    prototype, one weight per base class in class-id order.  A zero-norm
+    prototype or base mean (``zero_norm_rows``) raises DegenerateInput."""
+    base = repo.means[repo.exact]
+    if not base.shape[0]:
         raise InvalidConfig("transfer_weights needs at least one base class")
     p = np.asarray(prototype, dtype=np.float64)
-    np_norm = np.linalg.norm(p)
-    if np_norm < 1e-12:
+    if zero_norm_rows(p[None]).size:
         raise DegenerateInput("zero-norm prototype")
-    cosines = np.empty(len(base))
-    for i, stats in enumerate(base):
-        bn = np.linalg.norm(stats.mean)
-        if bn < 1e-12:
-            raise DegenerateInput(f"zero-norm base prototype {stats.class_name!r}")
-        cosines[i] = (stats.mean @ p) / (bn * np_norm)
+    zero = zero_norm_rows(base)
+    if zero.size:
+        name = repo.names[np.flatnonzero(repo.exact)[zero[0]]]
+        raise DegenerateInput(f"zero-norm base prototype {name!r}")
+    cosines = (base @ p) / (np.linalg.norm(base, axis=1) * np.linalg.norm(p))
     logits = gamma * cosines
     logits -= logits.max()
     w = np.exp(logits)
     return w / w.sum()
 
 
-def novel_covariance(shot_cov: np.ndarray, base: list[ClassStats],
+def novel_covariance(shot_cov: np.ndarray, repo: PrototypeRepository,
                      weights: np.ndarray, beta: float) -> np.ndarray:
-    """Transferred covariance diagonal: beta * (shot cov + weighted base covs)."""
+    """Transferred covariance diagonal: beta * (shot cov + the base
+    variances weighted by ``weights``)."""
     if beta <= 0.0:
         raise InvalidConfig(f"beta must be positive, got {beta}")
     shot_cov = np.asarray(shot_cov, dtype=np.float64)
     if np.any(shot_cov < 0.0):
         raise InvalidStats("negative shot variance")
-    if len(base) != len(weights):
+    base = repo.variances[repo.exact]
+    if base.shape[0] != len(weights):
         raise InvalidStats("weight count does not match base class count")
-    transferred = np.zeros_like(shot_cov)
-    for w, stats in zip(weights, base):
-        transferred += w * stats.cov_diag
-    return beta * (shot_cov + transferred)
+    return beta * (shot_cov + (weights[:, None] * base).sum(axis=0))
 
 
 @dataclass
@@ -142,12 +134,12 @@ def _layout(repo: PrototypeRepository, counts: SampleCounts,
     """Class id and row count of each block of an epoch's full layout."""
     if counts.base < 1 or counts.novel < 1:
         raise InvalidConfig("sample counts must be >= 1")
-    if not repo.entries:
+    if not len(repo):
         raise MissingClass("cannot sample from an empty repository")
     order = sorted(replay)
-    ids = [e.class_id for e in repo.entries] + order
-    sizes = [counts.base if e.exact else counts.novel for e in repo.entries]
-    return ids, sizes + [replay[cid].shape[0] for cid in order]
+    sizes = np.where(repo.exact, counts.base, counts.novel).tolist()
+    return ([*range(len(repo)), *order],
+            sizes + [replay[cid].shape[0] for cid in order])
 
 
 def epoch_labels(repo: PrototypeRepository, counts: SampleCounts,
@@ -176,12 +168,12 @@ class AugmentedEpoch:
     def __init__(self, repo: PrototypeRepository, counts: SampleCounts,
                  seed: int, epoch: int, replay: dict[int, np.ndarray]):
         ids, sizes = _layout(repo, counts, replay)
-        classes = len(repo.entries)
+        classes = len(repo)
         self._ends = np.cumsum(sizes[:classes])
         self._gens = [rng.stream(seed, "augment", epoch, cid)
-                      for cid in ids[:classes]]
-        self._std = np.sqrt([e.cov_diag for e in repo.entries])
-        self._mean = np.array([e.mean for e in repo.entries])
+                      for cid in range(classes)]
+        self._std = np.sqrt(repo.variances)
+        self._mean = repo.means
         self._replay = np.concatenate(
             [replay[cid] for cid in ids[classes:]]
             or [np.empty((0, self._mean.shape[1]))])

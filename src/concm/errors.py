@@ -29,10 +29,6 @@ class MissingClass(ConcmError):
     """A required class has no entry in the repository or knowledge set."""
 
 
-class DegenerateEmbedding(ConcmError):
-    """A projected vector has zero norm and cannot be unit-normalized."""
-
-
 class DegenerateInput(ConcmError):
     """An input vector is degenerate (zero norm) where a direction is required.
 

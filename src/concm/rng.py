@@ -11,11 +11,8 @@ sampled bytes are identical across process runs on the same numpy build.
 from __future__ import annotations
 
 import hashlib
-import math
 
 import numpy as np
-
-from .errors import ShapeError
 
 __all__ = ["derive_seed", "stream", "gaussian"]
 
@@ -45,13 +42,11 @@ def gaussian(gen: np.random.Generator, shape, out: np.ndarray | None = None) -> 
     """Standard normal draws from numpy's ziggurat (``standard_normal``).
 
     One generator state gives the same bytes on the same numpy build.
-    With ``out`` (C-contiguous float64 with ``shape``'s size) the draws are
-    written into it in place and ``out`` is returned.
+    With ``out`` the draws are written into it in place and ``out`` is
+    returned.  numpy rejects an ``out`` of another shape (ValueError) or
+    dtype (TypeError) and a non-contiguous one (ValueError); a Fortran-
+    ordered ``out``, which numpy would fill transposed, is rejected here.
     """
-    if out is None:
-        return gen.standard_normal(shape)
-    n = shape if isinstance(shape, int) else math.prod(shape)
-    if out.size != n or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ShapeError(f"gaussian: out must be C-contiguous float64 of size {n}")
-    gen.standard_normal(out=out)
-    return out
+    if out is not None and not out.flags.c_contiguous:
+        raise ValueError("gaussian: out must be C-contiguous")
+    return gen.standard_normal(shape, out=out)

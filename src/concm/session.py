@@ -24,9 +24,9 @@ import numpy as np
 from . import rng
 from .attributes import (AttributeTable, SemanticKnowledge, build_knowledge,
                          load_attribute_table, load_semantic_embeddings)
-from .augment import (ClassStats, PrototypeRepository, SampleCounts,
-                      class_statistics, epoch_labels, novel_covariance,
-                      sample_augmented, shot_variance, transfer_weights)
+from .augment import (PrototypeRepository, SampleCounts, class_statistics,
+                      epoch_labels, novel_covariance, sample_augmented,
+                      shot_variance, transfer_weights)
 from .calibration import (CalibrationParams, MetaTrainConfig, Prototype, blend,
                           calibrate, init_calibration_params, meta_train)
 from .data import FeatureSet, Manifest, load_config, load_features, load_manifest
@@ -145,13 +145,13 @@ def _fit(config: SessionConfig, strategy: str, t: int, repo: PrototypeRepository
          replay: dict[int, np.ndarray], anchored: frozenset[int]):
     """Session t's (initial, structure, smr, theta_g); ``prev`` is None at t = 0.
 
-    The initial structure's new columns are the projected repository means:
-    the exact base means and the calibrated novel prototypes, each projected
-    as a (1, d_f) row.  Training then draws each epoch batch by batch.
+    The initial structure's new columns are the projected repository means
+    of the classes ``prev`` does not cover (the exact base means at t = 0,
+    the calibrated novel prototypes after), in one ``project`` call.
+    Training then draws each epoch batch by batch.
     """
-    init = initial_structure(prev,
-                             lambda v: project(theta_g, v.reshape(1, -1)),
-                             {e.class_id: e.mean for e in repo.entries})
+    n_prev = 0 if prev is None else prev.num_classes
+    init = initial_structure(prev, project(theta_g, repo.means[n_prev:]).T)
     structure = _strategy_structure(strategy, init, t, config)
     smr = structure_matching_rate(init, structure)
 
@@ -211,9 +211,8 @@ def run_base_session(config: SessionConfig, base: FeatureSet,
         lr_max=config.lr_calibration, warmup=config.meta_warmup,
         seed=rng.derive_seed(config.seed, "meta")))
 
-    repo = PrototypeRepository()
-    for stats in class_statistics(base):
-        repo.add(stats)
+    repo = PrototypeRepository().extended(base.class_names,
+                                          *class_statistics(base), exact=True)
 
     d_hidden = config.d_hidden if config.d_hidden is not None else base.dim
     theta_g = init_projector_params(base.dim, d_hidden, config.d_g,
@@ -240,9 +239,8 @@ def _novel_prototype(state: SessionState, cid: int, name: str,
         calibrated = calibrate(raw, state.knowledge.class_semantic[name],
                                state.knowledge, state.theta_h)
     final = blend(raw, calibrated, config.alpha)
-    base_entries = state.repository.base_entries()
-    weights = transfer_weights(final.mean, base_entries, config.gamma)
-    cov = novel_covariance(shot_variance(shots), base_entries, weights,
+    weights = transfer_weights(final.mean, state.repository, config.gamma)
+    cov = novel_covariance(shot_variance(shots), state.repository, weights,
                            config.beta)
     return final, cov
 
@@ -258,16 +256,13 @@ def run_incremental_session(state: SessionState, novel: FeatureSet,
                                 pool=state.knowledge.pool)
     state = replace(state, knowledge=knowledge)
 
-    repo = PrototypeRepository(entries=list(state.repository.entries))
     offset = state.n_classes
-    shots_by_cid: dict[int, np.ndarray] = {}
-    for local, name in enumerate(novel.class_names):
-        cid = offset + local
-        shots = novel.class_features(local)
-        shots_by_cid[cid] = shots
-        proto, cov = _novel_prototype(state, cid, name, shots)
-        repo.add(ClassStats(class_id=cid, class_name=name, mean=proto.mean,
-                            cov_diag=cov, exact=False))
+    class_shots = [novel.class_features(k) for k in range(novel.n_classes)]
+    stats = [_novel_prototype(state, cid, name, shots) for cid, (name, shots)
+             in enumerate(zip(novel.class_names, class_shots), start=offset)]
+    repo = state.repository.extended(novel.class_names,
+                                     [proto.mean for proto, _ in stats],
+                                     [cov for _, cov in stats], exact=False)
 
     init, structure, smr, theta_g = _fit(
         config, state.strategy, t, repo, state.structure, state.theta_g,
@@ -275,7 +270,7 @@ def run_incremental_session(state: SessionState, novel: FeatureSet,
 
     new_replay = dict(state.replay)
     if config.replay_per_class > 0:
-        for cid, shots in shots_by_cid.items():
+        for cid, shots in enumerate(class_shots, start=offset):
             if shots.shape[0] <= config.replay_per_class:
                 new_replay[cid] = shots.copy()
             else:

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import (DegenerateEmbedding, DegenerateInput, DimensionTooSmall,
-                     InvalidInput, MissingClass, ShapeError)
+from .errors import DegenerateInput, DimensionTooSmall, InvalidInput, ShapeError
 
 logger = logging.getLogger("concm.structure")
 
@@ -72,7 +71,8 @@ class StructureMatrix:
 
 @dataclass(frozen=True)
 class InitialStructure:
-    """Structure seed: previous columns carried over plus new embedded means.
+    """Structure seed: previous columns carried over plus the projected
+    means of the new classes.
 
     historical[i] is True when column i was copied from the previous
     session's structure.
@@ -96,36 +96,20 @@ def centering(n: int) -> np.ndarray:
     return np.eye(n) - np.full((n, n), 1.0 / n)
 
 
-def initial_structure(prev: StructureMatrix | None, project,
-                      means: dict[int, np.ndarray]) -> InitialStructure:
+def initial_structure(prev: StructureMatrix | None,
+                      new_columns: np.ndarray) -> InitialStructure:
     """Assemble the initial structure for the current class set.
 
-    Columns for classes covered by ``prev`` are copied bit-exactly; each
-    new class contributes the unit-normalized projection of its prototype
-    mean.  ``project`` maps a d_f vector to a d_g vector; ``means`` maps
-    class id to the prototype mean, and must cover every class.
+    The columns of ``prev`` (None at t = 0) are copied bit-exactly, and the
+    d_g x n_new ``new_columns`` (the unit-norm projections of the new
+    classes' means) follow them as the next class ids.
     """
-    class_ids = sorted(means)
-    n_prev = 0
-    cols = []
-    if prev is not None:
-        n_prev = prev.num_classes
-        if tuple(class_ids[:n_prev]) != prev.class_ids:
-            raise MissingClass("previous structure classes must prefix the current ones")
-        cols.append(prev.columns.copy())
-    new_cols = []
-    for cid in class_ids[n_prev:]:
-        z = np.asarray(project(means[cid]), dtype=np.float64).reshape(-1)
-        nz = np.linalg.norm(z)
-        if not np.isfinite(nz) or nz < 1e-12:
-            raise DegenerateEmbedding(f"class {cid} projects to a zero-norm vector")
-        new_cols.append(z / nz)
-    if new_cols:
-        cols.append(np.column_stack(new_cols))
-    columns = np.hstack(cols) if len(cols) > 1 else cols[0]
-    historical = np.arange(columns.shape[1]) < n_prev
-    return InitialStructure(columns=columns, class_ids=tuple(class_ids),
-                            historical=historical)
+    old = [] if prev is None else [prev.columns]
+    # a C-ordered copy, never a view of the caller's array
+    columns = np.ascontiguousarray(np.hstack(old + [new_columns]))
+    n = columns.shape[1]
+    return InitialStructure(columns=columns, class_ids=tuple(range(n)),
+                            historical=np.arange(n) < n - new_columns.shape[1])
 
 
 def nearest_optimal_structure(init: InitialStructure) -> StructureMatrix:

@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from concm import rng
-from concm.augment import (ClassStats, PrototypeRepository, SampleCounts,
-                           class_statistics, epoch_labels, novel_covariance,
-                           sample_augmented, shot_variance, transfer_weights)
+from concm.augment import (PrototypeRepository, SampleCounts, class_statistics,
+                           epoch_labels, novel_covariance, sample_augmented,
+                           shot_variance, transfer_weights)
 from concm.autodiff import Tape, zero_norm_rows
 from concm.data import FeatureSet
 from concm.errors import (DegenerateInput, InsufficientSamples, InvalidConfig,
@@ -23,16 +23,15 @@ from concm.structure import random_optimal_structure
 def test_two_point_statistics():
     fs = FeatureSet(features=np.array([[1.0, 1.0], [3.0, 3.0]]),
                     labels=np.array([0, 0]), class_names=("c",))
-    stats = class_statistics(fs)[0]
-    np.testing.assert_allclose(stats.mean, [2.0, 2.0])
-    np.testing.assert_allclose(stats.cov_diag, [1.0, 1.0])  # population variance
-    assert stats.exact
+    means, variances = class_statistics(fs)
+    np.testing.assert_allclose(means, [[2.0, 2.0]])
+    np.testing.assert_allclose(variances, [[1.0, 1.0]])  # population variance
 
 
 def test_constant_class_zero_variance():
     fs = FeatureSet(features=np.ones((5, 3)), labels=np.zeros(5, dtype=int),
                     class_names=("c",))
-    np.testing.assert_allclose(class_statistics(fs)[0].cov_diag, 0.0)
+    np.testing.assert_allclose(class_statistics(fs)[1], 0.0)
 
 
 def test_statistics_recover_planted_covariance():
@@ -42,8 +41,8 @@ def test_statistics_recover_planted_covariance():
     feats = 3.0 + rng.gaussian(gen, (5000, 4)) * np.sqrt(true_cov)
     fs = FeatureSet(features=feats, labels=np.zeros(5000, dtype=int),
                     class_names=("c",))
-    stats = class_statistics(fs)[0]
-    assert np.all(np.abs(stats.cov_diag - true_cov) <= 0.1 * true_cov)
+    variances = class_statistics(fs)[1][0]
+    assert np.all(np.abs(variances - true_cov) <= 0.1 * true_cov)
 
 
 def test_insufficient_samples():
@@ -57,11 +56,17 @@ def test_shot_variance_single_shot_is_zero():
     np.testing.assert_array_equal(shot_variance(np.ones((1, 4))), np.zeros(4))
 
 
+def make_repo(means, variances, exact):
+    """A repository of the given rows in order, class k named c<k>."""
+    repo = PrototypeRepository()
+    for k, (mean, var, is_exact) in enumerate(zip(means, variances, exact)):
+        repo = repo.extended([f"c{k}"], [mean], [var], is_exact)
+    return repo
+
+
 def base_fixture():
-    return [
-        ClassStats(0, "b0", np.array([1.0, 0.0]), np.array([1.0, 1.0]), True),
-        ClassStats(1, "b1", np.array([0.0, 1.0]), np.array([2.0, 0.5]), True),
-    ]
+    return make_repo([[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [2.0, 0.5]],
+                     [True, True])
 
 
 def test_transfer_weights_sharpness():
@@ -83,6 +88,45 @@ def test_transfer_weights_uniform_for_equal_cosines():
 def test_transfer_weights_degenerate_prototype():
     with pytest.raises(DegenerateInput):
         transfer_weights(np.zeros(2), base_fixture(), gamma=16.0)
+    # a zero-norm base mean is named; novel rows are no transfer source
+    repo = make_repo([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], np.ones((3, 2)),
+                     [True, True, False])
+    with pytest.raises(DegenerateInput, match="base prototype 'c1'"):
+        transfer_weights(np.ones(2), repo, gamma=16.0)
+    w = transfer_weights(np.ones(2), make_repo(
+        repo.means[[0, 2]], repo.variances[[0, 2]], [True, False]), 16.0)
+    assert w.tolist() == [1.0]
+
+
+def test_transfer_matches_the_per_class_loop():
+    # the loop form over base classes: the weighted variance sum keeps its
+    # order (bit-equal); the cosines are summed in another order
+    repo = random_repo(9, 7)
+    gen = rng.stream(5, "transfer-reference")
+    p = rng.gaussian(gen, (7,))
+    shot_cov = gen.random(7)
+    base = np.flatnonzero(repo.exact)
+    cosines = np.array([repo.means[k] @ p / (np.linalg.norm(repo.means[k])
+                                             * np.linalg.norm(p)) for k in base])
+    want = np.exp(16.0 * (cosines - cosines.max()))
+    w = transfer_weights(p, repo, gamma=16.0)
+    np.testing.assert_allclose(w, want / want.sum(), rtol=64 * np.finfo(float).eps)
+    transferred = np.zeros(7)
+    for k, wk in zip(base, w):
+        transferred += wk * repo.variances[k]
+    assert novel_covariance(shot_cov, repo, w, 0.6).tobytes() == \
+        (0.6 * (shot_cov + transferred)).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-50, 1e-100, 1e-150])
+def test_transfer_weights_do_not_depend_on_the_scale_of_the_means(scale):
+    # cosines are scale-free, so a mean is degenerate only under the
+    # package's one zero-norm rule (zero_norm_rows)
+    repo = random_repo(6, 5)
+    p = rng.gaussian(rng.stream(3, "prototype"), (5,))
+    tiny = make_repo(repo.means * scale, repo.variances, repo.exact)
+    np.testing.assert_allclose(transfer_weights(p * scale, tiny, 16.0),
+                               transfer_weights(p, repo, 16.0), rtol=1e-12)
 
 
 def test_novel_covariance_arithmetic():
@@ -114,17 +158,14 @@ def full_epoch(repo, counts, seed, epoch=0, replay=None):
     in one call, with the class id of each row as ``labels``."""
     labels = epoch_labels(repo, counts, replay)
     aug = sample_augmented(repo, counts, seed, epoch, replay)
-    out = np.empty((labels.size, repo.entries[0].mean.shape[0]))
+    out = np.empty((labels.size, repo.means.shape[1]))
     return SimpleNamespace(features=aug.rows(np.arange(labels.size), out),
                            labels=labels, n_samples=aug.n_samples)
 
 
 def repo_fixture():
-    repo = PrototypeRepository()
-    repo.add(ClassStats(0, "b0", np.array([5.0, -3.0]), np.zeros(2), True))
-    repo.add(ClassStats(1, "n0", np.array([0.0, 2.0]), np.array([4.0, 1.0]),
-                        False))
-    return repo
+    return make_repo([[5.0, -3.0], [0.0, 2.0]], [[0.0, 0.0], [4.0, 1.0]],
+                     [True, False])
 
 
 def test_sampling_zero_covariance_returns_mean():
@@ -142,11 +183,10 @@ def test_sampling_counts_and_names():
 
 
 def test_sampling_clt_mean_bound():
-    repo = PrototypeRepository()
     cov = np.array([4.0, 1.0, 0.25])
-    repo.add(ClassStats(0, "c", np.array([1.0, -2.0, 0.5]), cov, True))
+    repo = make_repo([[1.0, -2.0, 0.5]], [cov], [True])
     fs = full_epoch(repo, SampleCounts(base=10000, novel=1), seed=3)
-    err = np.abs(fs.features.mean(axis=0) - repo.get(0).mean)
+    err = np.abs(fs.features.mean(axis=0) - repo.means[0])
     assert np.all(err <= 3.0 * np.sqrt(cov) / math.sqrt(10000))
 
 
@@ -162,19 +202,18 @@ def test_resampling_deterministic_per_epoch():
 def test_sampling_bitwise_equals_per_class_reference():
     # the per-class draw mean + z * sqrt(cov), stacked in class order
     gen = rng.stream(7, "stats")
-    repo = PrototypeRepository()
-    for cid in range(5):
-        repo.add(ClassStats(cid, f"c{cid}", rng.gaussian(gen, (9,)) * 3.0,
-                            gen.random(9) * 2.0, exact=cid < 3))
+    stats = [(rng.gaussian(gen, (9,)) * 3.0, gen.random(9) * 2.0)
+             for _ in range(5)]
+    repo = make_repo(*zip(*stats), [True] * 3 + [False] * 2)
     counts = SampleCounts(base=11, novel=4)
     for epoch in (0, 3):
         fs = full_epoch(repo, counts, seed=2, epoch=epoch)
         want, labels = [], []
-        for e in repo.entries:
-            n = counts.base if e.exact else counts.novel
-            z = rng.gaussian(rng.stream(2, "augment", epoch, e.class_id), (n, 9))
-            want.append(e.mean + z * np.sqrt(e.cov_diag))
-            labels += [e.class_id] * n
+        for cid, (mean, var) in enumerate(stats):
+            n = counts.base if cid < 3 else counts.novel
+            z = rng.gaussian(rng.stream(2, "augment", epoch, cid), (n, 9))
+            want.append(mean + z * np.sqrt(var))
+            labels += [cid] * n
         assert fs.features.tobytes() == np.vstack(want).tobytes()
         assert fs.labels.tolist() == labels
         assert fs.labels.dtype == np.int64
@@ -189,16 +228,15 @@ def test_adding_a_class_leaves_other_classes_draws_unchanged(
         exact, new_exact, d, base, novel, seed, epoch):
     gen = rng.stream(seed, "independence-stats")
 
-    def stats(cid, is_exact):
-        return ClassStats(cid, f"c{cid}", rng.gaussian(gen, (d,)),
-                          gen.random(d) * 2.0, is_exact)
+    def stats():
+        return [rng.gaussian(gen, (1, d)), gen.random((1, d)) * 2.0]
 
     repo = PrototypeRepository()
     for cid, is_exact in enumerate(exact):
-        repo.add(stats(cid, is_exact))
+        repo = repo.extended([f"c{cid}"], *stats(), is_exact)
     counts = SampleCounts(base=base, novel=novel)
     before = full_epoch(repo, counts, seed=seed, epoch=epoch)
-    repo.add(stats(len(exact), new_exact))
+    repo = repo.extended(["new"], *stats(), new_exact)
     after = full_epoch(repo, counts, seed=seed, epoch=epoch)
     for cid in range(len(exact)):
         assert after.features[after.labels == cid].tobytes() == \
@@ -234,26 +272,26 @@ def test_zero_variance_dimensions_draw_the_class_mean(columns, n_base, per_class
     base = FeatureSet(features=rows(n_base * per_class),
                       labels=np.repeat(np.arange(n_base), per_class),
                       class_names=tuple(f"b{c}" for c in range(n_base)))
-    repo = PrototypeRepository()
-    for stats in class_statistics(base):
-        repo.add(stats)
-        assert stats.cov_diag[const].tobytes() == np.zeros(values.size).tobytes()
+    repo = PrototypeRepository().extended(base.class_names,
+                                          *class_statistics(base), exact=True)
+    for var in repo.variances:
+        assert var[const].tobytes() == np.zeros(values.size).tobytes()
     shot_rows = np.repeat(rows(1), shots, axis=0) if duplicate_shots else rows(shots)
     mean = shot_rows.mean(axis=0)
     assume(np.linalg.norm(mean) > 1e-9)
     shot_cov = shot_variance(shot_rows)
     zero = const | duplicate_shots
     assert shot_cov[zero].tobytes() == np.zeros(zero.sum()).tobytes()
-    weights = transfer_weights(mean, repo.entries, gamma=16.0)
-    cov = novel_covariance(shot_cov, repo.entries, weights, 0.6)
-    repo.add(ClassStats(n_base, "novel", mean, cov, exact=False))
-    repo.add(ClassStats(n_base + 1, "shots", mean, shot_cov, exact=False))
+    weights = transfer_weights(mean, repo, gamma=16.0)
+    cov = novel_covariance(shot_cov, repo, weights, 0.6)
+    repo = repo.extended(["novel", "shots"], [mean, mean], [cov, shot_cov],
+                         exact=False)
     fs = full_epoch(repo, SampleCounts(base=5, novel=7), seed=seed)
-    for e in repo.entries:
-        cols = zero if e.class_name == "shots" else const
-        drawn = fs.features[fs.labels == e.class_id][:, cols]
+    for cid, (name, mean) in enumerate(zip(repo.names, repo.means)):
+        cols = zero if name == "shots" else const
+        drawn = fs.features[fs.labels == cid][:, cols]
         assert drawn.tobytes() == np.broadcast_to(
-            e.mean[cols], drawn.shape).tobytes()
+            mean[cols], drawn.shape).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -263,30 +301,30 @@ def test_zero_variance_dimensions_draw_the_class_mean(columns, n_base, per_class
 def test_one_shot_session_statistics_and_draws_are_finite(d, n_base, scale,
                                                           gamma, beta, seed):
     gen = rng.stream(seed, "one-shot")
-    repo = PrototypeRepository()
-    for cid in range(n_base):
-        repo.add(ClassStats(cid, f"b{cid}", rng.gaussian(gen, (d,)) * scale + 1.0,
-                            gen.random(d) * scale ** 2, exact=True))
+    repo = make_repo(*zip(*[(rng.gaussian(gen, (d,)) * scale + 1.0,
+                             gen.random(d) * scale ** 2)
+                            for _ in range(n_base)]), [True] * n_base)
     shot = rng.gaussian(gen, (1, d)) * scale
     assume(np.linalg.norm(shot) > 1e-9)
     shot_cov = shot_variance(shot)
     assert shot_cov.tobytes() == np.zeros(d).tobytes()
-    weights = transfer_weights(shot[0], repo.entries, gamma)
-    cov = novel_covariance(shot_cov, repo.entries, weights, beta)
+    weights = transfer_weights(shot[0], repo, gamma)
+    cov = novel_covariance(shot_cov, repo, weights, beta)
     assert cov.shape == (d,) and np.all(np.isfinite(cov)) and np.all(cov >= 0.0)
-    repo.add(ClassStats(n_base, "novel", shot[0], cov, exact=False))
+    repo = repo.extended(["novel"], shot, [cov], exact=False)
     fs = full_epoch(repo, SampleCounts(base=3, novel=9), seed=seed)
     assert np.all(np.isfinite(fs.features))
     assert (fs.labels == n_base).sum() == 9
 
 
-def random_repo(n_classes, d, seed=7):
+def random_repo(n_classes, d, seed=7, exact=None):
+    """Random statistics; the last three classes are novel unless
+    ``exact`` gives each class's flag."""
     gen = rng.stream(seed, "replay-stats")
-    repo = PrototypeRepository()
-    for cid in range(n_classes):
-        repo.add(ClassStats(cid, f"c{cid}", rng.gaussian(gen, (d,)),
-                            gen.random(d), exact=cid < n_classes - 3))
-    return repo
+    stats = [(rng.gaussian(gen, (d,)), gen.random(d)) for _ in range(n_classes)]
+    if exact is None:
+        exact = [cid < n_classes - 3 for cid in range(n_classes)]
+    return make_repo(*zip(*stats), exact)
 
 
 def replay_buffer(ids, d, k=3):
@@ -320,16 +358,16 @@ def reference_steps(repo, counts, seed, replay, labels, schedule, anchored,
     """(rows, labels) of every training step: each class's stream drawn
     once per epoch, its rows handed out in slot order (batch by batch, in
     batch order), replay slots filled with their replay rows."""
-    d = repo.entries[0].mean.shape[0]
-    drawn = sum(counts.base if e.exact else counts.novel for e in repo.entries)
+    d = repo.means.shape[1]
+    sizes = [counts.base if e else counts.novel for e in repo.exact]
+    drawn = sum(sizes)
     replayed = [row for cid in sorted(replay) for row in replay[cid]]
     steps = []
     for epoch in range(schedule.epochs):
         full = {}
-        for e in repo.entries:
-            n = counts.base if e.exact else counts.novel
-            z = rng.gaussian(rng.stream(seed, "augment", epoch, e.class_id), (n, d))
-            full[e.class_id] = list(z * np.sqrt(e.cov_diag) + e.mean)
+        for cid, n in enumerate(sizes):
+            z = rng.gaussian(rng.stream(seed, "augment", epoch, cid), (n, d))
+            full[cid] = list(z * np.sqrt(repo.variances[cid]) + repo.means[cid])
         for idx in plan(labels, schedule, epoch, anchored):
             rows = [full[labels[i]].pop(0) if i < drawn else replayed[i - drawn]
                     for i in idx]
@@ -350,9 +388,7 @@ def test_batches_draw_each_class_stream_in_slot_order(
         shuffled):
     # planned batches come in ascending layout order; shuffled slots check
     # that any slot order gets each class's rows in slot order
-    repo = random_repo(len(exact), d, seed=seed)
-    for e, is_exact in zip(repo.entries, exact):
-        e.exact = is_exact
+    repo = random_repo(len(exact), d, seed=seed, exact=exact)
     replay = {c: rng.gaussian(rng.stream(c, "replay-rows"), (k, d))
               for c, k in replayed.items() if c < len(exact)}
     counts = SampleCounts(base=base, novel=novel)
@@ -406,15 +442,27 @@ def test_sampling_empty_repository_rejected():
 
 
 def test_negative_stats_rejected():
-    with pytest.raises(InvalidStats):
-        ClassStats(0, "c", np.zeros(2), np.array([-0.1, 1.0]), True)
+    # the class at fault is named, and the repository is left as it was
+    repo = base_fixture()
+    means = np.zeros((3, 2))
+    with pytest.raises(InvalidStats, match="'n1': negative variance"):
+        repo.extended(["n0", "n1", "n2"], means,
+                      [[0.0, 1.0], [-0.1, 1.0], [1.0, 1.0]], False)
+    means[2, 0] = np.nan
+    with pytest.raises(InvalidStats, match="'n2': non-finite statistics"):
+        repo.extended(["n0", "n1", "n2"], means, np.ones((3, 2)), False)
+    assert len(repo) == 2 and repo.names == ("c0", "c1")
 
 
-def test_repository_ordering_enforced():
-    from concm.errors import MissingClass
-    repo = PrototypeRepository()
-    with pytest.raises(MissingClass):
-        repo.add(ClassStats(3, "c", np.zeros(2), np.zeros(2), True))
+def test_extended_appends_rows_as_the_next_class_ids():
+    repo = base_fixture()
+    new = repo.extended(["n0"], [[3.0, 4.0]], [[0.5, 0.25]], exact=False)
+    assert new.names == ("c0", "c1", "n0")
+    assert new.means.tolist() == [[1.0, 0.0], [0.0, 1.0], [3.0, 4.0]]
+    assert new.variances.tolist() == [[1.0, 1.0], [2.0, 0.5], [0.5, 0.25]]
+    assert new.exact.tolist() == [True, True, False]
+    # the earlier repository is unchanged
+    assert len(repo) == 2 and repo.means.shape == (2, 2)
 
 
 def test_mean_and_covariance_similarity_correlate_on_benchmark():

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concm import rng, session
-from concm.augment import (ClassStats, PrototypeRepository, SampleCounts,
-                           epoch_labels, sample_augmented)
+from concm.augment import (PrototypeRepository, SampleCounts, epoch_labels,
+                           sample_augmented)
 from concm.autodiff import Tape, grad_check
 from concm.errors import (DegenerateBatch, DegenerateInput, InvalidConfig,
                           LabelOutOfRange, TrainingDiverged)
@@ -505,8 +505,8 @@ def test_train_peak_grows_by_less_than_a_batch_with_the_epoch(peak_bytes):
     gen = rng.stream(3, "one-batch")
     repo = PrototypeRepository()
     for cid in range(8):
-        repo.add(ClassStats(cid, f"c{cid}", rng.gaussian(gen, (d,)),
-                            gen.random(d), exact=True))
+        repo = repo.extended([f"c{cid}"], [rng.gaussian(gen, (d,))],
+                             [gen.random(d)], exact=True)
     s = random_optimal_structure(8, 9, seed=1)
     sched = TrainSchedule(lr_max=0.1, epochs=1, warmup_steps=0,
                           batch_size=batch_size, seed=0)

@@ -74,8 +74,10 @@ def test_incremental_session_growth_and_distillation(bench, base_state):
     assert np.array_equal(state1.initial.columns[:, :6],
                           base_state.structure.columns)
     # base statistics never mutate across sessions
-    for cid in range(6):
-        assert state1.repository.get(cid).mean is base_state.repository.get(cid).mean
+    assert state1.repository.means[:6].tobytes() == \
+        base_state.repository.means.tobytes()
+    assert state1.repository.names[:6] == base_state.repository.names
+    assert state1.repository.exact.tolist() == [True] * 6 + [False] * 3
     # replay keeps all five shots per novel class
     assert sorted(state1.replay) == [6, 7, 8]
     assert all(v.shape == (5, 24) for v in state1.replay.values())
@@ -87,15 +89,11 @@ def test_incremental_session_growth_and_distillation(bench, base_state):
 
 def test_initial_structure_columns_are_projected_repository_means(bench,
                                                                   base_state):
-    # each new column is the normalized projection, before the session's
-    # training, of the class's repository prototype: the exact base mean
-    # at t = 0, the calibrated novel prototype at t = 1
+    # the new columns are one projection, before the session's training,
+    # of the new classes' repository prototypes: the exact base means at
+    # t = 0, the calibrated novel prototypes at t = 1
     def expected(theta_g, repo, ids):
-        cols = []
-        for k in ids:
-            z = project(theta_g, repo.get(k).mean.reshape(1, -1)).ravel()
-            cols.append(z / np.linalg.norm(z))
-        return np.column_stack(cols)
+        return np.ascontiguousarray(project(theta_g, repo.means[ids]).T)
 
     cfg = tiny_cfg()
     theta0 = init_projector_params(24, 24, cfg.d_g,
@@ -250,11 +248,11 @@ def test_uncovered_novel_class_falls_back_to_raw_prototype(bench, base_state):
                                      bench.embeddings)
     cid = 6
     raw_mean = novel.class_features(0).mean(axis=0)
-    np.testing.assert_allclose(state1.repository.get(cid).mean, raw_mean,
+    np.testing.assert_allclose(state1.repository.means[cid], raw_mean,
                                rtol=0, atol=1e-12)
     # covered classes are actually calibrated (blend differs from raw)
     other_raw = novel.class_features(1).mean(axis=0)
-    assert not np.allclose(state1.repository.get(7).mean, other_raw)
+    assert not np.allclose(state1.repository.means[7], other_raw)
 
 
 @settings(max_examples=12, deadline=None)
@@ -314,10 +312,24 @@ def test_novel_classes_sharing_no_pool_attribute_keep_raw_prototypes(bench,
     for fs in bench.train_sets[1:]:
         for local, name in enumerate(fs.class_names):
             if name in uncovered:
-                np.testing.assert_allclose(repo.get(cid).mean,
+                np.testing.assert_allclose(repo.means[cid],
                                            fs.class_features(local).mean(axis=0),
                                            rtol=0, atol=1e-12)
             cid += 1
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-50, 1e-100, 1e-150])
+def test_base_set_at_a_tiny_scale_runs_every_session(inputs, scale):
+    # the base means are tiny but not zero-norm, so the novel classes'
+    # covariance transfer takes them like any other
+    base = inputs.train_sets[0]
+    tiny = FeatureSet(features=base.features * scale, labels=base.labels,
+                      class_names=base.class_names)
+    config = tiny_cfg(epochs_base=1, epochs_incremental=1, meta_episodes=2)
+    result = run_pipeline(replace(inputs, config=config,
+                                  train_sets=[tiny, *inputs.train_sets[1:]]))
+    assert [r.t for r in result.report.sessions] == [0, 1, 2]
+    assert np.isfinite(result.state.repository.variances).all()
 
 
 def test_pipeline_holds_one_augmentation_epoch_at_a_time(inputs, monkeypatch):

@@ -186,8 +186,12 @@ class Tape:
         self._forward_done = False
         return len(self._nodes) - 1
 
-    def constant(self, value) -> int:
-        return self._push("const", (), _as_value(value, "constant"))
+    def constant(self, value, name: str | None = None) -> int:
+        """A fixed value that never gets an adjoint; a float64 array is
+        held as given, not copied.  ``name``, when set, is the name a
+        non-finite ``value`` is reported under."""
+        what = "constant" if name is None else f"constant {name!r}"
+        return self._push("const", (), _as_value(value, what))
 
     def input(self, name: str, default=None) -> int:
         """A value fed to forward() by name; ``default`` is used when the

@@ -97,7 +97,14 @@ def init_calibration_params(d_f: int, d_s: int, d_attn: int | None = None,
 
 
 def _register_params(tape: Tape, params: CalibrationParams) -> dict[str, int]:
+    """The weights as trainable tape params, copied into the tape."""
     return {name: tape.param(name, getattr(params, name)) for name in _PARAM_FIELDS}
+
+
+def _constants(tape: Tape, params: CalibrationParams) -> dict[str, int]:
+    """The weights as named tape constants, read in place."""
+    return {name: tape.constant(getattr(params, name), name)
+            for name in _PARAM_FIELDS}
 
 
 def _read_params(tape: Tape, params: CalibrationParams) -> CalibrationParams:
@@ -158,12 +165,14 @@ def _check_dims(proto: Prototype, s_k: np.ndarray, knowledge: SemanticKnowledge,
 def calibrate(proto: Prototype, s_k: np.ndarray, knowledge: SemanticKnowledge,
               params: CalibrationParams) -> Prototype:
     """Calibrated prototype via encode, attribute aggregation, decode: the
-    calibration graph of the one class, with s_k as its embedding."""
+    calibration graph of the one class, with s_k as its embedding, which
+    reads the weights without copying them.  A non-finite weight raises
+    InvalidInput naming the weight."""
     s_k = np.asarray(s_k, dtype=np.float64)
     _check_dims(proto, s_k, knowledge, params)
     tape = Tape()
     out = _calibration_nodes(
-        tape, _register_params(tape, params),
+        tape, _constants(tape, params),
         tape.constant(proto.mean.reshape(1, -1)), s_k.reshape(1, -1),
         _mask(knowledge, [proto.class_name]), knowledge.pool)
     tape.forward({})
@@ -271,10 +280,11 @@ def meta_train(base_features: FeatureSet, knowledge: SemanticKnowledge,
             raise TrainingDiverged(f"meta-training loss became {value} at "
                                    f"episode {ep}")
         trace.append(value)
-        grads = tape.backward(loss)
         try:
-            sgd_step(tape, grads, cosine_lr(ep, config.episodes,
-                                            config.lr_max, config.warmup))
+            # no name holds the gradients: they die in the update
+            sgd_step(tape, tape.backward(loss),
+                     cosine_lr(ep, config.episodes, config.lr_max,
+                               config.warmup))
         except InvalidInput as exc:
             raise TrainingDiverged(f"meta-training episode {ep}: {exc}") from exc
     logger.info("meta training: %d episodes, loss %.5f -> %.5f",

@@ -65,7 +65,13 @@ def init_projector_params(d_f: int, d_hidden: int, d_g: int,
 
 
 def _register(tape: Tape, params: ProjectorParams) -> dict[str, int]:
+    """The weights as trainable tape params, copied into the tape."""
     return {n: tape.param(n, getattr(params, n)) for n in _PARAM_FIELDS}
+
+
+def _constants(tape: Tape, params: ProjectorParams) -> dict[str, int]:
+    """The weights as named tape constants, read in place."""
+    return {n: tape.constant(getattr(params, n), n) for n in _PARAM_FIELDS}
 
 
 def projection_nodes(tape: Tape, pnodes: dict[str, int], x_node: int) -> int:
@@ -77,8 +83,9 @@ def projection_nodes(tape: Tape, pnodes: dict[str, int], x_node: int) -> int:
 
 def project(params: ProjectorParams, x: np.ndarray) -> np.ndarray:
     """Unit-norm projections of the (n, d_f) rows ``x``, in one forward pass
-    of the projection graph.  A zero-norm feature or projected row raises
-    DegenerateInput naming the row."""
+    of the projection graph, which reads the weights without copying them.
+    A zero-norm feature or projected row raises DegenerateInput naming the
+    row, a non-finite weight InvalidInput naming the weight."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"project takes (n, d_f) rows, got shape {x.shape}")
@@ -87,7 +94,7 @@ def project(params: ProjectorParams, x: np.ndarray) -> np.ndarray:
         raise DegenerateInput("cannot project zero-norm feature row(s) "
                               f"{zero.tolist()}")
     tape = Tape()
-    z = projection_nodes(tape, _register(tape, params), tape.input("x"))
+    z = projection_nodes(tape, _constants(tape, params), tape.input("x"))
     try:
         tape.forward({"x": x})
     except DegenerateInput as exc:
@@ -245,7 +252,8 @@ def train_projector(params: ProjectorParams, structure: StructureMatrix,
     a single batch: the batch features (input ``x``) and the masks of
     ``batch_masks`` are tape inputs fed at each step.  A step is one forward
     pass, one backward pass that forms only the adjoints a parameter needs,
-    and an in-place SGD update of the tape's parameters.  A zero-norm
+    and an in-place SGD update of the tape's parameters, which spends the
+    step's gradients: none are held into the next step.  A zero-norm
     feature or projected row raises DegenerateInput, a non-finite loss or
     parameter TrainingDiverged, each naming the step.
     """
@@ -282,11 +290,11 @@ def train_projector(params: ProjectorParams, structure: StructureMatrix,
             value = float(tape.value(loss))
             if not np.isfinite(value):
                 raise TrainingDiverged(f"loss became {value} at step {step}")
-            grads = tape.backward(loss)
             lr = cosine_lr(step, total_steps, schedule.lr_max,
                            schedule.warmup_steps)
             try:
-                sgd_step(tape, grads, lr)
+                # no name holds the gradients: they die in the update
+                sgd_step(tape, tape.backward(loss), lr)
             except InvalidInput as exc:
                 raise TrainingDiverged(f"step {step}: {exc}") from exc
             epoch_losses.append(value)

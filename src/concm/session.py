@@ -105,7 +105,6 @@ class SessionState:
     t: int
     config: SessionConfig
     strategy: str
-    class_names: list[str]
     repository: PrototypeRepository
     structure: StructureMatrix
     initial: InitialStructure
@@ -117,7 +116,7 @@ class SessionState:
 
     @property
     def n_classes(self) -> int:
-        return len(self.class_names)
+        return len(self.repository)
 
     @property
     def base_class_ids(self) -> set[int]:
@@ -220,10 +219,9 @@ def run_base_session(config: SessionConfig, base: FeatureSet,
 
     init, structure, smr, theta_g = _fit(config, strategy, 0, repo, None,
                                          theta_g, {}, frozenset())
-    return SessionState(t=0, config=config, strategy=strategy, class_names=names,
-                        repository=repo, structure=structure, initial=init,
-                        smr=smr, theta_g=theta_g, theta_h=theta_h,
-                        knowledge=knowledge)
+    return SessionState(t=0, config=config, strategy=strategy, repository=repo,
+                        structure=structure, initial=init, smr=smr,
+                        theta_g=theta_g, theta_h=theta_h, knowledge=knowledge)
 
 
 def _novel_prototype(state: SessionState, cid: int, name: str,
@@ -251,7 +249,7 @@ def run_incremental_session(state: SessionState, novel: FeatureSet,
     """Execute one incremental session and return the new state."""
     config = state.config
     t = state.t + 1
-    names = check_session(config, t, state.class_names, novel)
+    names = check_session(config, t, list(state.repository.names), novel)
     knowledge = build_knowledge(names, embeddings, table,
                                 pool=state.knowledge.pool)
     state = replace(state, knowledge=knowledge)
@@ -280,10 +278,9 @@ def run_incremental_session(state: SessionState, novel: FeatureSet,
                 new_replay[cid] = shots[np.sort(keep)].copy()
 
     return SessionState(t=t, config=config, strategy=state.strategy,
-                        class_names=names, repository=repo, structure=structure,
-                        initial=init, smr=smr, theta_g=theta_g,
-                        theta_h=state.theta_h, knowledge=knowledge,
-                        replay=new_replay)
+                        repository=repo, structure=structure, initial=init,
+                        smr=smr, theta_g=theta_g, theta_h=state.theta_h,
+                        knowledge=knowledge, replay=new_replay)
 
 
 @dataclass

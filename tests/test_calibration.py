@@ -14,7 +14,7 @@ from concm.calibration import (MetaTrainConfig, Prototype, blend,
 from concm.calibration import _class_rows, _draw_shots
 from concm.data import FeatureSet
 from concm.errors import (AllMasked, InsufficientSamples, InvalidConfig,
-                          TrainingDiverged)
+                          InvalidInput, TrainingDiverged)
 from concm.optim import cosine_lr, sgd_step
 
 
@@ -340,6 +340,27 @@ def test_meta_train_insufficient_samples():
     params = init_calibration_params(8, 4, seed=7)
     with pytest.raises(InsufficientSamples):
         meta_train(fs, kn, params, MetaTrainConfig(shots=5, episodes=5, seed=1))
+
+
+def test_calibrate_copies_no_weights(peak_bytes):
+    # the weights enter the graph as constants, read in place: one
+    # calibration allocates less than the weights
+    kn = knowledge_fixture(d_f=256, seed=11)
+    params = init_calibration_params(256, 5, seed=9)
+    weight_bytes = sum(v.nbytes for v in vars(params).values())
+    proto = Prototype(0, "x", np.ones(256), "raw", 5)
+    assert peak_bytes(lambda: calibrate(proto, kn.class_semantic["x"], kn,
+                                        params)) < weight_bytes
+
+
+@pytest.mark.parametrize("name", ["w_enc", "b_dec", "g_sem_cls", "g_vis_attr"])
+def test_calibrate_non_finite_weight_names_it(name):
+    kn = knowledge_fixture(seed=12)
+    params = init_calibration_params(8, 5, seed=10)
+    getattr(params, name)[0, 0] = math.inf
+    proto = Prototype(0, "x", np.ones(8), "raw", 5)
+    with pytest.raises(InvalidInput, match=f"'{name}' contains non-finite"):
+        calibrate(proto, kn.class_semantic["x"], kn, params)
 
 
 def test_calibrate_unknown_class():

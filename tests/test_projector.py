@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from concm import rng, session
 from concm.augment import (PrototypeRepository, SampleCounts, epoch_labels,
                            sample_augmented)
-from concm.autodiff import Tape, grad_check
+from concm.autodiff import _STEP_CHUNK, Tape, grad_check
 from concm.errors import (DegenerateBatch, DegenerateInput, InvalidConfig,
-                          LabelOutOfRange, TrainingDiverged)
+                          InvalidInput, LabelOutOfRange, TrainingDiverged)
 from concm.metrics import ClassSums, ncm_classify, similarity_stats
 from concm.optim import cosine_lr
 from concm.projector import (ProjectorParams, TrainSchedule, batch_masks,
@@ -149,6 +149,23 @@ def test_project_peak_memory_does_not_grow_with_rows(peak_bytes):
 
     small, large = extra_bytes(2 * _BLOCK_ROWS), extra_bytes(16 * _BLOCK_ROWS)
     assert large <= small + 16 * 1024, (small, large)
+
+
+def test_one_row_projection_copies_no_weights(peak_bytes):
+    # the weights enter the graph as constants, read in place: projecting
+    # one row allocates less than the weights
+    p = params_fixture(256, 256, 256, seed=4)
+    weight_bytes = sum(getattr(p, n).nbytes for n in ("w1", "b1", "w2", "b2"))
+    x = rng.gaussian(rng.stream(4, "one-row"), (1, 256))
+    assert peak_bytes(lambda: project(p, x)) < weight_bytes
+
+
+@pytest.mark.parametrize("name", ["w1", "b1", "w2", "b2"])
+def test_project_non_finite_weight_names_it(name):
+    p = params_fixture(seed=9)
+    getattr(p, name)[0, 0] = math.nan
+    with pytest.raises(InvalidInput, match=f"'{name}' contains non-finite"):
+        project(p, np.ones((2, 6)))
 
 
 @pytest.mark.parametrize("d_f", [64, 512])
@@ -521,6 +538,30 @@ def test_train_peak_grows_by_less_than_a_batch_with_the_epoch(peak_bytes):
 
     small, large = peak(250), peak(2000)
     assert large - small < batch_size * d * 8, (small, large)
+
+
+def test_train_peak_holds_one_gradient_set(peak_bytes):
+    # a step's gradients are spent in its update, so the peak holds the
+    # tape's weights, one gradient set, the update's chunk buffer and at
+    # most 16 arrays of one batch's rows (the batch buffer, the forward
+    # values and the backward adjoints).  Gradients held into the next
+    # step would add a second weight-sized set.
+    d, batch_size = 256, 32
+    gen = rng.stream(7, "one-gradient-set")
+    repo = PrototypeRepository().extended(
+        [f"c{k}" for k in range(8)], rng.gaussian(gen, (8, d)),
+        gen.random((8, d)), exact=True)
+    counts = SampleCounts(base=64, novel=1)
+    params = init_projector_params(d, d, d, seed=2)
+    sched = TrainSchedule(lr_max=0.1, epochs=1, warmup_steps=0,
+                          batch_size=batch_size, seed=0)
+    peak = peak_bytes(lambda: train_projector(
+        params, random_optimal_structure(8, d, seed=1), frozenset(), sched,
+        epoch_labels(repo, counts),
+        lambda epoch: sample_augmented(repo, counts, 5, epoch)))
+    weight_bytes = sum(getattr(params, n).nbytes for n in ("w1", "b1", "w2", "b2"))
+    bound = 2 * weight_bytes + _STEP_CHUNK * 8 + 16 * batch_size * d * 8
+    assert peak < bound, (peak, bound)
 
 
 def test_train_divergence_detected():

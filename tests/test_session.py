@@ -367,7 +367,8 @@ def test_evaluation_heap_peak_holds_no_feature_rows(base_state, peak_bytes):
     # the difference holds no change of block size.
     d, names = 256, [f"c{i}" for i in range(16)]
     structure = random_optimal_structure(16, d, seed=3)
-    state = replace(base_state, t=1, class_names=names,
+    state = replace(base_state, t=1,
+                    repository=augment.PrototypeRepository(names=tuple(names)),
                     config=replace(base_state.config, base_classes=8, d_g=d),
                     structure=replace(structure, class_ids=list(range(16))),
                     theta_g=init_projector_params(d, 64, d, seed=1))

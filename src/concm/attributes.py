@@ -2,11 +2,11 @@
 
 The attribute pool is built once from the base session: pooled attribute
 names, their word embeddings, and a visual prototype per attribute (the
-mean feature over all base samples of classes possessing it).  Later
-sessions reuse the frozen pool and only add class word embeddings and
-association columns; a novel class is associated with the intersection of
-its attribute list and the pool, and flagged uncovered when that
-intersection is empty.
+mean feature over all base samples of classes possessing it).  Each
+session's knowledge holds that frozen pool plus the word embeddings and
+association columns of the session's own classes; a class is associated
+with the intersection of its attribute list and the pool, and flagged
+uncovered when that intersection is empty.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class AssociationMatrix:
 
 @dataclass(frozen=True)
 class SemanticKnowledge:
-    """Frozen pool + class word embeddings + associations for seen classes."""
+    """Frozen pool + word embeddings + associations of one session's classes."""
 
     pool: AttributePool
     class_semantic: dict[str, np.ndarray]
@@ -167,20 +167,14 @@ def build_pool(base_features: FeatureSet, table: AttributeTable,
 
 
 def build_knowledge(class_names: list[str], embeddings: dict[str, np.ndarray],
-                    table: AttributeTable, pool: AttributePool | None = None,
-                    base_features: FeatureSet | None = None) -> SemanticKnowledge:
-    """Assemble the semantic knowledge set for the given (cumulative) classes.
-
-    In the base session pass ``base_features`` to build the pool; afterwards
-    pass the frozen ``pool``.  Association columns for classes outside the
-    pool's attribute vocabulary are the table intersection; empty
-    intersections are flagged uncovered (calibration then falls back to the
+                    table: AttributeTable,
+                    pool: AttributePool) -> SemanticKnowledge:
+    """Assemble the semantic knowledge set of the given classes over the
+    frozen ``pool`` (``build_pool``).  A class's association column is the
+    intersection of its attribute list with the pool; an empty one is
+    flagged uncovered, with a warning (calibration then falls back to the
     raw prototype).
     """
-    if pool is None:
-        if base_features is None:
-            raise SchemaError("build_knowledge needs either a pool or base features")
-        pool = build_pool(base_features, table, embeddings)
     index = {a: i for i, a in enumerate(pool.names)}
     r = np.zeros((pool.size, len(class_names)), dtype=np.int8)
     class_semantic: dict[str, np.ndarray] = {}

@@ -186,12 +186,10 @@ class Tape:
         self._forward_done = False
         return len(self._nodes) - 1
 
-    def constant(self, value, name: str | None = None) -> int:
+    def constant(self, value) -> int:
         """A fixed value that never gets an adjoint; a float64 array is
-        held as given, not copied.  ``name``, when set, is the name a
-        non-finite ``value`` is reported under."""
-        what = "constant" if name is None else f"constant {name!r}"
-        return self._push("const", (), _as_value(value, what))
+        held as given, not copied."""
+        return self._push("const", (), _as_value(value, "constant"))
 
     def input(self, name: str, default=None) -> int:
         """A value fed to forward() by name; ``default`` is used when the
@@ -205,11 +203,13 @@ class Tape:
         return nid
 
     def param(self, name: str, value) -> int:
+        """A trainable value; a float64 array is held as given, not copied,
+        so ``update_param`` changes the caller's array."""
         if name in self._params:
             raise OrderError(f"duplicate parameter name {name!r}")
         nid = self._push("param", (), name)
         self._params[name] = nid
-        self._param_values[name] = _as_value(value, f"param {name!r}").copy()
+        self._param_values[name] = _as_value(value, f"param {name!r}")
         return nid
 
     def add(self, a: int, b: int) -> int:
@@ -469,7 +469,8 @@ def grad_check(tape: Tape, feeds: dict[str, Any], loss: int) -> float:
 
     The relative error for one parameter entry is
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-12).  Each entry
-    of the tape's own parameter array is perturbed in place and restored.
+    of a parameter is perturbed in place, in the array the tape holds (the
+    caller's own float64 array), and restored.
     """
     h = 1e-5
     tape.forward(feeds)

@@ -71,10 +71,6 @@ class CalibrationParams:
         return self.g_sem_attr.shape[0]
 
 
-_PARAM_FIELDS = ("w_enc", "b_enc", "w_dec", "b_dec",
-                 "g_sem_attr", "g_sem_cls", "g_vis_attr", "g_vis_cls")
-
-
 def init_calibration_params(d_f: int, d_s: int, d_attn: int | None = None,
                             seed: int = 0) -> CalibrationParams:
     """Seeded Gaussian init, scaled by 1/sqrt(fan_in); zero biases."""
@@ -96,19 +92,9 @@ def init_calibration_params(d_f: int, d_s: int, d_attn: int | None = None,
     return CalibrationParams(**values)
 
 
-def _register_params(tape: Tape, params: CalibrationParams) -> dict[str, int]:
-    """The weights as trainable tape params, copied into the tape."""
-    return {name: tape.param(name, getattr(params, name)) for name in _PARAM_FIELDS}
-
-
-def _constants(tape: Tape, params: CalibrationParams) -> dict[str, int]:
-    """The weights as named tape constants, read in place."""
-    return {name: tape.constant(getattr(params, name), name)
-            for name in _PARAM_FIELDS}
-
-
-def _read_params(tape: Tape, params: CalibrationParams) -> CalibrationParams:
-    return replace(params, **{name: tape.param_value(name) for name in _PARAM_FIELDS})
+def _register(tape: Tape, params: CalibrationParams) -> dict[str, int]:
+    """The weights as tape params by field name, held in place."""
+    return {n: tape.param(n, value) for n, value in vars(params).items()}
 
 
 def _mask(knowledge: SemanticKnowledge, class_names: list[str]) -> np.ndarray:
@@ -172,7 +158,7 @@ def calibrate(proto: Prototype, s_k: np.ndarray, knowledge: SemanticKnowledge,
     _check_dims(proto, s_k, knowledge, params)
     tape = Tape()
     out = _calibration_nodes(
-        tape, _constants(tape, params),
+        tape, _register(tape, params),
         tape.constant(proto.mean.reshape(1, -1)), s_k.reshape(1, -1),
         _mask(knowledge, [proto.class_name]), knowledge.pool)
     tape.forward({})
@@ -203,7 +189,7 @@ def _meta_loss(tape: Tape, params: CalibrationParams,
     (both (C, d_f) nodes), averaged over all classes and dimensions."""
     semantic = np.array([knowledge.class_semantic[name] for name in class_names],
                         dtype=np.float64)
-    out = _calibration_nodes(tape, _register_params(tape, params), protos,
+    out = _calibration_nodes(tape, _register(tape, params), protos,
                              semantic, _mask(knowledge, class_names),
                              knowledge.pool)
     diff = tape.sub(out, targets)
@@ -248,7 +234,9 @@ def meta_train(base_features: FeatureSet, knowledge: SemanticKnowledge,
 
     Every episode samples ``config.shots`` distinct shots per class, builds
     the shot prototypes, and takes one SGD step on the MSE against the
-    exact class means.  Returns the trained parameters and the loss trace.
+    exact class means.  Returns the trained float64 weights, a copy that
+    shares no memory with ``params`` (which are left as they were), and the
+    loss trace.
     An episode's shots of all classes are one gather of the base features.
     A non-finite loss or parameter raises TrainingDiverged naming the
     episode.
@@ -264,11 +252,14 @@ def meta_train(base_features: FeatureSet, knowledge: SemanticKnowledge,
             raise InsufficientSamples(
                 f"class {name!r} has {r.size} samples; needs > {config.shots}")
 
-    # the episode's shot prototypes are the (C, d_f) input ``p_meta``; the
+    # the tape trains one float64 copy of the weights in place; the
+    # episode's shot prototypes are the (C, d_f) input ``p_meta``; the
     # exact class means are one constant
     tape = Tape()
+    own = CalibrationParams(
+        **{n: np.array(v, dtype=np.float64) for n, v in vars(params).items()})
     means = np.array([features[r].mean(axis=0) for r in class_rows])
-    loss = _meta_loss(tape, params, knowledge, names, tape.input("p_meta"),
+    loss = _meta_loss(tape, own, knowledge, names, tape.input("p_meta"),
                       tape.constant(means))
     trace: list[float] = []
     for ep in range(config.episodes):
@@ -290,4 +281,5 @@ def meta_train(base_features: FeatureSet, knowledge: SemanticKnowledge,
     logger.info("meta training: %d episodes, loss %.5f -> %.5f",
                 config.episodes, trace[0] if trace else float("nan"),
                 trace[-1] if trace else float("nan"))
-    return _read_params(tape, params), trace
+    return CalibrationParams(
+        **{n: tape.param_value(n) for n in tape.param_names()}), trace

@@ -43,9 +43,6 @@ class ProjectorParams:
         return self.w2.shape[1]
 
 
-_PARAM_FIELDS = ("w1", "b1", "w2", "b2")
-
-
 def init_projector_params(d_f: int, d_hidden: int, d_g: int,
                           seed: int = 0) -> ProjectorParams:
     """Gaussian weights and zero biases.
@@ -65,13 +62,8 @@ def init_projector_params(d_f: int, d_hidden: int, d_g: int,
 
 
 def _register(tape: Tape, params: ProjectorParams) -> dict[str, int]:
-    """The weights as trainable tape params, copied into the tape."""
-    return {n: tape.param(n, getattr(params, n)) for n in _PARAM_FIELDS}
-
-
-def _constants(tape: Tape, params: ProjectorParams) -> dict[str, int]:
-    """The weights as named tape constants, read in place."""
-    return {n: tape.constant(getattr(params, n), n) for n in _PARAM_FIELDS}
+    """The weights as tape params by field name, held in place."""
+    return {n: tape.param(n, value) for n, value in vars(params).items()}
 
 
 def projection_nodes(tape: Tape, pnodes: dict[str, int], x_node: int) -> int:
@@ -94,7 +86,7 @@ def project(params: ProjectorParams, x: np.ndarray) -> np.ndarray:
         raise DegenerateInput("cannot project zero-norm feature row(s) "
                               f"{zero.tolist()}")
     tape = Tape()
-    z = projection_nodes(tape, _constants(tape, params), tape.input("x"))
+    z = projection_nodes(tape, _register(tape, params), tape.input("x"))
     try:
         tape.forward({"x": x})
     except DegenerateInput as exc:
@@ -203,11 +195,11 @@ def plan_epoch(labels: np.ndarray, schedule: TrainSchedule, epoch: int,
     by_class = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
     streams = [by_class[k][gen.permutation(sizes[k])] for k in order]
     # round robin: the r-th sample of every class, classes in draw order
+    # (``flat`` runs class by class, so a stable sort on rank keeps it)
     sizes = sizes[order]
     flat = np.concatenate(streams)
-    slot = np.repeat(np.arange(len(streams)), sizes)
     rank = np.arange(flat.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    interleaved = flat[np.lexsort((slot, rank))]
+    interleaved = flat[np.argsort(rank, kind="stable")]
     # per-batch class counts by bincount over labels shifted to start at 0
     span = np.arange(classes[0], classes[-1] + 1)
     unanchored = ~np.isin(span, sorted(anchored))
@@ -245,8 +237,9 @@ def train_projector(params: ProjectorParams, structure: StructureMatrix,
     for its batch: ``source.rows(idx, buf)`` writes the features of layout
     rows ``idx``, in that order, into ``buf[:idx.size]`` and returns that
     view.  ``buf`` is one (batch_size, d_f) array kept for the whole call,
-    so no step holds more than one batch of rows.  Returns updated
-    parameters and the per-epoch mean loss.
+    so no step holds more than one batch of rows.  Returns the trained
+    float64 weights, a copy that shares no memory with ``params`` (which
+    are left as they were), and the per-epoch mean loss.
 
     The loss graph is built once per call, by the same builders that serve
     a single batch: the batch features (input ``x``) and the masks of
@@ -257,8 +250,10 @@ def train_projector(params: ProjectorParams, structure: StructureMatrix,
     feature or projected row raises DegenerateInput, a non-finite loss or
     parameter TrainingDiverged, each naming the step.
     """
+    # the tape trains one float64 copy of the weights in place
     tape = Tape()
-    pnodes = _register(tape, params)
+    pnodes = _register(tape, ProjectorParams(
+        **{n: np.array(v, dtype=np.float64) for n, v in vars(params).items()}))
     z = projection_nodes(tape, pnodes, tape.input("x"))
     # the builders' default masks (of no labels) are always overridden
     no_labels = np.zeros(0, dtype=np.int64)
@@ -303,4 +298,5 @@ def train_projector(params: ProjectorParams, structure: StructureMatrix,
     logger.info("projector: %d epochs, loss %.4f -> %.4f", schedule.epochs,
                 trace[0] if trace else float("nan"),
                 trace[-1] if trace else float("nan"))
-    return ProjectorParams(**{n: tape.param_value(n) for n in _PARAM_FIELDS}), trace
+    return ProjectorParams(
+        **{n: tape.param_value(n) for n in tape.param_names()}), trace

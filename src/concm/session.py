@@ -23,7 +23,8 @@ import numpy as np
 
 from . import rng
 from .attributes import (AttributeTable, SemanticKnowledge, build_knowledge,
-                         load_attribute_table, load_semantic_embeddings)
+                         build_pool, load_attribute_table,
+                         load_semantic_embeddings)
 from .augment import (PrototypeRepository, SampleCounts, class_statistics,
                       epoch_labels, novel_covariance, sample_augmented,
                       shot_variance, transfer_weights)
@@ -200,7 +201,8 @@ def run_base_session(config: SessionConfig, base: FeatureSet,
     if strategy not in STRATEGIES:
         raise InvalidConfig(f"unknown strategy {strategy!r}")
     names = check_session(config, 0, [], base)
-    knowledge = build_knowledge(names, embeddings, table, base_features=base)
+    knowledge = build_knowledge(names, embeddings, table,
+                                build_pool(base, table, embeddings))
 
     theta_h = init_calibration_params(
         base.dim, knowledge.pool.d_s, d_attn=config.d_attn,
@@ -231,7 +233,6 @@ def _novel_prototype(state: SessionState, cid: int, name: str,
     raw = Prototype(class_id=cid, class_name=name, mean=shots.mean(axis=0),
                     source="raw", shot_count=shots.shape[0])
     if name in state.knowledge.assoc.uncovered:
-        logger.warning("class %r uncovered by the pool; using raw prototype", name)
         calibrated = replace(raw, source="calibrated")
     else:
         calibrated = calibrate(raw, state.knowledge.class_semantic[name],
@@ -249,9 +250,9 @@ def run_incremental_session(state: SessionState, novel: FeatureSet,
     """Execute one incremental session and return the new state."""
     config = state.config
     t = state.t + 1
-    names = check_session(config, t, list(state.repository.names), novel)
-    knowledge = build_knowledge(names, embeddings, table,
-                                pool=state.knowledge.pool)
+    check_session(config, t, list(state.repository.names), novel)
+    knowledge = build_knowledge(list(novel.class_names), embeddings, table,
+                                state.knowledge.pool)
     state = replace(state, knowledge=knowledge)
 
     offset = state.n_classes
@@ -268,14 +269,11 @@ def run_incremental_session(state: SessionState, novel: FeatureSet,
 
     new_replay = dict(state.replay)
     if config.replay_per_class > 0:
+        # the rows nearest the class centre, in file order
         for cid, shots in enumerate(class_shots, start=offset):
-            if shots.shape[0] <= config.replay_per_class:
-                new_replay[cid] = shots.copy()
-            else:
-                center = shots.mean(axis=0)
-                dist = np.linalg.norm(shots - center, axis=1)
-                keep = np.argsort(dist, kind="stable")[:config.replay_per_class]
-                new_replay[cid] = shots[np.sort(keep)].copy()
+            dist = np.linalg.norm(shots - shots.mean(axis=0), axis=1)
+            keep = np.argsort(dist, kind="stable")[:config.replay_per_class]
+            new_replay[cid] = shots[np.sort(keep)]
 
     return SessionState(t=t, config=config, strategy=state.strategy,
                         repository=repo, structure=structure, initial=init,
@@ -355,8 +353,10 @@ class PipelineInputs:
 def load_inputs(manifest: Manifest, config: SessionConfig) -> PipelineInputs:
     """Load every input file and check the files against each other: each
     class of a train or test file needs an attribute list and an
-    embedding, and each attribute of a base class an embedding.  A gap is
-    a SchemaError naming the attributes or the semantic file."""
+    embedding, each base class a non-empty attribute list (a novel class
+    may have none: it keeps its raw prototype), and each attribute of a
+    base class an embedding.  A gap is a SchemaError naming the attributes
+    or the semantic file."""
     train_sets = [load_features(manifest.base)]
     train_sets += [load_features(p) for p in manifest.sessions]
     test_sets = [load_features(p) for p in manifest.tests]
@@ -372,6 +372,10 @@ def load_inputs(manifest: Manifest, config: SessionConfig) -> PipelineInputs:
     if missing:
         raise SchemaError(f"{manifest.attributes}: no attribute list for "
                           f"classes {missing}")
+    empty = [n for n in train_sets[0].class_names if not table.attributes_for(n)]
+    if empty:
+        raise SchemaError(f"{manifest.attributes}: empty attribute list for "
+                          f"base classes {empty}")
     attrs = dict.fromkeys(a for n in train_sets[0].class_names
                           for a in table.attributes_for(n))
     missing = [n for n in [*classes, *attrs] if n not in embeddings]

@@ -83,7 +83,8 @@ def test_build_knowledge_shapes_and_masks():
     table = AttributeTable({"A": ["a1", "a2"], "B": ["a2", "a3"], "C": ["a4"],
                             "N": ["a2", "a4", "zzz"]})
     emb = embeddings_for(["a1", "a2", "a3", "a4", "A", "B", "C", "N"])
-    kn = build_knowledge(["A", "B", "C"], emb, table, base_features=fs)
+    kn = build_knowledge(["A", "B", "C"], emb, table,
+                         build_pool(fs, table, emb))
     assert kn.assoc.r.shape == (4, 3)
     assert kn.pool.names == ("a1", "a2", "a3", "a4")
     # novel class: intersection with the pool only
@@ -99,7 +100,7 @@ def test_uncovered_novel_class_flagged():
     table = AttributeTable({"A": ["a1"], "B": ["a2"], "N": []})
     emb = embeddings_for(["a1", "a2", "A", "B", "N"])
     kn = build_knowledge(["A", "B", "N"], emb, table,
-                         base_features=fs)
+                         build_pool(fs, table, emb))
     assert kn.assoc.uncovered == {"N"}
 
 
@@ -112,7 +113,7 @@ def test_missing_embedding_raises():
         build_pool(fs, table, emb)
     emb2 = embeddings_for(["a1", "a2", "A"])
     with pytest.raises(MissingEmbedding):
-        build_knowledge(["A", "B"], emb2, table, base_features=fs)
+        build_knowledge(["A", "B"], emb2, table, build_pool(fs, table, emb2))
 
 
 def test_semantic_csv_round_trip(tmp_path):

@@ -294,6 +294,16 @@ def test_backward_drops_spent_adjoints():
     assert peak < 4 * grads["w"].nbytes, peak
 
 
+def test_param_holds_a_float64_array_as_given():
+    # the tape trains the caller's own array: no copy is made
+    w = np.array([[1.0, 2.0]])
+    t = Tape()
+    t.param("w", w)
+    assert t.param_value("w") is w
+    sgd_step(t, {"w": np.array([[1.0, -1.0]])}, 0.5)
+    assert w.tolist() == [[0.5, 2.5]]
+
+
 def test_sgd_step_updates_in_place_and_names_non_finite_param():
     t = Tape()
     t.param("a", np.array([[1.0, 2.0]]))
@@ -314,7 +324,7 @@ def test_sgd_step_over_many_chunks_holds_no_step_sized_temporary():
     gen = np.random.default_rng(3)
     w0 = gen.standard_normal((300, 250))
     t = Tape()
-    t.param("w", w0)
+    t.param("w", w0.copy())
     g = {"w": gen.standard_normal((300, 250))}
     g_before = g["w"].copy()
     sgd_step(t, g, 0.3)  # the first update makes the tape's buffer

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from concm import rng
 from concm.attributes import AssociationMatrix, AttributePool, SemanticKnowledge
 from concm.autodiff import Tape, grad_check
-from concm.calibration import (MetaTrainConfig, Prototype, blend,
-                               build_meta_tape, calibrate,
+from concm.calibration import (CalibrationParams, MetaTrainConfig, Prototype,
+                               blend, build_meta_tape, calibrate,
                                init_calibration_params, meta_train)
 from concm.calibration import _class_rows, _draw_shots
 from concm.data import FeatureSet
@@ -251,6 +251,28 @@ def test_meta_train_loss_moving_average_decreases():
     assert not np.array_equal(trained.w_enc, params.w_enc)
 
 
+def test_meta_train_returns_trained_float64_copies_and_keeps_its_input():
+    # the input weights, float64 or float32, are left byte-unchanged; the
+    # result shares no memory with them, and float32 weights train as
+    # their float64 values do
+    fs, kn = episodic_fixture()
+    config = MetaTrainConfig(shots=3, episodes=5, lr_max=0.5, warmup=1, seed=2)
+    p64 = init_calibration_params(8, 4, seed=6)
+    for dtype in (np.float64, np.float32):
+        p = CalibrationParams(**{n: v.astype(dtype)
+                                 for n, v in vars(p64).items()})
+        before = {n: v.tobytes() for n, v in vars(p).items()}
+        out, _ = meta_train(fs, kn, p, config)
+        want, _ = meta_train(fs, kn, CalibrationParams(
+            **{n: v.astype(np.float64) for n, v in vars(p).items()}), config)
+        for n, v in vars(p).items():
+            got = getattr(out, n)
+            assert v.tobytes() == before[n]
+            assert got.dtype == np.float64 and not np.shares_memory(got, v)
+            assert not np.array_equal(got, v)
+            assert got.tobytes() == getattr(want, n).tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(sizes=st.lists(st.integers(2, 12), min_size=1, max_size=6),
        data=st.data(), seed=st.integers(0, 2 ** 32), episode=st.integers(0, 999))
@@ -343,7 +365,7 @@ def test_meta_train_insufficient_samples():
 
 
 def test_calibrate_copies_no_weights(peak_bytes):
-    # the weights enter the graph as constants, read in place: one
+    # the weights enter the graph as params held in place: one
     # calibration allocates less than the weights
     kn = knowledge_fixture(d_f=256, seed=11)
     params = init_calibration_params(256, 5, seed=9)

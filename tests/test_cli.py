@@ -325,6 +325,12 @@ def _drop_class(path: Path, name: str) -> None:
     path.write_text(json.dumps(obj))
 
 
+def _empty_class(path: Path, name: str) -> None:
+    obj = json.loads(path.read_text())
+    obj["classes"][name] = []
+    path.write_text(json.dumps(obj))
+
+
 def _sixth_shot(path: Path, name: str) -> None:
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines + [lines[1]]) + "\n")
@@ -345,6 +351,11 @@ INPUT_FAULTS = {
                                  "base-class attributes ['attr_00']"),
     "attribute list": ("attributes.json", _drop_class, "class_10", 1,
                        "{path}: no attribute list for classes ['class_10']"),
+    # a novel class may have none, a base class may not: no pool attribute
+    # could calibrate it
+    "empty base attribute list": ("attributes.json", _empty_class, "class_01",
+                                  1, "{path}: empty attribute list for base "
+                                  "classes ['class_01']"),
     "sixth shot": ("session_02.csv", _sixth_shot, None, 2,
                    "session 2 must have exactly 5 shots per class, "
                    "got [6, 5, 5]"),

@@ -152,7 +152,7 @@ def test_project_peak_memory_does_not_grow_with_rows(peak_bytes):
 
 
 def test_one_row_projection_copies_no_weights(peak_bytes):
-    # the weights enter the graph as constants, read in place: projecting
+    # the weights enter the graph as params held in place: projecting
     # one row allocates less than the weights
     p = params_fixture(256, 256, 256, seed=4)
     weight_bytes = sum(getattr(p, n).nbytes for n in ("w1", "b1", "w2", "b2"))
@@ -472,6 +472,30 @@ def test_train_lr_zero_keeps_params():
                              *planned(training_data()))
     for name in ("w1", "b1", "w2", "b2"):
         assert np.array_equal(getattr(out, name), getattr(p, name))
+
+
+def test_train_returns_trained_float64_copies_and_keeps_its_input():
+    # the input weights, float64 or float32, are left byte-unchanged; the
+    # result shares no memory with them, and float32 weights train as
+    # their float64 values do
+    s = random_optimal_structure(3, 8, seed=11)
+    sched = TrainSchedule(lr_max=0.1, epochs=2, warmup_steps=0, batch_size=24,
+                          seed=0)
+    p64 = params_fixture(6, 6, 8, seed=12)
+    for dtype in (np.float64, np.float32):
+        p = ProjectorParams(**{n: v.astype(dtype) for n, v in vars(p64).items()})
+        before = {n: v.tobytes() for n, v in vars(p).items()}
+        out, _ = train_projector(p, s, frozenset(), sched,
+                                 *planned(training_data()))
+        want, _ = train_projector(ProjectorParams(
+            **{n: v.astype(np.float64) for n, v in vars(p).items()}),
+            s, frozenset(), sched, *planned(training_data()))
+        for n, v in vars(p).items():
+            got = getattr(out, n)
+            assert v.tobytes() == before[n]
+            assert got.dtype == np.float64 and not np.shares_memory(got, v)
+            assert not np.array_equal(got, v)
+            assert got.tobytes() == getattr(want, n).tobytes()
 
 
 def test_train_loss_decreases():

@@ -1,3 +1,4 @@
+import logging
 import weakref
 from dataclasses import replace
 
@@ -253,6 +254,21 @@ def test_uncovered_novel_class_falls_back_to_raw_prototype(bench, base_state):
     # covered classes are actually calibrated (blend differs from raw)
     other_raw = novel.class_features(1).mean(axis=0)
     assert not np.allclose(state1.repository.means[7], other_raw)
+
+
+def test_uncovered_novel_class_is_warned_about_once(bench, caplog):
+    # by the knowledge of the session that brings it: later sessions build
+    # the knowledge of their own classes only, and its raw prototype is
+    # not warned about again
+    victim = bench.train_sets[1].class_names[0]
+    classes = dict(bench.table.classes, **{victim: []})
+    cfg = tiny_cfg(epochs_base=1, epochs_incremental=1, meta_episodes=2)
+    with caplog.at_level(logging.WARNING, logger="concm"):
+        run_pipeline(PipelineInputs(
+            config=cfg, train_sets=bench.train_sets, test_sets=bench.test_sets,
+            table=AttributeTable(classes), embeddings=bench.embeddings))
+    assert [r.name for r in caplog.records if victim in r.getMessage()] == \
+        ["concm.attributes"]
 
 
 @settings(max_examples=12, deadline=None)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from concm.attributes import build_knowledge
+from concm.attributes import build_knowledge, build_pool
 from concm.errors import InvalidConfig
 from concm.synth import GenConfig, generate_benchmark, write_benchmark
 
@@ -55,7 +55,8 @@ def test_planted_association_round_trips_through_build_knowledge():
     bench = generate_benchmark(small_cfg())
     all_names = [n for fs in bench.train_sets for n in fs.class_names]
     kn = build_knowledge(all_names, bench.embeddings, bench.table,
-                         base_features=bench.train_sets[0])
+                         build_pool(bench.train_sets[0], bench.table,
+                                    bench.embeddings))
     for j, name in enumerate(all_names):
         planted = set(bench.truth[name].attributes)
         got = {kn.pool.names[i] for i in np.flatnonzero(kn.assoc.r[:, j])}

@@ -10,18 +10,18 @@ from .attributes import (AssociationMatrix, AttributePool, AttributeTable,
                          SemanticKnowledge, attribute_visual_prototypes,
                          build_knowledge, load_attribute_table,
                          load_semantic_embeddings)
-from .augment import (PrototypeRepository, SampleCounts, class_statistics,
-                      epoch_labels, novel_covariance, sample_augmented,
-                      shot_variance, transfer_weights)
+from .augment import (PrototypeRepository, class_statistics, epoch_labels,
+                      novel_covariance, sample_augmented, shot_variance,
+                      transfer_weights)
 from .autodiff import Tape, grad_check
-from .calibration import (CalibrationParams, MetaTrainConfig, Prototype, blend,
-                          calibrate, init_calibration_params, meta_train)
+from .calibration import (CalibrationParams, Prototype, blend, calibrate,
+                          init_calibration_params, meta_train)
 from .data import FeatureSet, Manifest, load_features, load_manifest, save_features
 from .metrics import (ClassSums, RunReport, SessionRecord, balanced_error_rate,
                       format_report_table, harmonic_mean, ncm_classify,
                       report_from_json, report_to_csv, report_to_json,
                       run_metrics, session_metrics, similarity_stats)
-from .projector import (ProjectorParams, TrainSchedule, build_contrastive_loss,
+from .projector import (ProjectorParams, build_contrastive_loss,
                         build_matching_loss, init_projector_params, project,
                         train_projector)
 from .session import (STRATEGIES, PipelineInputs, RunResult, SessionConfig,

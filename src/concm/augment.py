@@ -123,31 +123,26 @@ def novel_covariance(shot_cov: np.ndarray, repo: PrototypeRepository,
     return beta * (shot_cov + (weights[:, None] * base).sum(axis=0))
 
 
-@dataclass
-class SampleCounts:
-    base: int = 100
-    novel: int = 50
-
-
-def _layout(repo: PrototypeRepository, counts: SampleCounts,
+def _layout(repo: PrototypeRepository, n_base: int, n_novel: int,
             replay: dict[int, np.ndarray]) -> tuple[list[int], list[int]]:
     """Class id and row count of each block of an epoch's full layout."""
-    if counts.base < 1 or counts.novel < 1:
+    if n_base < 1 or n_novel < 1:
         raise InvalidConfig("sample counts must be >= 1")
     if not len(repo):
         raise MissingClass("cannot sample from an empty repository")
     order = sorted(replay)
-    sizes = np.where(repo.exact, counts.base, counts.novel).tolist()
+    sizes = np.where(repo.exact, n_base, n_novel).tolist()
     return ([*range(len(repo)), *order],
             sizes + [replay[cid].shape[0] for cid in order])
 
 
-def epoch_labels(repo: PrototypeRepository, counts: SampleCounts,
+def epoch_labels(repo: PrototypeRepository, n_base: int, n_novel: int,
                  replay: dict[int, np.ndarray] | None = None) -> np.ndarray:
     """Class id of every row of an epoch's full layout: each class's draws
-    in repository order, then the ``replay`` rows by ascending class id.
-    It is the same for every epoch."""
-    ids, sizes = _layout(repo, counts, replay or {})
+    (``n_base`` per base class, ``n_novel`` per novel class) in repository
+    order, then the ``replay`` rows by ascending class id.  It is the same
+    for every epoch."""
+    ids, sizes = _layout(repo, n_base, n_novel, replay or {})
     return np.repeat(np.array(ids, dtype=np.int64), sizes)
 
 
@@ -165,9 +160,9 @@ class AugmentedEpoch:
     class) costs one draw per class; no row array of the epoch is held.
     """
 
-    def __init__(self, repo: PrototypeRepository, counts: SampleCounts,
+    def __init__(self, repo: PrototypeRepository, n_base: int, n_novel: int,
                  seed: int, epoch: int, replay: dict[int, np.ndarray]):
-        ids, sizes = _layout(repo, counts, replay)
+        ids, sizes = _layout(repo, n_base, n_novel, replay)
         classes = len(repo)
         self._ends = np.cumsum(sizes[:classes])
         self._gens = [rng.stream(seed, "augment", epoch, cid)
@@ -196,7 +191,7 @@ class AugmentedEpoch:
         return batch
 
 
-def sample_augmented(repo: PrototypeRepository, counts: SampleCounts,
+def sample_augmented(repo: PrototypeRepository, n_base: int, n_novel: int,
                      seed: int, epoch: int,
                      replay: dict[int, np.ndarray] | None = None) -> AugmentedEpoch:
     """The sampler of one epoch's per-class Gaussian draws.
@@ -205,4 +200,4 @@ def sample_augmented(repo: PrototypeRepository, counts: SampleCounts,
     and every epoch's resample is reproducible.  ``n_samples`` is the row
     count of the epoch's full layout; rows are drawn only when asked for.
     """
-    return AugmentedEpoch(repo, counts, seed, epoch, replay or {})
+    return AugmentedEpoch(repo, n_base, n_novel, seed, epoch, replay or {})

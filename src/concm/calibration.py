@@ -57,10 +57,10 @@ class CalibrationParams:
     b_enc: np.ndarray   # (1, d_f // 2)
     w_dec: np.ndarray   # (d_f // 2, d_f)
     b_dec: np.ndarray   # (1, d_f)
-    g_sem_attr: np.ndarray  # (d_s, d_attn)
-    g_sem_cls: np.ndarray   # (d_s, d_attn)
-    g_vis_attr: np.ndarray  # (d_f, d_attn)
-    g_vis_cls: np.ndarray   # (d_f, d_attn)
+    g_sem_attr: np.ndarray  # (d_s, d_s)
+    g_sem_cls: np.ndarray   # (d_s, d_s)
+    g_vis_attr: np.ndarray  # (d_f, d_s)
+    g_vis_cls: np.ndarray   # (d_f, d_s)
 
     @property
     def d_f(self) -> int:
@@ -71,16 +71,14 @@ class CalibrationParams:
         return self.g_sem_attr.shape[0]
 
 
-def init_calibration_params(d_f: int, d_s: int, d_attn: int | None = None,
-                            seed: int = 0) -> CalibrationParams:
+def init_calibration_params(d_f: int, d_s: int, seed: int = 0) -> CalibrationParams:
     """Seeded Gaussian init, scaled by 1/sqrt(fan_in); zero biases."""
-    d_attn = d_s if d_attn is None else d_attn
     d_e = d_f // 2
     shapes = {
         "w_enc": (d_f, d_e), "b_enc": (1, d_e),
         "w_dec": (d_e, d_f), "b_dec": (1, d_f),
-        "g_sem_attr": (d_s, d_attn), "g_sem_cls": (d_s, d_attn),
-        "g_vis_attr": (d_f, d_attn), "g_vis_cls": (d_f, d_attn),
+        "g_sem_attr": (d_s, d_s), "g_sem_cls": (d_s, d_s),
+        "g_vis_attr": (d_f, d_s), "g_vis_cls": (d_f, d_s),
     }
     values = {}
     for name, shape in shapes.items():
@@ -173,15 +171,6 @@ def blend(raw: Prototype, calibrated: Prototype, alpha: float) -> Prototype:
     return replace(raw, mean=mean, source="calibrated")
 
 
-@dataclass
-class MetaTrainConfig:
-    shots: int = 5
-    episodes: int = 200
-    lr_max: float = 1.0
-    warmup: int = 20
-    seed: int = 0
-
-
 def _meta_loss(tape: Tape, params: CalibrationParams,
                knowledge: SemanticKnowledge, class_names: list[str],
                protos: int, targets: int) -> int:
@@ -228,29 +217,31 @@ def _draw_shots(rows: np.ndarray, shots: int,
 
 
 def meta_train(base_features: FeatureSet, knowledge: SemanticKnowledge,
-               params: CalibrationParams,
-               config: MetaTrainConfig) -> tuple[CalibrationParams, list[float]]:
+               params: CalibrationParams, *, shots: int, episodes: int,
+               lr_max: float, warmup: int,
+               seed: int) -> tuple[CalibrationParams, list[float]]:
     """Episodic training of the calibration net on base classes.
 
-    Every episode samples ``config.shots`` distinct shots per class, builds
-    the shot prototypes, and takes one SGD step on the MSE against the
-    exact class means.  Returns the trained float64 weights, a copy that
+    Every episode samples ``shots`` distinct shots per class, builds the
+    shot prototypes, and takes one SGD step on the MSE against the exact
+    class means, at a cosine learning rate that peaks at ``lr_max`` after
+    ``warmup`` episodes.  Returns the trained float64 weights, a copy that
     shares no memory with ``params`` (which are left as they were), and the
     loss trace.
     An episode's shots of all classes are one gather of the base features.
     A non-finite loss or parameter raises TrainingDiverged naming the
     episode.
     """
-    if config.shots < 1:
+    if shots < 1:
         raise InvalidConfig("shots must be >= 1")
     names = list(base_features.class_names)
     features = base_features.features
     rows = _class_rows(base_features.labels, len(names))
     class_rows = [r[r >= 0] for r in rows]
     for name, r in zip(names, class_rows):
-        if r.size <= config.shots:
+        if r.size <= shots:
             raise InsufficientSamples(
-                f"class {name!r} has {r.size} samples; needs > {config.shots}")
+                f"class {name!r} has {r.size} samples; needs > {shots}")
 
     # the tape trains one float64 copy of the weights in place; the
     # episode's shot prototypes are the (C, d_f) input ``p_meta``; the
@@ -262,9 +253,9 @@ def meta_train(base_features: FeatureSet, knowledge: SemanticKnowledge,
     loss = _meta_loss(tape, own, knowledge, names, tape.input("p_meta"),
                       tape.constant(means))
     trace: list[float] = []
-    for ep in range(config.episodes):
-        gen = rng.stream(config.seed, "meta-episode", ep)
-        protos = features[_draw_shots(rows, config.shots, gen)].mean(axis=1)
+    for ep in range(episodes):
+        gen = rng.stream(seed, "meta-episode", ep)
+        protos = features[_draw_shots(rows, shots, gen)].mean(axis=1)
         tape.forward({"p_meta": protos})
         value = float(tape.value(loss))
         if not np.isfinite(value):
@@ -274,12 +265,11 @@ def meta_train(base_features: FeatureSet, knowledge: SemanticKnowledge,
         try:
             # no name holds the gradients: they die in the update
             sgd_step(tape, tape.backward(loss),
-                     cosine_lr(ep, config.episodes, config.lr_max,
-                               config.warmup))
+                     cosine_lr(ep, episodes, lr_max, warmup))
         except InvalidInput as exc:
             raise TrainingDiverged(f"meta-training episode {ep}: {exc}") from exc
     logger.info("meta training: %d episodes, loss %.5f -> %.5f",
-                config.episodes, trace[0] if trace else float("nan"),
+                episodes, trace[0] if trace else float("nan"),
                 trace[-1] if trace else float("nan"))
     return CalibrationParams(
         **{n: tape.param_value(n) for n in tape.param_names()}), trace

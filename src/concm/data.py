@@ -11,9 +11,9 @@ comment.  Lines end in LF or CRLF; blank lines are skipped, and error
 line numbers count them.
 
 Manifest JSON: ``{"base": path, "sessions": [path, ...], "attributes":
-path, "semantic": path}`` plus optional ``"tests"`` (one file per session,
-index 0 = base) and ``"truth"`` keys.  Relative paths are resolved against
-the manifest's directory.
+path, "semantic": path}`` plus an optional ``"tests"`` key (one file per
+session, index 0 = base); other keys are ignored.  Relative paths are
+resolved against the manifest's directory.
 
 Config JSON: one object whose keys name fields of a config dataclass.
 
@@ -223,7 +223,6 @@ class Manifest:
     attributes: Path
     semantic: Path
     tests: list[Path] = field(default_factory=list)
-    truth: Path | None = None
 
 
 def parse_json(text: str, source) -> object:
@@ -296,5 +295,4 @@ def load_manifest(path) -> Manifest:
         attributes=resolve(obj["attributes"]),
         semantic=resolve(obj["semantic"]),
         tests=[resolve(p) for p in tests],
-        truth=resolve(obj["truth"]) if "truth" in obj else None,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -121,12 +122,6 @@ class ClassSums:
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         self.unit_rows[classes] += np.add.reduceat(z, firsts, axis=0)
 
-    def __iadd__(self, other: "ClassSums") -> "ClassSums":
-        self.count += other.count
-        self.rows += other.rows
-        self.unit_rows += other.unit_rows
-        return self
-
 
 def similarity_stats(sums: ClassSums) -> tuple[float, float]:
     """(between-class, within-class) cosine similarity diagnostics.
@@ -168,22 +163,17 @@ class RunReport:
     seed: int = 0
 
 
-_REQUIRED_RUN_FIELDS = ("sessions", "ahm", "fa", "pd", "base_acc")
+_RUN_FIGURES = ("ahm", "fa", "pd", "base_acc")
+_REQUIRED_RUN_FIELDS = ("sessions", *_RUN_FIGURES)
 _SESSION_FIELDS = ("t", "top1", "bacc", "nacc", "hm", "ber", "smr",
                    "sim_cls", "sim_in")
+# figures that are never null; t is an int, every other figure a number
+_DEFINED_FIGURES = ("top1", "fa", "pd", "base_acc")
 
 
 def report_to_json(report: RunReport) -> str:
-    obj = {
-        "sessions": [asdict(r) for r in report.sessions],
-        "ahm": report.ahm,
-        "fa": report.fa,
-        "pd": report.pd,
-        "base_acc": report.base_acc,
-        "strategy": report.strategy,
-        "seed": report.seed,
-    }
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(asdict(report), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def load_report(path) -> RunReport:
@@ -193,6 +183,27 @@ def load_report(path) -> RunReport:
 
 def report_from_json(text: str) -> RunReport:
     return _report_from_obj(parse_json(text, "report"), "report")
+
+
+def _is_finite_number(value) -> bool:
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _check_figure(where: str, key: str, value) -> None:
+    """SchemaError at ``where`` unless ``value`` suits figure ``key``."""
+    if key == "t":
+        ok, want = type(value) is int, "an int"
+    elif key in _DEFINED_FIGURES:
+        ok, want = _is_finite_number(value), "a finite number"
+    else:
+        ok = value is None or _is_finite_number(value)
+        want = "a finite number or null"
+    if not ok:
+        raise SchemaError(f"{where} field {key!r} must be {want}, "
+                          f"got {value!r}")
 
 
 def _report_from_obj(obj, source) -> RunReport:
@@ -210,7 +221,10 @@ def _report_from_obj(obj, source) -> RunReport:
             if key not in rec:
                 raise SchemaError(f"{source}: session record {i} missing "
                                   f"field {key!r}")
+            _check_figure(f"{source}: session record {i}", key, rec[key])
         sessions.append(SessionRecord(**{k: rec[k] for k in _SESSION_FIELDS}))
+    for key in _RUN_FIGURES:
+        _check_figure(f"{source}: report", key, obj[key])
     return RunReport(sessions=sessions, ahm=obj["ahm"], fa=obj["fa"],
                      pd=obj["pd"], base_acc=obj["base_acc"],
                      strategy=obj.get("strategy", "concm"),

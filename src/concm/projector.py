@@ -166,16 +166,7 @@ def build_contrastive_loss(tape: Tape, z_node: int, labels: np.ndarray,
         masks["inv_pos"], tau)
 
 
-@dataclass
-class TrainSchedule:
-    lr_max: float = 1e-2
-    epochs: int = 50
-    warmup_steps: int = 10
-    batch_size: int = 128
-    seed: int = 0
-
-
-def plan_epoch(labels: np.ndarray, schedule: TrainSchedule, epoch: int,
+def plan_epoch(labels: np.ndarray, batch_size: int, seed: int, epoch: int,
                anchored: frozenset[int]) -> list[np.ndarray]:
     """The batches of one epoch of ``train_projector``: the row indices into
     ``labels`` of each batch, in ascending layout order, in the order the
@@ -186,7 +177,7 @@ def plan_epoch(labels: np.ndarray, schedule: TrainSchedule, epoch: int,
     Batch membership comes from a round robin over the classes; sorting a
     batch puts each class's slots in one run and the replay slots last,
     so the sampler draws each class's rows in one call."""
-    gen = rng.stream(schedule.seed, "batches", epoch)
+    gen = rng.stream(seed, "batches", epoch)
     classes, sizes = np.unique(labels, return_counts=True)
     if not classes.size:
         return []
@@ -205,8 +196,8 @@ def plan_epoch(labels: np.ndarray, schedule: TrainSchedule, epoch: int,
     unanchored = ~np.isin(span, sorted(anchored))
     shifted = labels - classes[0]
     batches = []
-    for start in range(0, interleaved.size, schedule.batch_size):
-        idx = interleaved[start:start + schedule.batch_size]
+    for start in range(0, interleaved.size, batch_size):
+        idx = interleaved[start:start + batch_size]
         batch_labels = shifted[idx]
         lonely = (np.bincount(batch_labels, minlength=span.size) == 1) & unanchored
         if lonely.any():
@@ -224,10 +215,12 @@ def _zero_norm_cause(features: np.ndarray, idx: np.ndarray) -> str:
 
 
 def train_projector(params: ProjectorParams, structure: StructureMatrix,
-                    anchored_classes: frozenset[int], schedule: TrainSchedule,
-                    labels: np.ndarray, epoch_data,
-                    tau: float = 0.07) -> tuple[ProjectorParams, list[float]]:
-    """Optimize the projector against a structure.
+                    anchored: frozenset[int], labels: np.ndarray, epoch_data,
+                    *, epochs: int, lr_max: float, warmup_steps: int,
+                    batch_size: int, seed: int,
+                    tau: float) -> tuple[ProjectorParams, list[float]]:
+    """Optimize the projector against a structure, at a cosine learning
+    rate that peaks at ``lr_max`` after ``warmup_steps`` steps.
 
     ``labels`` are the class ids of the rows of one epoch's layout, the same
     in every epoch (augmented samples are redrawn each epoch by the caller).
@@ -259,20 +252,20 @@ def train_projector(params: ProjectorParams, structure: StructureMatrix,
     no_labels = np.zeros(0, dtype=np.int64)
     loss = tape.add(build_matching_loss(tape, z, no_labels, structure),
                     build_contrastive_loss(tape, z, no_labels, structure,
-                                           anchored_classes, tau=tau))
+                                           anchored, tau=tau))
     y = np.asarray(labels, dtype=np.int64)
-    steps_per_epoch = max(1, math.ceil(y.size / schedule.batch_size))
-    total_steps = schedule.epochs * steps_per_epoch
-    buf = np.empty((schedule.batch_size, params.d_f))
+    steps_per_epoch = max(1, math.ceil(y.size / batch_size))
+    total_steps = epochs * steps_per_epoch
+    buf = np.empty((batch_size, params.d_f))
     step = 0
     trace: list[float] = []
-    for epoch in range(schedule.epochs):
-        batches = plan_epoch(y, schedule, epoch, anchored_classes)
+    for epoch in range(epochs):
+        batches = plan_epoch(y, batch_size, seed, epoch, anchored)
         source = None  # drop the last epoch's source before making the next
         source = epoch_data(epoch)
         epoch_losses = []
         for idx in batches:
-            feeds = batch_masks(y[idx], structure, anchored_classes)
+            feeds = batch_masks(y[idx], structure, anchored)
             feeds["x"] = source.rows(idx, buf)
             try:
                 tape.forward(feeds)
@@ -285,8 +278,7 @@ def train_projector(params: ProjectorParams, structure: StructureMatrix,
             value = float(tape.value(loss))
             if not np.isfinite(value):
                 raise TrainingDiverged(f"loss became {value} at step {step}")
-            lr = cosine_lr(step, total_steps, schedule.lr_max,
-                           schedule.warmup_steps)
+            lr = cosine_lr(step, total_steps, lr_max, warmup_steps)
             try:
                 # no name holds the gradients: they die in the update
                 sgd_step(tape, tape.backward(loss), lr)
@@ -295,7 +287,7 @@ def train_projector(params: ProjectorParams, structure: StructureMatrix,
             epoch_losses.append(value)
             step += 1
         trace.append(float(np.mean(epoch_losses)) if epoch_losses else float("nan"))
-    logger.info("projector: %d epochs, loss %.4f -> %.4f", schedule.epochs,
+    logger.info("projector: %d epochs, loss %.4f -> %.4f", epochs,
                 trace[0] if trace else float("nan"),
                 trace[-1] if trace else float("nan"))
     return ProjectorParams(

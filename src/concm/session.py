@@ -25,17 +25,17 @@ from . import rng
 from .attributes import (AttributeTable, SemanticKnowledge, build_knowledge,
                          build_pool, load_attribute_table,
                          load_semantic_embeddings)
-from .augment import (PrototypeRepository, SampleCounts, class_statistics,
-                      epoch_labels, novel_covariance, sample_augmented,
-                      shot_variance, transfer_weights)
-from .calibration import (CalibrationParams, MetaTrainConfig, Prototype, blend,
-                          calibrate, init_calibration_params, meta_train)
+from .augment import (PrototypeRepository, class_statistics, epoch_labels,
+                      novel_covariance, sample_augmented, shot_variance,
+                      transfer_weights)
+from .calibration import (CalibrationParams, Prototype, blend, calibrate,
+                          init_calibration_params, meta_train)
 from .data import FeatureSet, Manifest, load_config, load_features, load_manifest
 from .errors import InvalidConfig, ProtocolViolation, SchemaError
 from .metrics import (ClassSums, RunReport, SessionRecord, ncm_classify,
                       run_metrics, session_metrics, similarity_stats)
-from .projector import (ProjectorParams, TrainSchedule, init_projector_params,
-                        project, train_projector)
+from .projector import (ProjectorParams, init_projector_params, project,
+                        train_projector)
 from .structure import (InitialStructure, StructureMatrix, initial_structure,
                         nearest_optimal_structure, random_optimal_structure,
                         structure_matching_rate)
@@ -75,7 +75,6 @@ class SessionConfig:
     seed: int = 0
     d_g: int = 512
     d_hidden: int | None = None
-    d_attn: int | None = None
 
     def validate(self) -> None:
         for name, low in _MINIMUM.items():
@@ -89,8 +88,8 @@ class SessionConfig:
             raise InvalidConfig("alpha must be in [0, 1]")
         if self.beta <= 0.0 or self.tau <= 0.0 or self.gamma <= 0.0:
             raise InvalidConfig("beta, tau and gamma must be positive")
-        if any(d is not None and d < 1 for d in (self.d_hidden, self.d_attn)):
-            raise InvalidConfig("d_hidden and d_attn must be >= 1 when set")
+        if self.d_hidden is not None and self.d_hidden < 1:
+            raise InvalidConfig("d_hidden must be >= 1 when set")
 
     @property
     def total_classes(self) -> int:
@@ -156,19 +155,17 @@ def _fit(config: SessionConfig, strategy: str, t: int, repo: PrototypeRepository
     smr = structure_matching_rate(init, structure)
 
     if strategy != "frozen":
-        counts = SampleCounts(base=config.n_aug_base, novel=config.n_aug_novel)
+        n_base, n_novel = config.n_aug_base, config.n_aug_novel
         seed = rng.derive_seed(config.seed, "augment", t)
-        schedule = TrainSchedule(lr_max=config.lr_projector,
-                                 epochs=config.epochs_base if t == 0
-                                 else config.epochs_incremental,
-                                 warmup_steps=config.warmup_steps,
-                                 batch_size=config.batch_size,
-                                 seed=rng.derive_seed(config.seed, "train", t))
         theta_g, _ = train_projector(
-            theta_g, structure, anchored, schedule,
-            epoch_labels(repo, counts, replay),
-            lambda epoch: sample_augmented(repo, counts, seed, epoch, replay),
-            tau=config.tau)
+            theta_g, structure, anchored,
+            epoch_labels(repo, n_base, n_novel, replay),
+            lambda epoch: sample_augmented(repo, n_base, n_novel, seed, epoch,
+                                           replay),
+            epochs=config.epochs_base if t == 0 else config.epochs_incremental,
+            lr_max=config.lr_projector, warmup_steps=config.warmup_steps,
+            batch_size=config.batch_size,
+            seed=rng.derive_seed(config.seed, "train", t), tau=config.tau)
     return init, structure, smr, theta_g
 
 
@@ -205,12 +202,12 @@ def run_base_session(config: SessionConfig, base: FeatureSet,
                                 build_pool(base, table, embeddings))
 
     theta_h = init_calibration_params(
-        base.dim, knowledge.pool.d_s, d_attn=config.d_attn,
+        base.dim, knowledge.pool.d_s,
         seed=rng.derive_seed(config.seed, "calibration-init"))
-    theta_h, trace = meta_train(base, knowledge, theta_h, MetaTrainConfig(
-        shots=config.meta_shots, episodes=config.meta_episodes,
-        lr_max=config.lr_calibration, warmup=config.meta_warmup,
-        seed=rng.derive_seed(config.seed, "meta")))
+    theta_h, _ = meta_train(
+        base, knowledge, theta_h, shots=config.meta_shots,
+        episodes=config.meta_episodes, lr_max=config.lr_calibration,
+        warmup=config.meta_warmup, seed=rng.derive_seed(config.seed, "meta"))
 
     repo = PrototypeRepository().extended(base.class_names,
                                           *class_statistics(base), exact=True)
@@ -281,16 +278,6 @@ def run_incremental_session(state: SessionState, novel: FeatureSet,
                         knowledge=knowledge, replay=new_replay)
 
 
-@dataclass
-class Evaluation:
-    """NCM predictions and per-class sums of the projected rows of one
-    evaluation set, with its labels."""
-
-    preds: np.ndarray
-    labels: np.ndarray
-    sums: ClassSums
-
-
 # Rows per projection in evaluate_session: the node values of one block,
 # not of every row, are held at a time.  Every block has this row count
 # (the last one overlaps its predecessor), since a GEMM over few rows may
@@ -299,8 +286,9 @@ _BLOCK_ROWS = 256
 
 
 def evaluate_session(state: SessionState, features: np.ndarray,
-                     labels: np.ndarray) -> Evaluation:
-    """Project and classify one evaluation set with NCM.
+                     labels: np.ndarray, sums: ClassSums) -> np.ndarray:
+    """The NCM predictions of one evaluation set; its projected rows are
+    added to ``sums``.
 
     The rows are projected in blocks of _BLOCK_ROWS (all rows if there are
     fewer); each block is one ``project`` call, and the last block overlaps
@@ -310,25 +298,23 @@ def evaluate_session(state: SessionState, features: np.ndarray,
     """
     n = features.shape[0]
     preds = np.empty(labels.size, dtype=np.int64)
-    sums = ClassSums.zeros(state.n_classes, state.structure.columns.shape[0])
     for start in range(0, n, _BLOCK_ROWS):
         lo = min(start, max(n - _BLOCK_ROWS, 0))
         stop = min(start + _BLOCK_ROWS, n)
         z = project(state.theta_g, features[lo:stop])[start - lo:]
         preds[start:stop] = ncm_classify(z, state.structure)
         sums.add(z, labels[start:stop])
-    return Evaluation(preds=preds, labels=labels, sums=sums)
+    return preds
 
 
-def session_record(state: SessionState, evaluations) -> SessionRecord:
-    """The session record of ``evaluations`` (an iterable of Evaluation,
-    taken one at a time) combined."""
+def session_record(state: SessionState, eval_sets) -> SessionRecord:
+    """The session record of the evaluation sets ``eval_sets``, (features,
+    labels) pairs, evaluated one at a time into one set of class sums."""
     preds, labels = [], []
     sums = ClassSums.zeros(state.n_classes, state.structure.columns.shape[0])
-    for ev in evaluations:
-        preds.append(ev.preds)
-        labels.append(ev.labels)
-        sums += ev.sums
+    for features, set_labels in eval_sets:
+        preds.append(evaluate_session(state, features, set_labels, sums))
+        labels.append(set_labels)
     record = session_metrics(np.concatenate(preds), np.concatenate(labels),
                              state.base_class_ids, t=state.t)
     sim_cls, sim_in = similarity_stats(sums)
@@ -415,7 +401,6 @@ class SessionTrace:
 class RunResult:
     report: RunReport
     state: SessionState
-    inputs: PipelineInputs
     traces: list[SessionTrace] = field(default_factory=list)
 
 
@@ -447,9 +432,9 @@ def run_pipeline(inputs: PipelineInputs, strategy: str = "concm",
         else:
             state = run_incremental_session(state, inputs.train_sets[t],
                                             inputs.table, inputs.embeddings)
-        records.append(session_record(state, (
-            evaluate_session(state, fs.features, labels) for fs, labels in
-            zip(eval_pool[:t + 1], eval_labels))))
+        records.append(session_record(state, [
+            (fs.features, labels)
+            for fs, labels in zip(eval_pool[:t + 1], eval_labels)]))
         traces.append(SessionTrace(t=t, initial=state.initial,
                                    structure=state.structure, smr=state.smr))
         logger.info("session %d: top1=%.2f hm=%s", t, records[-1].top1,
@@ -459,7 +444,7 @@ def run_pipeline(inputs: PipelineInputs, strategy: str = "concm",
     ahm, fa, pd = run_metrics(records, base_acc)
     report = RunReport(sessions=records, ahm=ahm, fa=fa, pd=pd,
                        base_acc=base_acc, strategy=strategy, seed=config.seed)
-    return RunResult(report=report, state=state, inputs=inputs, traces=traces)
+    return RunResult(report=report, state=state, traces=traces)
 
 
 def run_from_files(manifest_path, config_path=None, strategy: str = "concm",

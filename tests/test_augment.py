@@ -8,15 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from concm import rng
-from concm.augment import (PrototypeRepository, SampleCounts, class_statistics,
-                           epoch_labels, novel_covariance, sample_augmented,
-                           shot_variance, transfer_weights)
+from concm.augment import (PrototypeRepository, class_statistics, epoch_labels,
+                           novel_covariance, sample_augmented, shot_variance,
+                           transfer_weights)
 from concm.autodiff import Tape, zero_norm_rows
 from concm.data import FeatureSet
 from concm.errors import (DegenerateInput, InsufficientSamples, InvalidConfig,
                           InvalidStats, MissingClass)
-from concm.projector import (TrainSchedule, init_projector_params, plan_epoch,
-                             train_projector)
+from concm.projector import init_projector_params, plan_epoch, train_projector
 from concm.structure import random_optimal_structure
 
 
@@ -155,9 +154,10 @@ def test_novel_covariance_errors():
 
 def full_epoch(repo, counts, seed, epoch=0, replay=None):
     """Every row of an epoch, in class order (its full layout), asked for
-    in one call, with the class id of each row as ``labels``."""
-    labels = epoch_labels(repo, counts, replay)
-    aug = sample_augmented(repo, counts, seed, epoch, replay)
+    in one call, with the class id of each row as ``labels``; ``counts``
+    are the draws per base and per novel class."""
+    labels = epoch_labels(repo, *counts, replay)
+    aug = sample_augmented(repo, *counts, seed, epoch, replay)
     out = np.empty((labels.size, repo.means.shape[1]))
     return SimpleNamespace(features=aug.rows(np.arange(labels.size), out),
                            labels=labels, n_samples=aug.n_samples)
@@ -170,7 +170,7 @@ def repo_fixture():
 
 def test_sampling_zero_covariance_returns_mean():
     repo = repo_fixture()
-    fs = full_epoch(repo, SampleCounts(base=10, novel=5), seed=0)
+    fs = full_epoch(repo, (10, 5), seed=0)
     rows = fs.features[fs.labels == 0]
     assert rows.shape == (10, 2)
     np.testing.assert_array_equal(rows, np.tile([5.0, -3.0], (10, 1)))
@@ -178,24 +178,24 @@ def test_sampling_zero_covariance_returns_mean():
 
 def test_sampling_counts_and_names():
     repo = repo_fixture()
-    fs = full_epoch(repo, SampleCounts(), seed=0)
+    fs = full_epoch(repo, (100, 50), seed=0)
     assert (fs.labels == 0).sum() == 100 and (fs.labels == 1).sum() == 50
 
 
 def test_sampling_clt_mean_bound():
     cov = np.array([4.0, 1.0, 0.25])
     repo = make_repo([[1.0, -2.0, 0.5]], [cov], [True])
-    fs = full_epoch(repo, SampleCounts(base=10000, novel=1), seed=3)
+    fs = full_epoch(repo, (10000, 1), seed=3)
     err = np.abs(fs.features.mean(axis=0) - repo.means[0])
     assert np.all(err <= 3.0 * np.sqrt(cov) / math.sqrt(10000))
 
 
 def test_resampling_deterministic_per_epoch():
     repo = repo_fixture()
-    a = full_epoch(repo, SampleCounts(), seed=5, epoch=2)
-    b = full_epoch(repo, SampleCounts(), seed=5, epoch=2)
+    a = full_epoch(repo, (100, 50), seed=5, epoch=2)
+    b = full_epoch(repo, (100, 50), seed=5, epoch=2)
     assert np.array_equal(a.features, b.features)
-    c = full_epoch(repo, SampleCounts(), seed=5, epoch=3)
+    c = full_epoch(repo, (100, 50), seed=5, epoch=3)
     assert not np.array_equal(a.features, c.features)
 
 
@@ -205,12 +205,12 @@ def test_sampling_bitwise_equals_per_class_reference():
     stats = [(rng.gaussian(gen, (9,)) * 3.0, gen.random(9) * 2.0)
              for _ in range(5)]
     repo = make_repo(*zip(*stats), [True] * 3 + [False] * 2)
-    counts = SampleCounts(base=11, novel=4)
+    counts = (11, 4)
     for epoch in (0, 3):
         fs = full_epoch(repo, counts, seed=2, epoch=epoch)
         want, labels = [], []
         for cid, (mean, var) in enumerate(stats):
-            n = counts.base if cid < 3 else counts.novel
+            n = counts[0] if cid < 3 else counts[1]
             z = rng.gaussian(rng.stream(2, "augment", epoch, cid), (n, 9))
             want.append(mean + z * np.sqrt(var))
             labels += [cid] * n
@@ -234,7 +234,7 @@ def test_adding_a_class_leaves_other_classes_draws_unchanged(
     repo = PrototypeRepository()
     for cid, is_exact in enumerate(exact):
         repo = repo.extended([f"c{cid}"], *stats(), is_exact)
-    counts = SampleCounts(base=base, novel=novel)
+    counts = (base, novel)
     before = full_epoch(repo, counts, seed=seed, epoch=epoch)
     repo = repo.extended(["new"], *stats(), new_exact)
     after = full_epoch(repo, counts, seed=seed, epoch=epoch)
@@ -286,7 +286,7 @@ def test_zero_variance_dimensions_draw_the_class_mean(columns, n_base, per_class
     cov = novel_covariance(shot_cov, repo, weights, 0.6)
     repo = repo.extended(["novel", "shots"], [mean, mean], [cov, shot_cov],
                          exact=False)
-    fs = full_epoch(repo, SampleCounts(base=5, novel=7), seed=seed)
+    fs = full_epoch(repo, (5, 7), seed=seed)
     for cid, (name, mean) in enumerate(zip(repo.names, repo.means)):
         cols = zero if name == "shots" else const
         drawn = fs.features[fs.labels == cid][:, cols]
@@ -312,7 +312,7 @@ def test_one_shot_session_statistics_and_draws_are_finite(d, n_base, scale,
     cov = novel_covariance(shot_cov, repo, weights, beta)
     assert cov.shape == (d,) and np.all(np.isfinite(cov)) and np.all(cov >= 0.0)
     repo = repo.extended(["novel"], shot, [cov], exact=False)
-    fs = full_epoch(repo, SampleCounts(base=3, novel=9), seed=seed)
+    fs = full_epoch(repo, (3, 9), seed=seed)
     assert np.all(np.isfinite(fs.features))
     assert (fs.labels == n_base).sum() == 9
 
@@ -334,7 +334,7 @@ def replay_buffer(ids, d, k=3):
 
 def test_replay_rows_follow_the_draws_by_class():
     repo = random_repo(8, 6)
-    counts = SampleCounts(base=9, novel=4)
+    counts = (9, 4)
     plain = full_epoch(repo, counts, seed=3, epoch=1)
     # given out of order: the rows still come by ascending class id
     replay = replay_buffer([7, 5, 6], 6)
@@ -347,28 +347,29 @@ def test_replay_rows_follow_the_draws_by_class():
     assert fs.labels[n:].tolist() == [5] * 3 + [6] * 3 + [7] * 3
 
 
-def shuffled_plan(labels, schedule, epoch, anchored):
+def shuffled_plan(labels, batch_size, seed, epoch, anchored):
     """``plan_epoch`` with the slots of each batch in a seeded random order."""
-    return [b[rng.stream(schedule.seed, "slots", epoch, i).permutation(b.size)]
-            for i, b in enumerate(plan_epoch(labels, schedule, epoch, anchored))]
+    return [b[rng.stream(seed, "slots", epoch, i).permutation(b.size)]
+            for i, b in enumerate(plan_epoch(labels, batch_size, seed, epoch,
+                                             anchored))]
 
 
-def reference_steps(repo, counts, seed, replay, labels, schedule, anchored,
-                    plan=plan_epoch):
+def reference_steps(repo, counts, seed, replay, labels, epochs, batch_size,
+                    anchored, plan=plan_epoch):
     """(rows, labels) of every training step: each class's stream drawn
     once per epoch, its rows handed out in slot order (batch by batch, in
     batch order), replay slots filled with their replay rows."""
     d = repo.means.shape[1]
-    sizes = [counts.base if e else counts.novel for e in repo.exact]
+    sizes = [counts[0] if e else counts[1] for e in repo.exact]
     drawn = sum(sizes)
     replayed = [row for cid in sorted(replay) for row in replay[cid]]
     steps = []
-    for epoch in range(schedule.epochs):
+    for epoch in range(epochs):
         full = {}
         for cid, n in enumerate(sizes):
             z = rng.gaussian(rng.stream(seed, "augment", epoch, cid), (n, d))
             full[cid] = list(z * np.sqrt(repo.variances[cid]) + repo.means[cid])
-        for idx in plan(labels, schedule, epoch, anchored):
+        for idx in plan(labels, batch_size, seed, epoch, anchored):
             rows = [full[labels[i]].pop(0) if i < drawn else replayed[i - drawn]
                     for i in idx]
             steps.append((np.array(rows), labels[idx]))
@@ -391,10 +392,7 @@ def test_batches_draw_each_class_stream_in_slot_order(
     repo = random_repo(len(exact), d, seed=seed, exact=exact)
     replay = {c: rng.gaussian(rng.stream(c, "replay-rows"), (k, d))
               for c, k in replayed.items() if c < len(exact)}
-    counts = SampleCounts(base=base, novel=novel)
-    labels = epoch_labels(repo, counts, replay)
-    schedule = TrainSchedule(lr_max=0.0, epochs=epochs, warmup_steps=0,
-                             batch_size=batch_size, seed=seed)
+    labels = epoch_labels(repo, base, novel, replay)
     n = len(repo)
     fed = []
     forward = Tape.forward
@@ -408,11 +406,13 @@ def test_batches_draw_each_class_stream_in_slot_order(
             patch("concm.projector.plan_epoch", plan):
         train_projector(init_projector_params(d, 3, n + 2, seed=1),
                         random_optimal_structure(n + 1, n + 2, seed=2), anchored,
-                        schedule, labels,
-                        lambda epoch: sample_augmented(repo, counts, seed,
-                                                       epoch, replay))
-    want = reference_steps(repo, counts, seed, replay, labels, schedule,
-                           anchored, plan)
+                        labels,
+                        lambda epoch: sample_augmented(repo, base, novel, seed,
+                                                       epoch, replay),
+                        epochs=epochs, lr_max=0.0, warmup_steps=0,
+                        batch_size=batch_size, seed=seed, tau=0.07)
+    want = reference_steps(repo, (base, novel), seed, replay, labels, epochs,
+                           batch_size, anchored, plan)
     assert len(fed) == len(want)
     for (x, y), (want_x, want_y) in zip(fed, want):
         assert x.tobytes() == want_x.tobytes()
@@ -424,21 +424,28 @@ def test_epoch_with_replay_is_held_once(peak_bytes):
     # a time: drawing it allocates little beyond the buffer
     repo = random_repo(12, 64)
     replay = replay_buffer(range(9, 12), 64, k=5)
-    counts = SampleCounts(base=60, novel=30)
-    labels = epoch_labels(repo, counts, replay)
+    labels = epoch_labels(repo, 60, 30, replay)
     idx = np.flatnonzero(labels >= 6)[::-3][:128]
     assert (idx >= labels.size - 15).any()
-    aug = sample_augmented(repo, counts, 1, 2, replay)
+    aug = sample_augmented(repo, 60, 30, 1, 2, replay)
     out = np.empty((128, 64))
     assert peak_bytes(lambda: aug.rows(idx, out)) < 1.25 * out.nbytes
     assert np.shares_memory(aug.rows(idx, out), out)
 
 
+@pytest.mark.parametrize("n_base,n_novel", [(0, 50), (100, 0)])
+def test_sampling_counts_below_one_rejected(n_base, n_novel):
+    with pytest.raises(InvalidConfig, match="sample counts must be >= 1"):
+        epoch_labels(repo_fixture(), n_base, n_novel)
+    with pytest.raises(InvalidConfig, match="sample counts must be >= 1"):
+        sample_augmented(repo_fixture(), n_base, n_novel, 0, 0)
+
+
 def test_sampling_empty_repository_rejected():
     with pytest.raises(MissingClass):
-        epoch_labels(PrototypeRepository(), SampleCounts())
+        epoch_labels(PrototypeRepository(), 100, 50)
     with pytest.raises(MissingClass):
-        sample_augmented(PrototypeRepository(), SampleCounts(), 0, 0)
+        sample_augmented(PrototypeRepository(), 100, 50, 0, 0)
 
 
 def test_negative_stats_rejected():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from concm import rng
 from concm.attributes import AssociationMatrix, AttributePool, SemanticKnowledge
 from concm.autodiff import Tape, grad_check
-from concm.calibration import (CalibrationParams, MetaTrainConfig, Prototype,
-                               blend, build_meta_tape, calibrate,
+from concm.calibration import (CalibrationParams, Prototype, blend,
+                               build_meta_tape, calibrate,
                                init_calibration_params, meta_train)
 from concm.calibration import _class_rows, _draw_shots
 from concm.data import FeatureSet
@@ -243,8 +243,8 @@ def episodic_fixture(seed=0, n_classes=4, per_class=12, d_f=8, d_s=4):
 def test_meta_train_loss_moving_average_decreases():
     fs, kn = episodic_fixture()
     params = init_calibration_params(8, 4, seed=6)
-    trained, trace = meta_train(fs, kn, params, MetaTrainConfig(
-        shots=5, episodes=120, lr_max=1.0, warmup=10, seed=1))
+    trained, trace = meta_train(fs, kn, params, shots=5, episodes=120,
+                                lr_max=1.0, warmup=10, seed=1)
     window = 30
     avg = np.convolve(trace, np.ones(window) / window, mode="valid")
     assert avg[-1] < avg[0]
@@ -256,15 +256,15 @@ def test_meta_train_returns_trained_float64_copies_and_keeps_its_input():
     # result shares no memory with them, and float32 weights train as
     # their float64 values do
     fs, kn = episodic_fixture()
-    config = MetaTrainConfig(shots=3, episodes=5, lr_max=0.5, warmup=1, seed=2)
+    config = dict(shots=3, episodes=5, lr_max=0.5, warmup=1, seed=2)
     p64 = init_calibration_params(8, 4, seed=6)
     for dtype in (np.float64, np.float32):
         p = CalibrationParams(**{n: v.astype(dtype)
                                  for n, v in vars(p64).items()})
         before = {n: v.tobytes() for n, v in vars(p).items()}
-        out, _ = meta_train(fs, kn, p, config)
+        out, _ = meta_train(fs, kn, p, **config)
         want, _ = meta_train(fs, kn, CalibrationParams(
-            **{n: v.astype(np.float64) for n, v in vars(p).items()}), config)
+            **{n: v.astype(np.float64) for n, v in vars(p).items()}), **config)
         for n, v in vars(p).items():
             got = getattr(out, n)
             assert v.tobytes() == before[n]
@@ -302,8 +302,8 @@ def test_meta_train_feeds_the_gathered_shot_means(monkeypatch):
         return real(self, feeds)
 
     monkeypatch.setattr(Tape, "forward", spy)
-    meta_train(fs, kn, init_calibration_params(8, 4, seed=6),
-               MetaTrainConfig(shots=3, episodes=2, seed=4))
+    meta_train(fs, kn, init_calibration_params(8, 4, seed=6), shots=3,
+               episodes=2, lr_max=1.0, warmup=20, seed=4)
     rows = _class_rows(fs.labels, fs.n_classes)
     for ep, feeds in enumerate(fed):
         shots = fs.features[_draw_shots(rows, 3, rng.stream(4, "meta-episode", ep))]
@@ -322,23 +322,23 @@ def test_meta_train_matches_the_per_class_meta_tape():
     # inputs, with the same shots, learning rates and SGD steps
     fs, kn = episodic_fixture(per_class=9)
     params = init_calibration_params(8, 4, seed=6)
-    config = MetaTrainConfig(shots=3, episodes=6, lr_max=0.5, warmup=2, seed=4)
-    trained, trace = meta_train(fs, kn, params, config)
+    trained, trace = meta_train(fs, kn, params, shots=3, episodes=6,
+                                lr_max=0.5, warmup=2, seed=4)
 
     tape, loss = build_meta_tape(params, kn, list(fs.class_names))
     rows = _class_rows(fs.labels, fs.n_classes)
     feeds = {f"target_{name}": fs.class_features(c).mean(axis=0).reshape(1, -1)
              for c, name in enumerate(fs.class_names)}
     ref_trace = []
-    for ep in range(config.episodes):
-        gen = rng.stream(config.seed, "meta-episode", ep)
-        protos = fs.features[_draw_shots(rows, config.shots, gen)].mean(axis=1)
+    for ep in range(6):
+        gen = rng.stream(4, "meta-episode", ep)
+        protos = fs.features[_draw_shots(rows, 3, gen)].mean(axis=1)
         for name, proto in zip(fs.class_names, protos):
             feeds[f"p_meta_{name}"] = proto.reshape(1, -1)
         tape.forward(feeds)
         ref_trace.append(float(tape.value(loss)))
         sgd_step(tape, tape.backward(loss),
-                 cosine_lr(ep, config.episodes, config.lr_max, config.warmup))
+                 cosine_lr(ep, 6, 0.5, 2))
     assert trace == ref_trace
     for name in tape.param_names():
         assert getattr(trained, name).tobytes() == tape.param_value(name).tobytes()
@@ -350,18 +350,25 @@ def test_meta_train_matches_the_per_class_meta_tape():
 ])
 def test_meta_train_divergence_names_the_episode(lr_max, message):
     fs, kn = episodic_fixture()
-    config = MetaTrainConfig(shots=3, episodes=4, lr_max=lr_max, warmup=0,
-                             seed=4)
     with np.errstate(all="ignore"), \
             pytest.raises(TrainingDiverged, match=message):
-        meta_train(fs, kn, init_calibration_params(8, 4, seed=6), config)
+        meta_train(fs, kn, init_calibration_params(8, 4, seed=6), shots=3,
+                   episodes=4, lr_max=lr_max, warmup=0, seed=4)
 
 
 def test_meta_train_insufficient_samples():
     fs, kn = episodic_fixture(per_class=5)
     params = init_calibration_params(8, 4, seed=7)
     with pytest.raises(InsufficientSamples):
-        meta_train(fs, kn, params, MetaTrainConfig(shots=5, episodes=5, seed=1))
+        meta_train(fs, kn, params, shots=5, episodes=5, lr_max=1.0, warmup=20,
+                   seed=1)
+
+
+def test_meta_train_rejects_zero_shots():
+    fs, kn = episodic_fixture()
+    with pytest.raises(InvalidConfig, match="shots must be >= 1"):
+        meta_train(fs, kn, init_calibration_params(8, 4, seed=7), shots=0,
+                   episodes=5, lr_max=1.0, warmup=20, seed=1)
 
 
 def test_calibrate_copies_no_weights(peak_bytes):

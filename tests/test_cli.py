@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import io
 import json
+import math
 import re
 import shutil
 import tempfile
@@ -299,6 +300,32 @@ def test_report_missing_field_names_it(tmp_path, capsys):
     assert main(["report", str(p)]) == 1
     err = capsys.readouterr().err
     assert "base_acc" in err
+
+
+def report_obj():
+    """A well-formed report object of a base and one incremental session."""
+    rec = dict(t=0, top1=80.0, bacc=80.0, nacc=None, hm=None, ber=None,
+               smr=1.0, sim_cls=0.1, sim_in=0.9)
+    return {"sessions": [rec, dict(rec, t=1, nacc=60.0, hm=68.5, ber=20.0)],
+            "ahm": 68.5, "fa": 70.0, "pd": 10.0, "base_acc": 80.0,
+            "strategy": "concm", "seed": 0}
+
+
+@pytest.mark.parametrize("record,field,value", [
+    (1, "top1", "x"), (None, "ahm", "12"), (0, "bacc", [1, 2]),
+    (None, "fa", True), (1, "t", 1.0), (0, "smr", math.nan)])
+def test_report_figures_checked_at_load(tmp_path, capsys, record, field, value):
+    # a figure of the wrong type is a validation error naming the file,
+    # the record and the field, not a crash or a printed table
+    obj = report_obj()
+    (obj if record is None else obj["sessions"][record])[field] = value
+    p = tmp_path / "r.json"
+    p.write_text(json.dumps(obj))
+    assert main(["report", str(p)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    where = "report" if record is None else f"session record {record}"
+    assert err["error"] == "SchemaError"
+    assert err["message"].startswith(f"{p}: {where} field {field!r} must be")
 
 
 def test_run_protocol_violation_is_runtime_error(dataset, tmp_path, capsys):

@@ -76,12 +76,14 @@ def test_label_name_conflict(tmp_path):
 def test_manifest_resolves_relative_paths(tmp_path):
     (tmp_path / "m.json").write_text(
         '{"base": "b.csv", "sessions": ["s1.csv"], "attributes": "a.json",'
-        ' "semantic": "s.csv", "tests": ["t0.csv", "t1.csv"]}')
+        ' "semantic": "s.csv", "tests": ["t0.csv", "t1.csv"],'
+        ' "truth": "truth.json"}')
     m = load_manifest(tmp_path / "m.json")
     assert m.base == tmp_path / "b.csv"
     assert m.sessions == [tmp_path / "s1.csv"]
     assert m.tests == [tmp_path / "t0.csv", tmp_path / "t1.csv"]
-    assert m.truth is None
+    # other keys are ignored
+    assert not hasattr(m, "truth")
 
 
 def test_manifest_missing_key(tmp_path):

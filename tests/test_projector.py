@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concm import rng, session
-from concm.augment import (PrototypeRepository, SampleCounts, epoch_labels,
-                           sample_augmented)
+from concm.augment import PrototypeRepository, epoch_labels, sample_augmented
 from concm.autodiff import _STEP_CHUNK, Tape, grad_check
 from concm.errors import (DegenerateBatch, DegenerateInput, InvalidConfig,
                           InvalidInput, LabelOutOfRange, TrainingDiverged)
 from concm.metrics import ClassSums, ncm_classify, similarity_stats
 from concm.optim import cosine_lr
-from concm.projector import (ProjectorParams, TrainSchedule, batch_masks,
+from concm.projector import (ProjectorParams, batch_masks,
                              build_contrastive_loss, build_matching_loss,
                              init_projector_params, plan_epoch, project,
                              projection_nodes, train_projector)
@@ -91,8 +90,7 @@ def single_pass_projection(params, x):
 def evaluation_state(params, n_classes, seed):
     """The fields of a session state that evaluate_session reads."""
     structure = random_optimal_structure(n_classes, params.d_g, seed=seed)
-    return SimpleNamespace(theta_g=params, n_classes=n_classes,
-                           structure=structure)
+    return SimpleNamespace(theta_g=params, structure=structure)
 
 
 @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 1000])
@@ -111,14 +109,14 @@ def test_project_in_blocks_equals_one_pass(n, monkeypatch):
     x = rng.gaussian(rng.stream(8, "blocks", str(n)), (n, 12))
     labels = np.arange(n) % 4
     state = evaluation_state(p, 4, seed=9)
-    ev = evaluate_session(state, x, labels)
+    preds = evaluate_session(state, x, labels, ClassSums.zeros(4, 9))
     assert all(z.shape[0] == min(n, _BLOCK_ROWS) for z in calls)
     new = [min(_BLOCK_ROWS, n - start) for start in range(0, n, _BLOCK_ROWS)]
     assert len(calls) == len(new)
     z = np.concatenate([z[z.shape[0] - k:] for z, k in zip(calls, new)]) \
         if calls else np.empty((0, 9))
     assert z.tobytes() == single_pass_projection(p, x).tobytes()
-    assert ev.preds.tolist() == ncm_classify(z, state.structure).tolist()
+    assert preds.tolist() == ncm_classify(z, state.structure).tolist()
 
 
 def test_project_zero_norm_projected_row_names_its_row():
@@ -145,7 +143,9 @@ def test_project_peak_memory_does_not_grow_with_rows(peak_bytes):
     def extra_bytes(n):
         x = rng.gaussian(rng.stream(n, "peak"), (n, 32))
         labels = np.arange(n) % 4
-        return peak_bytes(lambda: evaluate_session(state, x, labels)) - n * 8
+        sums = ClassSums.zeros(4, 32)
+        return peak_bytes(lambda: evaluate_session(state, x, labels, sums)) \
+            - n * 8
 
     small, large = extra_bytes(2 * _BLOCK_ROWS), extra_bytes(16 * _BLOCK_ROWS)
     assert large <= small + 16 * 1024, (small, large)
@@ -427,11 +427,11 @@ def test_training_tape_stays_small(monkeypatch):
             built.append(self)
 
     monkeypatch.setattr("concm.projector.Tape", Recorded)
-    sched = TrainSchedule(lr_max=0.1, epochs=1, warmup_steps=0, batch_size=24,
-                          seed=0)
+    sched = dict(lr_max=0.1, epochs=1, warmup_steps=0, batch_size=24, seed=0,
+                 tau=0.07)
     train_projector(params_fixture(6, 6, 8, seed=12),
                     random_optimal_structure(3, 8, seed=11), frozenset({1}),
-                    sched, *planned(training_data()))
+                    *planned(training_data()), **sched)
     assert len(built) == 1
     assert len(built[0]._nodes) <= 25
 
@@ -466,10 +466,10 @@ def planned(data):
 def test_train_lr_zero_keeps_params():
     s = random_optimal_structure(3, 8, seed=11)
     p = params_fixture(6, 6, 8, seed=12)
-    sched = TrainSchedule(lr_max=0.0, epochs=2, warmup_steps=0, batch_size=24,
-                          seed=0)
-    out, _ = train_projector(p, s, frozenset(), sched,
-                             *planned(training_data()))
+    sched = dict(lr_max=0.0, epochs=2, warmup_steps=0, batch_size=24, seed=0,
+                 tau=0.07)
+    out, _ = train_projector(p, s, frozenset(), *planned(training_data()),
+                             **sched)
     for name in ("w1", "b1", "w2", "b2"):
         assert np.array_equal(getattr(out, name), getattr(p, name))
 
@@ -479,17 +479,17 @@ def test_train_returns_trained_float64_copies_and_keeps_its_input():
     # result shares no memory with them, and float32 weights train as
     # their float64 values do
     s = random_optimal_structure(3, 8, seed=11)
-    sched = TrainSchedule(lr_max=0.1, epochs=2, warmup_steps=0, batch_size=24,
-                          seed=0)
+    sched = dict(lr_max=0.1, epochs=2, warmup_steps=0, batch_size=24, seed=0,
+                 tau=0.07)
     p64 = params_fixture(6, 6, 8, seed=12)
     for dtype in (np.float64, np.float32):
         p = ProjectorParams(**{n: v.astype(dtype) for n, v in vars(p64).items()})
         before = {n: v.tobytes() for n, v in vars(p).items()}
-        out, _ = train_projector(p, s, frozenset(), sched,
-                                 *planned(training_data()))
+        out, _ = train_projector(p, s, frozenset(), *planned(training_data()),
+                                 **sched)
         want, _ = train_projector(ProjectorParams(
             **{n: v.astype(np.float64) for n, v in vars(p).items()}),
-            s, frozenset(), sched, *planned(training_data()))
+            s, frozenset(), *planned(training_data()), **sched)
         for n, v in vars(p).items():
             got = getattr(out, n)
             assert v.tobytes() == before[n]
@@ -501,10 +501,10 @@ def test_train_returns_trained_float64_copies_and_keeps_its_input():
 def test_train_loss_decreases():
     s = random_optimal_structure(3, 8, seed=12)
     p = params_fixture(6, 6, 8, seed=13)
-    sched = TrainSchedule(lr_max=0.1, epochs=6, warmup_steps=2, batch_size=24,
-                          seed=0)
-    out, trace = train_projector(p, s, frozenset(), sched,
-                                 *planned(training_data()))
+    sched = dict(lr_max=0.1, epochs=6, warmup_steps=2, batch_size=24, seed=0,
+                 tau=0.07)
+    out, trace = train_projector(p, s, frozenset(), *planned(training_data()),
+                                 **sched)
     assert trace[-1] < trace[0]
 
 
@@ -528,10 +528,10 @@ def test_train_holds_one_epoch_at_a_time():
         alive.append(weakref.ref(source))
         return source
 
-    sched = TrainSchedule(lr_max=0.1, epochs=4, warmup_steps=0, batch_size=24,
-                          seed=0)
-    train_projector(params_fixture(6, 6, 8, seed=12), s, frozenset(), sched,
-                    data(0)[1], epoch_data)
+    sched = dict(lr_max=0.1, epochs=4, warmup_steps=0, batch_size=24, seed=0,
+                 tau=0.07)
+    train_projector(params_fixture(6, 6, 8, seed=12), s, frozenset(),
+                    data(0)[1], epoch_data, **sched)
     assert len(alive) == 4
     assert len(buffers) == 4 * 2
     assert all(out is buffers[0] for out in buffers)
@@ -549,16 +549,16 @@ def test_train_peak_grows_by_less_than_a_batch_with_the_epoch(peak_bytes):
         repo = repo.extended([f"c{cid}"], [rng.gaussian(gen, (d,))],
                              [gen.random(d)], exact=True)
     s = random_optimal_structure(8, 9, seed=1)
-    sched = TrainSchedule(lr_max=0.1, epochs=1, warmup_steps=0,
-                          batch_size=batch_size, seed=0)
+    sched = dict(lr_max=0.1, epochs=1, warmup_steps=0, batch_size=batch_size,
+                 seed=0, tau=0.07)
 
     def peak(per_class):
-        counts = SampleCounts(base=per_class, novel=1)
-        labels = epoch_labels(repo, counts)
+        labels = epoch_labels(repo, per_class, 1)
         params = init_projector_params(d, 16, 9, seed=2)
         return peak_bytes(lambda: train_projector(
-            params, s, frozenset(), sched, labels,
-            lambda epoch: sample_augmented(repo, counts, 5, epoch)))
+            params, s, frozenset(), labels,
+            lambda epoch: sample_augmented(repo, per_class, 1, 5, epoch),
+            **sched))
 
     small, large = peak(250), peak(2000)
     assert large - small < batch_size * d * 8, (small, large)
@@ -575,14 +575,13 @@ def test_train_peak_holds_one_gradient_set(peak_bytes):
     repo = PrototypeRepository().extended(
         [f"c{k}" for k in range(8)], rng.gaussian(gen, (8, d)),
         gen.random((8, d)), exact=True)
-    counts = SampleCounts(base=64, novel=1)
     params = init_projector_params(d, d, d, seed=2)
-    sched = TrainSchedule(lr_max=0.1, epochs=1, warmup_steps=0,
-                          batch_size=batch_size, seed=0)
+    sched = dict(lr_max=0.1, epochs=1, warmup_steps=0, batch_size=batch_size,
+                 seed=0, tau=0.07)
     peak = peak_bytes(lambda: train_projector(
-        params, random_optimal_structure(8, d, seed=1), frozenset(), sched,
-        epoch_labels(repo, counts),
-        lambda epoch: sample_augmented(repo, counts, 5, epoch)))
+        params, random_optimal_structure(8, d, seed=1), frozenset(),
+        epoch_labels(repo, 64, 1),
+        lambda epoch: sample_augmented(repo, 64, 1, 5, epoch), **sched))
     weight_bytes = sum(getattr(params, n).nbytes for n in ("w1", "b1", "w2", "b2"))
     bound = 2 * weight_bytes + _STEP_CHUNK * 8 + 16 * batch_size * d * 8
     assert peak < bound, (peak, bound)
@@ -593,10 +592,10 @@ def test_train_divergence_detected():
     # propagated as downstream shape/validation noise
     s = random_optimal_structure(3, 8, seed=13)
     p = params_fixture(6, 6, 8, seed=14)
-    sched = TrainSchedule(lr_max=1e200, epochs=3, warmup_steps=0, batch_size=24,
-                          seed=0)
+    sched = dict(lr_max=1e200, epochs=3, warmup_steps=0, batch_size=24, seed=0,
+                 tau=0.07)
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
-        train_projector(p, s, frozenset(), sched, *planned(training_data()))
+        train_projector(p, s, frozenset(), *planned(training_data()), **sched)
 
 
 def test_pruned_backward_bitwise_equal_on_loss_graphs(unpruned_backward):
@@ -669,18 +668,19 @@ def test_batch_masks_checks():
     assert m["anchor_cols"].shape == (5, 0) and m["own"].shape == (2, 0)
 
 
-def reference_train(params, structure, anchored, schedule, epoch_data, tau):
+def reference_train(params, structure, anchored, epoch_data, *, epochs, lr_max,
+                    warmup_steps, batch_size, seed, tau):
     """train_projector as a new tape per batch, built by the public
     builders, with copying SGD."""
     p = ProjectorParams(**{n: getattr(params, n).copy()
                            for n in ("w1", "b1", "w2", "b2")})
     first_x, first_y = epoch_data(0)
-    total = schedule.epochs * max(1, math.ceil(first_y.size / schedule.batch_size))
+    total = epochs * max(1, math.ceil(first_y.size / batch_size))
     step, trace = 0, []
-    for epoch in range(schedule.epochs):
+    for epoch in range(epochs):
         x, y = epoch_data(epoch)
         losses = []
-        for idx in plan_epoch(y, schedule, epoch, anchored):
+        for idx in plan_epoch(y, batch_size, seed, epoch, anchored):
             t = Tape()
             z = projection_nodes(t, _register(t, p), t.constant(x[idx]))
             loss = t.add(build_matching_loss(t, z, y[idx], structure),
@@ -689,7 +689,7 @@ def reference_train(params, structure, anchored, schedule, epoch_data, tau):
             t.forward({})
             losses.append(float(t.value(loss)))
             grads = t.backward(loss)
-            lr = cosine_lr(step, total, schedule.lr_max, schedule.warmup_steps)
+            lr = cosine_lr(step, total, lr_max, warmup_steps)
             for name, g in grads.items():
                 setattr(p, name, t.param_value(name) - lr * g)
             step += 1
@@ -715,11 +715,11 @@ def uneven_data(seed=0, counts=(14, 11, 7, 1), d=6):
 def test_train_matches_tape_per_batch_reference(anchored):
     s = random_optimal_structure(5, 8, seed=23)
     p = params_fixture(6, 6, 8, seed=24)
-    sched = TrainSchedule(lr_max=0.2, epochs=3, warmup_steps=2, batch_size=10,
-                          seed=5)
-    got, got_trace = train_projector(p, s, anchored, sched,
-                                     *planned(uneven_data()), tau=0.1)
-    want, want_trace = reference_train(p, s, anchored, sched, uneven_data(), 0.1)
+    sched = dict(lr_max=0.2, epochs=3, warmup_steps=2, batch_size=10, seed=5,
+                 tau=0.1)
+    got, got_trace = train_projector(p, s, anchored, *planned(uneven_data()),
+                                     **sched)
+    want, want_trace = reference_train(p, s, anchored, uneven_data(), **sched)
     assert got_trace == want_trace
     for name in ("w1", "b1", "w2", "b2"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
@@ -737,31 +737,31 @@ def test_train_zero_norm_feature_row_names_cause_and_step():
             x[5] = 0.0
         return x, y
 
-    sched = TrainSchedule(lr_max=0.1, epochs=2, warmup_steps=0, batch_size=48,
-                          seed=0)
+    sched = dict(lr_max=0.1, epochs=2, warmup_steps=0, batch_size=48, seed=0,
+                 tau=0.07)
     with pytest.raises(DegenerateInput, match=r"feature rows \[5\].*step 1"):
-        train_projector(params_fixture(6, 6, 8), s, frozenset(), sched,
-                        *planned(with_zero_row))
+        train_projector(params_fixture(6, 6, 8), s, frozenset(),
+                        *planned(with_zero_row), **sched)
 
 
 def test_train_zero_norm_projection_names_cause():
     s = random_optimal_structure(3, 8, seed=26)
     p = params_fixture(6, 6, 8)
     p.w2[:] = 0.0
-    sched = TrainSchedule(lr_max=0.1, epochs=1, warmup_steps=0, batch_size=48,
-                          seed=0)
+    sched = dict(lr_max=0.1, epochs=1, warmup_steps=0, batch_size=48, seed=0,
+                 tau=0.07)
     with pytest.raises(DegenerateInput, match="projected row.*step 0"):
-        train_projector(p, s, frozenset(), sched, *planned(training_data()))
+        train_projector(p, s, frozenset(), *planned(training_data()), **sched)
 
 
 def test_train_non_finite_parameter_names_it():
     s = random_optimal_structure(3, 8, seed=27)
-    sched = TrainSchedule(lr_max=math.inf, epochs=1, warmup_steps=0,
-                          batch_size=24, seed=0)
+    sched = dict(lr_max=math.inf, epochs=1, warmup_steps=0, batch_size=24,
+                 seed=0, tau=0.07)
     with np.errstate(all="ignore"), \
             pytest.raises(TrainingDiverged, match="step 0: param 'w1'"):
-        train_projector(params_fixture(6, 6, 8), s, frozenset(), sched,
-                        *planned(training_data()))
+        train_projector(params_fixture(6, 6, 8), s, frozenset(),
+                        *planned(training_data()), **sched)
 
 
 def balanced_batches_loop(labels, batch_size, seed, epoch, anchored):
@@ -802,8 +802,7 @@ def balanced_batches_loop(labels, batch_size, seed, epoch, anchored):
 def test_balanced_batches_match_round_robin_loop(labels, anchored, batch_size,
                                                  seed, epoch):
     labels = np.asarray(labels, dtype=np.int64)
-    got = plan_epoch(labels, TrainSchedule(batch_size=batch_size, seed=seed),
-                     epoch, anchored)
+    got = plan_epoch(labels, batch_size, seed, epoch, anchored)
     want = balanced_batches_loop(labels, batch_size, seed, epoch, anchored)
     assert len(got) == len(want)
     # the same rows in the same batches, each batch in ascending layout order

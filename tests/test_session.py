@@ -15,9 +15,9 @@ from concm.data import FeatureSet
 from concm.errors import InvalidConfig, ProtocolViolation
 from concm.metrics import report_to_json
 from concm.projector import init_projector_params, project
-from concm.session import (PipelineInputs, SessionConfig, evaluate_session,
-                           run_base_session, run_incremental_session,
-                           run_pipeline, session_record)
+from concm.session import (PipelineInputs, SessionConfig, run_base_session,
+                           run_incremental_session, run_pipeline,
+                           session_record)
 from concm.session import _evaluation_labels
 from concm.structure import (geometric_optimality_deviation,
                              random_optimal_structure, structure_matching_rate)
@@ -60,8 +60,8 @@ def test_base_session_structure_and_accuracy(bench, base_state):
     state = base_state
     assert state.t == 0 and state.n_classes == 6
     assert geometric_optimality_deviation(state.structure) <= 1e-8
-    rec = session_record(state, [evaluate_session(
-        state, bench.test_sets[0].features, bench.test_sets[0].labels)])
+    rec = session_record(state, [(bench.test_sets[0].features,
+                                  bench.test_sets[0].labels)])
     assert rec.top1 > 100.0 / 6.0  # well above chance
     assert rec.nacc is None and rec.hm is None
 
@@ -396,24 +396,23 @@ def test_evaluation_heap_peak_holds_no_feature_rows(base_state, peak_bytes):
                            class_names=tuple(names[8 * k:8 * k + 8]))
                 for k in range(2)]
         return peak_bytes(lambda: session_record(state, (
-            evaluate_session(state, fs.features, _evaluation_labels(fs, names))
-            for fs in sets)))
+            (fs.features, _evaluation_labels(fs, names)) for fs in sets)))
 
     small, large = peak(32), peak(256)
     assert large - small < (16 * 256 - 16 * 32) * d * 8 / 4, (small, large)
 
 
 def test_evaluation_mappings_are_released_with_the_record(inputs, monkeypatch):
-    # a session's per-set evaluations and the projections of their blocks
-    # are gone before the next session trains
+    # a session's predictions, class sums and the projections of their
+    # blocks are gone before the next session trains
     held = []
     real_evaluate, real_project, real_fit = (session.evaluate_session,
                                              session.project, session._fit)
 
-    def evaluate(state, features, labels):
-        ev = real_evaluate(state, features, labels)
-        held.extend([weakref.ref(ev), weakref.ref(ev.sums)])
-        return ev
+    def evaluate(state, features, labels, sums):
+        preds = real_evaluate(state, features, labels, sums)
+        held.extend([weakref.ref(preds), weakref.ref(sums)])
+        return preds
 
     def project(params, x):
         z = real_project(params, x)
@@ -430,3 +429,49 @@ def test_evaluation_mappings_are_released_with_the_record(inputs, monkeypatch):
     config = tiny_cfg(epochs_base=1, epochs_incremental=1, meta_episodes=2)
     run_pipeline(replace(inputs, config=config))
     assert len(held) > 2 * 3 and all(ref() is None for ref in held)
+
+
+def test_trainers_and_sampler_take_the_config_values(inputs, monkeypatch):
+    # every training setting off its default reaches the layer that uses it;
+    # session t trains for epochs_base (t = 0) or epochs_incremental epochs
+    # on the draws and replay rows its config asks for, with derived seeds
+    config = tiny_cfg(seed=7, tau=0.11, lr_projector=0.3, lr_calibration=0.7,
+                      epochs_base=2, epochs_incremental=1, warmup_steps=3,
+                      batch_size=40, meta_episodes=3, meta_shots=4,
+                      meta_warmup=5, n_aug_base=30, n_aug_novel=20,
+                      replay_per_class=4)
+    trained = ("seed", "tau", "lr_projector", "lr_calibration", "epochs_base",
+               "epochs_incremental", "warmup_steps", "batch_size",
+               "meta_episodes", "meta_shots", "meta_warmup", "n_aug_base",
+               "n_aug_novel", "replay_per_class")
+    assert all(getattr(config, k) != getattr(SessionConfig(), k) for k in trained)
+    calls = {"meta": [], "train": [], "sample": []}
+
+    def recorder(name, real):
+        def record(*args, **kwargs):
+            calls[name].append((args, kwargs))
+            return real(*args, **kwargs)
+        return record
+
+    for name, attr in (("meta", "meta_train"), ("train", "train_projector"),
+                       ("sample", "sample_augmented")):
+        monkeypatch.setattr(session, attr,
+                            recorder(name, getattr(session, attr)))
+    run_pipeline(replace(inputs, config=config))
+
+    [(_, meta)] = calls["meta"]
+    assert meta == dict(shots=4, episodes=3, lr_max=0.7, warmup=5,
+                        seed=rng.derive_seed(7, "meta"))
+    epochs = [2, 1, 1]
+    # rows per class: 6 base classes, then 3 novel ones per session, whose
+    # replay rows join the sessions after theirs
+    rows = [[30] * 6, [30] * 6 + [20] * 3, [30] * 6 + [24] * 3 + [20] * 3]
+    assert len(calls["train"]) == 3
+    for t, (args, kwargs) in enumerate(calls["train"]):
+        assert kwargs == dict(epochs=epochs[t], lr_max=0.3, warmup_steps=3,
+                              batch_size=40, seed=rng.derive_seed(7, "train", t),
+                              tau=0.11)
+        assert np.bincount(args[3]).tolist() == rows[t]
+    assert [args[1:5] for args, _ in calls["sample"]] == [
+        (30, 20, rng.derive_seed(7, "augment", t), epoch)
+        for t in range(3) for epoch in range(epochs[t])]

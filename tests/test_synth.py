@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -106,7 +108,8 @@ def test_write_benchmark_files(tmp_path):
     m = load_manifest(manifest_path)
     fs = load_features(m.base)
     assert np.array_equal(fs.features, bench.train_sets[0].features)
-    assert len(m.tests) == 3 and m.truth is not None
+    assert len(m.tests) == 3
+    assert json.loads(manifest_path.read_text())["truth"] == "truth.json"
 
 
 def test_write_benchmark_deterministic_bytes(tmp_path):

@@ -89,38 +89,40 @@ def shot_variance(shots: np.ndarray) -> np.ndarray:
 def transfer_weights(prototype: np.ndarray, repo: PrototypeRepository,
                      gamma: float) -> np.ndarray:
     """Softmax over gamma-scaled cosines between the base means and the
-    prototype, one weight per base class in class-id order.  A zero-norm
-    prototype or base mean (``zero_norm_rows``) raises DegenerateInput."""
+    prototype, one weight per base class in class-id order; (C, d) rows
+    give (C, N_base) weights.  A zero-norm prototype or base mean
+    (``zero_norm_rows``) raises DegenerateInput."""
     base = repo.means[repo.exact]
     if not base.shape[0]:
         raise InvalidConfig("transfer_weights needs at least one base class")
-    p = np.asarray(prototype, dtype=np.float64)
-    if zero_norm_rows(p[None]).size:
+    p = np.atleast_2d(np.asarray(prototype, dtype=np.float64))
+    if zero_norm_rows(p).size:
         raise DegenerateInput("zero-norm prototype")
     zero = zero_norm_rows(base)
     if zero.size:
         name = repo.names[np.flatnonzero(repo.exact)[zero[0]]]
         raise DegenerateInput(f"zero-norm base prototype {name!r}")
-    cosines = (base @ p) / (np.linalg.norm(base, axis=1) * np.linalg.norm(p))
-    logits = gamma * cosines
-    logits -= logits.max()
-    w = np.exp(logits)
-    return w / w.sum()
+    logits = gamma * ((p @ base.T) / np.outer(np.linalg.norm(p, axis=1),
+                                              np.linalg.norm(base, axis=1)))
+    w = np.exp(logits - logits.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    return w.reshape(np.shape(prototype)[:-1] + (-1,))
 
 
 def novel_covariance(shot_cov: np.ndarray, repo: PrototypeRepository,
                      weights: np.ndarray, beta: float) -> np.ndarray:
     """Transferred covariance diagonal: beta * (shot cov + the base
-    variances weighted by ``weights``)."""
+    variances weighted by ``weights``, summed in class-id order); (C, d)
+    shot covariances with (C, N_base) weights give one diagonal per row."""
     if beta <= 0.0:
         raise InvalidConfig(f"beta must be positive, got {beta}")
     shot_cov = np.asarray(shot_cov, dtype=np.float64)
     if np.any(shot_cov < 0.0):
         raise InvalidStats("negative shot variance")
     base = repo.variances[repo.exact]
-    if base.shape[0] != len(weights):
+    if base.shape[0] != weights.shape[-1]:
         raise InvalidStats("weight count does not match base class count")
-    return beta * (shot_cov + (weights[:, None] * base).sum(axis=0))
+    return beta * (shot_cov + (weights[..., None] * base).sum(axis=-2))
 
 
 def _layout(repo: PrototypeRepository, n_base: int, n_novel: int,

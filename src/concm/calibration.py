@@ -12,7 +12,7 @@ One graph serves C classes at once: the scores form a C x N_a matrix
 (two matmul chains), the softmax over each class's associated attributes
 is a softmax masked by the transposed association matrix R^T, and
 aggregation and decoding are one matmul each.  Meta-training builds it for
-all base classes; ``calibrate`` builds it for the one queried class.
+all base classes; ``calibrate`` builds it for the queried classes.
 
 Training is episodic on base classes: every episode draws K shots per
 class, and the network regresses the shot prototypes onto the exact base
@@ -40,10 +40,11 @@ logger = logging.getLogger("concm.calibration")
 
 @dataclass
 class Prototype:
-    """Class mean estimate. source is one of raw | calibrated | base-exact."""
+    """Class mean estimate. source is one of raw | calibrated | base-exact.
+    C classes are rows: (C,) ids, a tuple of C names and a (C, d_f) mean."""
 
-    class_id: int
-    class_name: str
+    class_id: int | np.ndarray
+    class_name: str | tuple[str, ...]
     mean: np.ndarray
     source: str
     shot_count: int
@@ -135,32 +136,27 @@ def _calibration_nodes(tape: Tape, pnodes: dict[str, int], protos: int,
     return tape.add(tape.matmul(agg, pnodes["w_dec"]), pnodes["b_dec"])
 
 
-def _check_dims(proto: Prototype, s_k: np.ndarray, knowledge: SemanticKnowledge,
-                params: CalibrationParams) -> None:
-    pool = knowledge.pool
-    if proto.mean.shape != (pool.d_f,):
-        raise ShapeError(f"prototype dim {proto.mean.shape} != pool d_f {pool.d_f}")
-    if s_k.shape != (pool.d_s,):
-        raise ShapeError(f"class embedding dim {s_k.shape} != pool d_s {pool.d_s}")
-    if params.d_f != pool.d_f or params.d_s != pool.d_s:
-        raise ShapeError("calibration params do not match the pool dimensions")
-
-
 def calibrate(proto: Prototype, s_k: np.ndarray, knowledge: SemanticKnowledge,
               params: CalibrationParams) -> Prototype:
-    """Calibrated prototype via encode, attribute aggregation, decode: the
-    calibration graph of the one class, with s_k as its embedding, which
-    reads the weights without copying them.  A non-finite weight raises
-    InvalidInput naming the weight."""
-    s_k = np.asarray(s_k, dtype=np.float64)
-    _check_dims(proto, s_k, knowledge, params)
+    """Calibrated prototype via encode, attribute aggregation, decode: one
+    calibration graph of the prototype's rows, row c of s_k the embedding
+    of class c, which reads the weights without copying them; one class is
+    the one-row case, and the mean keeps its shape.  A non-finite weight
+    raises InvalidInput naming the weight."""
+    pool = knowledge.pool
+    names = np.atleast_1d(proto.class_name).tolist()
+    means = np.atleast_2d(proto.mean)
+    s_k = np.atleast_2d(np.asarray(s_k, dtype=np.float64))
+    got = [means.shape, s_k.shape, (params.d_f, params.d_s)]
+    if got != [(len(names), pool.d_f), (len(names), pool.d_s), (pool.d_f, pool.d_s)]:
+        raise ShapeError(f"{len(names)} classes: prototypes, embeddings and params "
+                         f"{got} do not match the pool's d_f, d_s {pool.d_f, pool.d_s}")
     tape = Tape()
-    out = _calibration_nodes(
-        tape, _register(tape, params),
-        tape.constant(proto.mean.reshape(1, -1)), s_k.reshape(1, -1),
-        _mask(knowledge, [proto.class_name]), knowledge.pool)
+    out = _calibration_nodes(tape, _register(tape, params), tape.constant(means),
+                             s_k, _mask(knowledge, names), pool)
     tape.forward({})
-    return replace(proto, mean=tape.value(out).ravel(), source="calibrated")
+    return replace(proto, mean=tape.value(out).reshape(np.shape(proto.mean)),
+                   source="calibrated")
 
 
 def blend(raw: Prototype, calibrated: Prototype, alpha: float) -> Prototype:

@@ -43,11 +43,12 @@ from .structure import (InitialStructure, StructureMatrix, initial_structure,
 logger = logging.getLogger("concm.session")
 
 STRATEGIES = ("concm", "rm", "fs", "frozen")
-# Smallest valid value of each count in SessionConfig.
+# Smallest valid value of each count and learning rate in SessionConfig.
 _MINIMUM = dict(base_classes=2, way=1, shot=1, sessions=0, batch_size=2,
                 n_aug_base=1, n_aug_novel=1, meta_shots=1, epochs_base=0,
                 epochs_incremental=0, warmup_steps=0, meta_episodes=0,
-                meta_warmup=0, replay_per_class=0)
+                meta_warmup=0, replay_per_class=0, lr_projector=0.0,
+                lr_calibration=0.0)
 
 
 @dataclass
@@ -78,7 +79,7 @@ class SessionConfig:
 
     def validate(self) -> None:
         for name, low in _MINIMUM.items():
-            if getattr(self, name) < low:
+            if not getattr(self, name) >= low:
                 raise InvalidConfig(f"{name} must be >= {low}")
         if self.d_g <= self.total_classes:
             raise InvalidConfig(
@@ -86,7 +87,7 @@ class SessionConfig:
                 f"{self.total_classes}")
         if not 0.0 <= self.alpha <= 1.0:
             raise InvalidConfig("alpha must be in [0, 1]")
-        if self.beta <= 0.0 or self.tau <= 0.0 or self.gamma <= 0.0:
+        if not (self.beta > 0.0 and self.tau > 0.0 and self.gamma > 0.0):
             raise InvalidConfig("beta, tau and gamma must be positive")
         if self.d_hidden is not None and self.d_hidden < 1:
             raise InvalidConfig("d_hidden must be >= 1 when set")
@@ -223,24 +224,6 @@ def run_base_session(config: SessionConfig, base: FeatureSet,
                         theta_g=theta_g, theta_h=theta_h, knowledge=knowledge)
 
 
-def _novel_prototype(state: SessionState, cid: int, name: str,
-                     shots: np.ndarray) -> tuple[Prototype, np.ndarray]:
-    """Calibrated + blended prototype and transferred covariance diagonal."""
-    config = state.config
-    raw = Prototype(class_id=cid, class_name=name, mean=shots.mean(axis=0),
-                    source="raw", shot_count=shots.shape[0])
-    if name in state.knowledge.assoc.uncovered:
-        calibrated = replace(raw, source="calibrated")
-    else:
-        calibrated = calibrate(raw, state.knowledge.class_semantic[name],
-                               state.knowledge, state.theta_h)
-    final = blend(raw, calibrated, config.alpha)
-    weights = transfer_weights(final.mean, state.repository, config.gamma)
-    cov = novel_covariance(shot_variance(shots), state.repository, weights,
-                           config.beta)
-    return final, cov
-
-
 def run_incremental_session(state: SessionState, novel: FeatureSet,
                             table: AttributeTable,
                             embeddings: dict[str, np.ndarray]) -> SessionState:
@@ -248,17 +231,29 @@ def run_incremental_session(state: SessionState, novel: FeatureSet,
     config = state.config
     t = state.t + 1
     check_session(config, t, list(state.repository.names), novel)
-    knowledge = build_knowledge(list(novel.class_names), embeddings, table,
+    names = tuple(novel.class_names)
+    knowledge = build_knowledge(list(names), embeddings, table,
                                 state.knowledge.pool)
-    state = replace(state, knowledge=knowledge)
 
+    # the session's classes as rows: one calibration graph of the covered
+    # classes (an uncovered class keeps its raw row), one blend, one transfer
     offset = state.n_classes
     class_shots = [novel.class_features(k) for k in range(novel.n_classes)]
-    stats = [_novel_prototype(state, cid, name, shots) for cid, (name, shots)
-             in enumerate(zip(novel.class_names, class_shots), start=offset)]
-    repo = state.repository.extended(novel.class_names,
-                                     [proto.mean for proto, _ in stats],
-                                     [cov for _, cov in stats], exact=False)
+    raw = Prototype(np.arange(offset, offset + len(names)), names,
+                    np.array([s.mean(axis=0) for s in class_shots]), "raw", config.shot)
+    rows = [c for c, n in enumerate(names) if n not in knowledge.assoc.uncovered]
+    calibrated = replace(raw, mean=raw.mean.copy())
+    if rows:
+        calibrated.mean[rows] = calibrate(
+            Prototype(raw.class_id[rows], tuple(names[c] for c in rows),
+                      raw.mean[rows], "raw", config.shot),
+            np.array([knowledge.class_semantic[names[c]] for c in rows]),
+            knowledge, state.theta_h).mean
+    means = blend(raw, calibrated, config.alpha).mean
+    weights = transfer_weights(means, state.repository, config.gamma)
+    repo = state.repository.extended(names, means, novel_covariance(
+        np.array([shot_variance(s) for s in class_shots]), state.repository,
+        weights, config.beta), exact=False)
 
     init, structure, smr, theta_g = _fit(
         config, state.strategy, t, repo, state.structure, state.theta_g,
@@ -423,6 +418,11 @@ def run_pipeline(inputs: PipelineInputs, strategy: str = "concm",
     for t in range(config.sessions + 1):
         names = check_session(config, t, names, inputs.train_sets[t])
         eval_labels.append(_evaluation_labels(eval_pool[t], names))
+    base = inputs.train_sets[0]
+    for name, count in zip(base.class_names, base.counts()):
+        if count <= config.meta_shots:
+            raise InvalidConfig(f"meta_shots = {config.meta_shots} needs more base "
+                                f"samples per class; class {name!r} has {count}")
 
     records, traces = [], []
     for t in range(config.sessions + 1):

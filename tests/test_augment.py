@@ -99,33 +99,45 @@ def test_transfer_weights_degenerate_prototype():
 
 def test_transfer_matches_the_per_class_loop():
     # the loop form over base classes: the weighted variance sum keeps its
-    # order (bit-equal); the cosines are summed in another order
+    # order (bit-equal); the cosines are summed in another order.  (C, d)
+    # prototype rows give the stacked one-row results
     repo = random_repo(9, 7)
     gen = rng.stream(5, "transfer-reference")
-    p = rng.gaussian(gen, (7,))
-    shot_cov = gen.random(7)
     base = np.flatnonzero(repo.exact)
-    cosines = np.array([repo.means[k] @ p / (np.linalg.norm(repo.means[k])
-                                             * np.linalg.norm(p)) for k in base])
-    want = np.exp(16.0 * (cosines - cosines.max()))
-    w = transfer_weights(p, repo, gamma=16.0)
-    np.testing.assert_allclose(w, want / want.sum(), rtol=64 * np.finfo(float).eps)
-    transferred = np.zeros(7)
-    for k, wk in zip(base, w):
-        transferred += wk * repo.variances[k]
-    assert novel_covariance(shot_cov, repo, w, 0.6).tobytes() == \
-        (0.6 * (shot_cov + transferred)).tobytes()
+    for shape in [(7,), (1, 7), (4, 7)]:
+        p = rng.gaussian(gen, shape)
+        shot_cov = gen.random(shape)
+        w = transfer_weights(p, repo, gamma=16.0)
+        cov = novel_covariance(shot_cov, repo, w, 0.6)
+        assert w.shape == shape[:-1] + (base.size,) and cov.shape == shape
+        for row, row_w, row_cov, row_shot in zip(
+                *map(np.atleast_2d, (p, w, cov, shot_cov))):
+            cosines = np.array([repo.means[k] @ row
+                                / (np.linalg.norm(repo.means[k])
+                                   * np.linalg.norm(row)) for k in base])
+            want = np.exp(16.0 * (cosines - cosines.max()))
+            np.testing.assert_allclose(row_w, want / want.sum(),
+                                       rtol=64 * np.finfo(float).eps)
+            np.testing.assert_allclose(row_w, transfer_weights(row, repo, 16.0),
+                                       rtol=1e-12, atol=1e-12)
+            transferred = np.zeros(7)
+            for k, wk in zip(base, row_w):
+                transferred += wk * repo.variances[k]
+            assert row_cov.tobytes() == \
+                (0.6 * (row_shot + transferred)).tobytes() == \
+                novel_covariance(row_shot, repo, row_w, 0.6).tobytes()
 
 
 @pytest.mark.parametrize("scale", [1e-13, 1e-50, 1e-100, 1e-150])
 def test_transfer_weights_do_not_depend_on_the_scale_of_the_means(scale):
     # cosines are scale-free, so a mean is degenerate only under the
-    # package's one zero-norm rule (zero_norm_rows)
+    # package's one zero-norm rule (zero_norm_rows); one prototype or rows
     repo = random_repo(6, 5)
-    p = rng.gaussian(rng.stream(3, "prototype"), (5,))
     tiny = make_repo(repo.means * scale, repo.variances, repo.exact)
-    np.testing.assert_allclose(transfer_weights(p * scale, tiny, 16.0),
-                               transfer_weights(p, repo, 16.0), rtol=1e-12)
+    for shape in [(5,), (3, 5)]:
+        p = rng.gaussian(rng.stream(3, "prototype"), shape)
+        np.testing.assert_allclose(transfer_weights(p * scale, tiny, 16.0),
+                                   transfer_weights(p, repo, 16.0), rtol=1e-12)
 
 
 def test_novel_covariance_arithmetic():

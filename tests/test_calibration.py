@@ -102,7 +102,7 @@ def test_one_graph_matches_per_class_reference(problem):
              for kind in ("p_meta", "target") for name in classes}
     tape, loss = build_meta_tape(params, kn, list(classes))
     tape.forward(feeds)
-    per_class = []
+    per_class, wants = [], []
     for name in classes:
         mean = feeds[f"p_meta_{name}"].ravel()
         want = untaped_calibrate(mean, kn.class_semantic[name],
@@ -112,8 +112,16 @@ def test_one_graph_matches_per_class_reference(problem):
                         kn.class_semantic[name], kn, params)
         np.testing.assert_allclose(got.mean, want, rtol=1e-12, atol=1e-12)
         per_class.append(np.mean((want - feeds[f"target_{name}"].ravel()) ** 2))
+        wants.append(want)
     np.testing.assert_allclose(float(tape.value(loss)), np.mean(per_class),
                                rtol=1e-12)
+    # one call over every class: the rows form of the same graph
+    rows = calibrate(
+        Prototype(np.arange(len(classes)), classes,
+                  np.vstack([feeds[f"p_meta_{n}"] for n in classes]), "raw", 5),
+        np.array([kn.class_semantic[n] for n in classes]), kn, params)
+    assert rows.mean.shape == (len(classes), kn.pool.d_f)
+    np.testing.assert_allclose(rows.mean, wants, rtol=1e-12, atol=1e-12)
 
 
 def test_calibrate_single_attribute_weight_one():
@@ -399,3 +407,15 @@ def test_calibrate_unknown_class():
     proto = Prototype(0, "not-a-class", np.ones(8), "raw", 5)
     with pytest.raises(UnknownClass):
         calibrate(proto, np.ones(5), kn, params)
+
+
+def test_calibrate_rows_must_match_the_classes():
+    from concm.errors import ShapeError
+    kn = knowledge_fixture(seed=13)
+    params = init_calibration_params(8, 5, seed=11)
+    two = np.array([kn.class_semantic["x"], kn.class_semantic["y"]])
+    for mean, s_k in [(np.ones((1, 8)), two), (np.ones((2, 7)), two),
+                      (np.ones((2, 8)), two[:, :4])]:
+        with pytest.raises(ShapeError):
+            calibrate(Prototype(np.arange(2), ("x", "y"), mean, "raw", 5), s_k,
+                      kn, params)

@@ -363,6 +363,13 @@ def _sixth_shot(path: Path, name: str) -> None:
     path.write_text("\n".join(lines + [lines[1]]) + "\n")
 
 
+def _five_rows(path: Path, name: str) -> None:
+    lines = path.read_text().splitlines()
+    rows = [i for i, line in enumerate(lines) if f",{name}," in line]
+    path.write_text("\n".join(line for i, line in enumerate(lines)
+                              if i not in rows[5:]) + "\n")
+
+
 def _unseen_test_class(path: Path, name: str) -> None:
     path.write_text(path.read_text().replace(",class_08,", f",{name},"))
 
@@ -388,6 +395,11 @@ INPUT_FAULTS = {
                    "got [6, 5, 5]"),
     "unseen test class": ("test_01.csv", _unseen_test_class, "class_10", 2,
                           "evaluation classes never seen: ['class_10']"),
+    # meta-training draws meta_shots = 5 rows of a base class and needs
+    # one more than that
+    "five base rows": ("base.csv", _five_rows, "class_02", 1,
+                       "meta_shots = 5 needs more base samples per class; "
+                       "class 'class_02' has 5"),
 }
 
 
@@ -395,8 +407,9 @@ INPUT_FAULTS = {
 def test_input_faults_stop_the_run_before_training(dataset, tmp_path, fault,
                                                    capsys):
     # a gap between the feature files and the semantic inputs is a
-    # validation error naming the semantic or attributes file; a protocol
-    # fault in any session is a runtime error; both before any training
+    # validation error naming the semantic or attributes file, and so is a
+    # base class too small for meta_shots; a protocol fault in any session
+    # is a runtime error; all before any training
     target, edit, arg, code, message = INPUT_FAULTS[fault]
     data = tmp_path / "data"
     shutil.copytree(dataset / "data", data)
@@ -446,7 +459,8 @@ def test_truncated_json_exits_1_with_path_line_col(dataset, tmp_path, command,
 @pytest.mark.parametrize("key,value", [
     ("epochs_base", "30"), ("batch_size", 1), ("epochs_base", -1),
     ("n_aug_novel", 0), ("meta_shots", 0), ("warmup_steps", -1),
-    ("lr_projector", float("nan")), ("d_hidden", True), ("seed", 1.5)])
+    ("lr_projector", float("nan")), ("d_hidden", True), ("seed", 1.5),
+    ("lr_projector", -0.5), ("lr_calibration", -1.0)])
 def test_bad_run_config_value_exits_1_before_loading(dataset, tmp_path, key,
                                                      value, capsys):
     cfg = json.loads((dataset / "run_cfg.json").read_text())

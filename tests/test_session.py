@@ -214,6 +214,10 @@ def test_config_validation(tmp_path):
         SessionConfig(d_g=20, base_classes=10, way=5, sessions=4).validate()
     with pytest.raises(InvalidConfig):
         SessionConfig(alpha=1.5).validate()
+    # a library caller may pass what a config file cannot: NaN
+    for name in ("beta", "gamma", "tau", "lr_projector", "lr_calibration"):
+        with pytest.raises(InvalidConfig, match=name):
+            SessionConfig(**{name: math.nan}).validate()
     path = tmp_path / "cfg.json"
     path.write_text('{"nonsense": 1}')
     with pytest.raises(InvalidConfig):
@@ -237,14 +241,23 @@ def test_base_session_wrong_class_count(bench):
                          bench.embeddings)
 
 
-def test_uncovered_novel_class_falls_back_to_raw_prototype(bench, base_state):
+def test_uncovered_novel_class_falls_back_to_raw_prototype(bench, base_state,
+                                                          monkeypatch):
     # empty attribute list: no pool overlap, so the blended prototype must
     # equal the raw shot mean
-    from concm.attributes import AttributeTable
+    from concm.attributes import AttributeTable, build_knowledge
+    from concm.calibration import Prototype, blend, calibrate
     novel = bench.train_sets[1]
     bare = dict(bench.table.classes)
     victim = novel.class_names[0]
     bare[victim] = []
+    calls = []
+
+    def spy(*args):
+        calls.append(args[0].class_name)
+        return calibrate(*args)
+
+    monkeypatch.setattr(session, "calibrate", spy)
     state1 = run_incremental_session(base_state, novel, AttributeTable(bare),
                                      bench.embeddings)
     cid = 6
@@ -254,6 +267,29 @@ def test_uncovered_novel_class_falls_back_to_raw_prototype(bench, base_state):
     # covered classes are actually calibrated (blend differs from raw)
     other_raw = novel.class_features(1).mean(axis=0)
     assert not np.allclose(state1.repository.means[7], other_raw)
+
+    # the covered classes share one calibrate call; the session's rows
+    # (one graph, one blend, one transfer) match the public one-row
+    # functions applied class by class
+    assert calls == [tuple(novel.class_names[1:])]
+    kn = build_knowledge(list(novel.class_names), bench.embeddings,
+                         AttributeTable(bare), base_state.knowledge.pool)
+    cfg, repo = base_state.config, base_state.repository
+    for local, name in enumerate(novel.class_names):
+        shots = novel.class_features(local)
+        raw = Prototype(len(repo) + local, name, shots.mean(axis=0), "raw",
+                        shots.shape[0])
+        calibrated = raw if name == victim else calibrate(
+            raw, kn.class_semantic[name], kn, base_state.theta_h)
+        mean = blend(raw, calibrated, cfg.alpha).mean
+        cov = augment.novel_covariance(
+            augment.shot_variance(shots), repo,
+            augment.transfer_weights(mean, repo, cfg.gamma), cfg.beta)
+        assert state1.repository.names[raw.class_id] == name
+        np.testing.assert_allclose(state1.repository.means[raw.class_id], mean,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(state1.repository.variances[raw.class_id],
+                                   cov, rtol=1e-12, atol=1e-12)
 
 
 def test_uncovered_novel_class_is_warned_about_once(bench, caplog):

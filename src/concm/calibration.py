@@ -31,9 +31,8 @@ from . import rng
 from .attributes import AttributePool, SemanticKnowledge
 from .autodiff import Tape
 from .data import FeatureSet
-from .errors import (AllMasked, InsufficientSamples, InvalidConfig,
-                     InvalidInput, ShapeError, TrainingDiverged)
-from .optim import cosine_lr, sgd_step
+from .errors import AllMasked, InsufficientSamples, InvalidConfig, ShapeError
+from .optim import cosine_lr, register_params as _register, sgd_step
 
 logger = logging.getLogger("concm.calibration")
 
@@ -89,11 +88,6 @@ def init_calibration_params(d_f: int, d_s: int, seed: int = 0) -> CalibrationPar
             gen = rng.stream(seed, "calibration-init", name)
             values[name] = rng.gaussian(gen, shape) / math.sqrt(shape[0])
     return CalibrationParams(**values)
-
-
-def _register(tape: Tape, params: CalibrationParams) -> dict[str, int]:
-    """The weights as tape params by field name, held in place."""
-    return {n: tape.param(n, value) for n, value in vars(params).items()}
 
 
 def _mask(knowledge: SemanticKnowledge, class_names: list[str]) -> np.ndarray:
@@ -220,13 +214,12 @@ def meta_train(base_features: FeatureSet, knowledge: SemanticKnowledge,
 
     Every episode samples ``shots`` distinct shots per class, builds the
     shot prototypes, and takes one SGD step on the MSE against the exact
-    class means, at a cosine learning rate that peaks at ``lr_max`` after
-    ``warmup`` episodes.  Returns the trained float64 weights, a copy that
-    shares no memory with ``params`` (which are left as they were), and the
-    loss trace.
-    An episode's shots of all classes are one gather of the base features.
-    A non-finite loss or parameter raises TrainingDiverged naming the
-    episode.
+    class means (one ``sgd_step``), at a cosine learning rate that peaks at
+    ``lr_max`` after ``warmup`` episodes.  Returns the trained float64
+    weights, a copy that shares no memory with ``params`` (which are left
+    as they were), and the loss trace.  An episode's shots of all classes
+    are one gather of the base features.  A non-finite loss or parameter
+    raises TrainingDiverged("meta-training episode <ep>: <what>").
     """
     if shots < 1:
         raise InvalidConfig("shots must be >= 1")
@@ -239,8 +232,8 @@ def meta_train(base_features: FeatureSet, knowledge: SemanticKnowledge,
             raise InsufficientSamples(
                 f"class {name!r} has {r.size} samples; needs > {shots}")
 
-    # the tape trains one float64 copy of the weights in place; the
-    # episode's shot prototypes are the (C, d_f) input ``p_meta``; the
+    # the tape trains in place the float64 copy of the weights it returns;
+    # the episode's shot prototypes are the (C, d_f) input ``p_meta``; the
     # exact class means are one constant
     tape = Tape()
     own = CalibrationParams(
@@ -252,20 +245,10 @@ def meta_train(base_features: FeatureSet, knowledge: SemanticKnowledge,
     for ep in range(episodes):
         gen = rng.stream(seed, "meta-episode", ep)
         protos = features[_draw_shots(rows, shots, gen)].mean(axis=1)
-        tape.forward({"p_meta": protos})
-        value = float(tape.value(loss))
-        if not np.isfinite(value):
-            raise TrainingDiverged(f"meta-training loss became {value} at "
-                                   f"episode {ep}")
-        trace.append(value)
-        try:
-            # no name holds the gradients: they die in the update
-            sgd_step(tape, tape.backward(loss),
-                     cosine_lr(ep, episodes, lr_max, warmup))
-        except InvalidInput as exc:
-            raise TrainingDiverged(f"meta-training episode {ep}: {exc}") from exc
+        trace.append(sgd_step(tape, loss, {"p_meta": protos},
+                              cosine_lr(ep, episodes, lr_max, warmup),
+                              f"meta-training episode {ep}"))
     logger.info("meta training: %d episodes, loss %.5f -> %.5f",
                 episodes, trace[0] if trace else float("nan"),
                 trace[-1] if trace else float("nan"))
-    return CalibrationParams(
-        **{n: tape.param_value(n) for n in tape.param_names()}), trace
+    return own, trace

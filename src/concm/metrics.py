@@ -130,12 +130,11 @@ def similarity_stats(sums: ClassSums) -> tuple[float, float]:
     directions (lower = better separated); the second is the mean cosine of
     samples to their own class-mean direction (higher = more compact).
     Classes without rows are absent; singleton classes are skipped in the
-    within-class term.
+    within-class term.  With fewer than two class-mean directions the first
+    value is NaN.
     """
     count = sums.count
     present = count > 0
-    if present.sum() < 2:
-        raise ShapeError("similarity stats need at least two classes")
     norms = np.linalg.norm(sums.rows, axis=1)
     # the class mean is rows / count
     flat = present & (norms < 1e-12 * count)
@@ -144,7 +143,8 @@ def similarity_stats(sums: ClassSums) -> tuple[float, float]:
     kept = present & ~flat
     dirs = sums.rows[kept] / norms[kept, None]
     gram = dirs @ dirs.T
-    sim_cls = float(gram[np.triu_indices(dirs.shape[0], k=1)].mean())
+    pairs = gram[np.triu_indices(dirs.shape[0], k=1)]
+    sim_cls = float(pairs.mean()) if pairs.size else float("nan")
     within = count[kept] >= 2
     if not within.any():
         return sim_cls, float("nan")

@@ -19,9 +19,8 @@ import numpy as np
 from . import rng
 from .autodiff import Tape, zero_norm_rows
 from .errors import (DegenerateBatch, DegenerateInput, InvalidConfig,
-                     InvalidInput, LabelOutOfRange, ShapeError,
-                     TrainingDiverged)
-from .optim import cosine_lr, sgd_step
+                     LabelOutOfRange, ShapeError)
+from .optim import cosine_lr, register_params as _register, sgd_step
 from .structure import StructureMatrix
 
 logger = logging.getLogger("concm.projector")
@@ -59,11 +58,6 @@ def init_projector_params(d_f: int, d_hidden: int, d_g: int,
                            b1=np.zeros((1, d_hidden)),
                            w2=draw("w2", (d_hidden, d_g)) / math.sqrt(d_hidden),
                            b2=np.zeros((1, d_g)))
-
-
-def _register(tape: Tape, params: ProjectorParams) -> dict[str, int]:
-    """The weights as tape params by field name, held in place."""
-    return {n: tape.param(n, value) for n, value in vars(params).items()}
 
 
 def projection_nodes(tape: Tape, pnodes: dict[str, int], x_node: int) -> int:
@@ -236,18 +230,17 @@ def train_projector(params: ProjectorParams, structure: StructureMatrix,
 
     The loss graph is built once per call, by the same builders that serve
     a single batch: the batch features (input ``x``) and the masks of
-    ``batch_masks`` are tape inputs fed at each step.  A step is one forward
-    pass, one backward pass that forms only the adjoints a parameter needs,
-    and an in-place SGD update of the tape's parameters, which spends the
-    step's gradients: none are held into the next step.  A zero-norm
-    feature or projected row raises DegenerateInput, a non-finite loss or
-    parameter TrainingDiverged, each naming the step.
+    ``batch_masks`` are tape inputs fed at each step.  A step is one
+    ``sgd_step``, whose update spends its gradients: none are held into the
+    next step.  A zero-norm feature or projected row raises DegenerateInput
+    naming its cause and the step; a non-finite loss, state or parameter
+    raises TrainingDiverged("step <n>: <what>").
     """
-    # the tape trains one float64 copy of the weights in place
+    # the tape trains in place the float64 copy of the weights it returns
     tape = Tape()
-    pnodes = _register(tape, ProjectorParams(
-        **{n: np.array(v, dtype=np.float64) for n, v in vars(params).items()}))
-    z = projection_nodes(tape, pnodes, tape.input("x"))
+    own = ProjectorParams(
+        **{n: np.array(v, dtype=np.float64) for n, v in vars(params).items()})
+    z = projection_nodes(tape, _register(tape, own), tape.input("x"))
     # the builders' default masks (of no labels) are always overridden
     no_labels = np.zeros(0, dtype=np.int64)
     loss = tape.add(build_matching_loss(tape, z, no_labels, structure),
@@ -267,28 +260,16 @@ def train_projector(params: ProjectorParams, structure: StructureMatrix,
         for idx in batches:
             feeds = batch_masks(y[idx], structure, anchored)
             feeds["x"] = source.rows(idx, buf)
+            lr = cosine_lr(step, total_steps, lr_max, warmup_steps)
             try:
-                tape.forward(feeds)
+                epoch_losses.append(sgd_step(tape, loss, feeds, lr,
+                                             f"step {step}"))
             except DegenerateInput as exc:
                 raise DegenerateInput(f"{_zero_norm_cause(feeds['x'], idx)} "
                                       f"at step {step} (epoch {epoch})") from exc
-            except InvalidInput as exc:
-                raise TrainingDiverged(f"non-finite state at step {step}: {exc}") \
-                    from exc
-            value = float(tape.value(loss))
-            if not np.isfinite(value):
-                raise TrainingDiverged(f"loss became {value} at step {step}")
-            lr = cosine_lr(step, total_steps, lr_max, warmup_steps)
-            try:
-                # no name holds the gradients: they die in the update
-                sgd_step(tape, tape.backward(loss), lr)
-            except InvalidInput as exc:
-                raise TrainingDiverged(f"step {step}: {exc}") from exc
-            epoch_losses.append(value)
             step += 1
         trace.append(float(np.mean(epoch_losses)) if epoch_losses else float("nan"))
     logger.info("projector: %d epochs, loss %.4f -> %.4f", epochs,
                 trace[0] if trace else float("nan"),
                 trace[-1] if trace else float("nan"))
-    return ProjectorParams(
-        **{n: tape.param_value(n) for n in tape.param_names()}), trace
+    return own, trace

@@ -314,7 +314,7 @@ def session_record(state: SessionState, eval_sets) -> SessionRecord:
                              state.base_class_ids, t=state.t)
     sim_cls, sim_in = similarity_stats(sums)
     record.smr = state.smr
-    # all-singleton evaluation sets leave the within-class term undefined
+    # one evaluated class, or only singletons, leave a term undefined
     record.sim_cls = sim_cls if np.isfinite(sim_cls) else None
     record.sim_in = sim_in if np.isfinite(sim_in) else None
     return record
@@ -333,14 +333,20 @@ class PipelineInputs:
 
 def load_inputs(manifest: Manifest, config: SessionConfig) -> PipelineInputs:
     """Load every input file and check the files against each other: each
-    class of a train or test file needs an attribute list and an
-    embedding, each base class a non-empty attribute list (a novel class
-    may have none: it keeps its raw prototype), and each attribute of a
-    base class an embedding.  A gap is a SchemaError naming the attributes
-    or the semantic file."""
+    feature file has base's width, each class of a train or test file
+    needs an attribute list and an embedding, each base class a non-empty
+    attribute list (a novel class may have none: it keeps its raw
+    prototype), and each attribute of a base class an embedding.  A gap is
+    a SchemaError naming the file."""
     train_sets = [load_features(manifest.base)]
     train_sets += [load_features(p) for p in manifest.sessions]
     test_sets = [load_features(p) for p in manifest.tests]
+    d_f = train_sets[0].dim
+    for path, fs in zip(manifest.sessions + manifest.tests,
+                        train_sets[1:] + test_sets):
+        if fs.dim != d_f:
+            raise SchemaError(f"{path}:1: {fs.dim} features per row, "
+                              f"{manifest.base} has {d_f}")
     if test_sets and len(test_sets) != len(train_sets):
         raise ProtocolViolation(
             f"manifest lists {len(test_sets)} test files for "

@@ -5,7 +5,6 @@ import pytest
 
 from concm.autodiff import Tape, grad_check
 from concm.errors import DegenerateInput, InvalidInput, OrderError, ShapeError
-from concm.optim import sgd_step
 from reference_graphs import ReferenceTape
 
 
@@ -300,7 +299,7 @@ def test_param_holds_a_float64_array_as_given():
     t = Tape()
     t.param("w", w)
     assert t.param_value("w") is w
-    sgd_step(t, {"w": np.array([[1.0, -1.0]])}, 0.5)
+    t.update_param("w", np.array([[1.0, -1.0]]), 0.5)
     assert w.tolist() == [[0.5, 2.5]]
 
 
@@ -310,11 +309,12 @@ def test_sgd_step_updates_in_place_and_names_non_finite_param():
     t.param("b", np.array([[3.0]]))
     a = t.param_value("a")
     g = {"a": np.array([[0.5, -0.25]]), "b": np.array([[1.0]])}
-    sgd_step(t, g, 0.1)
+    for name in g:
+        t.update_param(name, g[name], 0.1)
     assert t.param_value("a") is a
     assert a.tobytes() == (np.array([[1.0, 2.0]]) - 0.1 * g["a"]).tobytes()
     with np.errstate(all="ignore"), pytest.raises(InvalidInput, match="'b'"):
-        sgd_step(t, {"a": np.zeros((1, 2)), "b": np.array([[np.inf]])}, 1.0)
+        t.update_param("b", np.array([[np.inf]]), 1.0)
 
 
 def test_sgd_step_over_many_chunks_holds_no_step_sized_temporary():
@@ -327,11 +327,11 @@ def test_sgd_step_over_many_chunks_holds_no_step_sized_temporary():
     t.param("w", w0.copy())
     g = {"w": gen.standard_normal((300, 250))}
     g_before = g["w"].copy()
-    sgd_step(t, g, 0.3)  # the first update makes the tape's buffer
+    t.update_param("w", g["w"], 0.3)  # the first update makes the tape's buffer
     want = w0 - 0.3 * g["w"] - 0.7 * g["w"]
     tracemalloc.start()
     try:
-        sgd_step(t, g, 0.7)
+        t.update_param("w", g["w"], 0.7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -339,4 +339,4 @@ def test_sgd_step_over_many_chunks_holds_no_step_sized_temporary():
     assert t.param_value("w").tobytes() == want.tobytes()
     assert g["w"].tobytes() == g_before.tobytes()
     with pytest.raises(ShapeError, match="'w'"):
-        sgd_step(t, {"w": np.zeros((250, 300))}, 0.1)
+        t.update_param("w", np.zeros((250, 300)), 0.1)

@@ -225,9 +225,7 @@ def test_one_step_descends():
     gen = np.random.default_rng(13)
     feeds = {f"p_meta_{n}": gen.standard_normal((1, 8)) for n in ("x", "y")}
     feeds.update({f"target_{n}": gen.standard_normal((1, 8)) for n in ("x", "y")})
-    tape.forward(feeds)
-    before = float(tape.value(loss))
-    sgd_step(tape, tape.backward(loss), 1e-3)
+    before = sgd_step(tape, loss, feeds, 1e-3, "episode 0")
     tape.forward(feeds)
     assert float(tape.value(loss)) < before
 
@@ -343,17 +341,15 @@ def test_meta_train_matches_the_per_class_meta_tape():
         protos = fs.features[_draw_shots(rows, 3, gen)].mean(axis=1)
         for name, proto in zip(fs.class_names, protos):
             feeds[f"p_meta_{name}"] = proto.reshape(1, -1)
-        tape.forward(feeds)
-        ref_trace.append(float(tape.value(loss)))
-        sgd_step(tape, tape.backward(loss),
-                 cosine_lr(ep, 6, 0.5, 2))
+        ref_trace.append(sgd_step(tape, loss, feeds, cosine_lr(ep, 6, 0.5, 2),
+                                  f"episode {ep}"))
     assert trace == ref_trace
     for name in tape.param_names():
         assert getattr(trained, name).tobytes() == tape.param_value(name).tobytes()
 
 
 @pytest.mark.parametrize("lr_max,message", [
-    (1e200, "^meta-training loss became nan at episode 1$"),
+    (1e200, "^meta-training episode 1: loss became nan$"),
     (math.inf, "^meta-training episode 0: param 'w_enc' contains non-finite"),
 ])
 def test_meta_train_divergence_names_the_episode(lr_max, message):

@@ -374,6 +374,11 @@ def _unseen_test_class(path: Path, name: str) -> None:
     path.write_text(path.read_text().replace(",class_08,", f",{name},"))
 
 
+def _cut_column(path: Path, name: str) -> None:
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n")
+
+
 # (file, edit, argument, exit code, error message); the CLI data
 # set has base classes class_00..05, then class_06..08 and class_09..11
 INPUT_FAULTS = {
@@ -400,6 +405,11 @@ INPUT_FAULTS = {
     "five base rows": ("base.csv", _five_rows, "class_02", 1,
                        "meta_shots = 5 needs more base samples per class; "
                        "class 'class_02' has 5"),
+    # every feature file has base's width, d_f = 24
+    "narrow session file": ("session_01.csv", _cut_column, None, 1,
+                            "{path}:1: 23 features per row, {base} has 24"),
+    "narrow test file": ("test_01.csv", _cut_column, None, 1,
+                         "{path}:1: 23 features per row, {base} has 24"),
 }
 
 
@@ -425,7 +435,25 @@ def test_input_faults_stop_the_run_before_training(dataset, tmp_path, fault,
     assert trained == []
     assert rc == code
     assert _error_message(capsys.readouterr().err) == \
-        message.format(path=data / target)
+        message.format(path=data / target, base=data / "base.csv")
+
+
+def test_one_class_base_test_file_runs_with_null_sim_cls(dataset, tmp_path):
+    # one evaluated class has no between-class similarity: the record says
+    # null, and the run goes on
+    data = tmp_path / "data"
+    shutil.copytree(dataset / "data", data)
+    test_00 = data / "test_00.csv"
+    lines = test_00.read_text().splitlines()
+    test_00.write_text("\n".join(line for line in lines
+                                 if line.startswith(("label,", "0,"))) + "\n")
+    rc = main(["run", "--manifest", str(data / "manifest.json"),
+               "--config", str(dataset / "run_cfg.json"),
+               "--out", str(tmp_path / "o")])
+    assert rc == 0
+    report = report_from_json((tmp_path / "o" / "report.json").read_text())
+    assert report.sessions[0].sim_cls is None
+    assert all(r.sim_cls is not None for r in report.sessions[1:])
 
 
 def test_gen_with_default_config(tmp_path, capsys):

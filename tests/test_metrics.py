@@ -193,6 +193,21 @@ def test_similarity_stats_random_near_zero():
     assert abs(sim_in) < 0.3
 
 
+@pytest.mark.parametrize("z,labels", [
+    # one class: no pair of class-mean directions
+    (np.array([[1.0, 0.0], [0.6, 0.8], [0.8, 0.6]]), np.array([0, 0, 0])),
+    # two classes, but class 1's mean is flat and skipped
+    (np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0], [0.0, -1.0]]),
+     np.array([0, 0, 1, 1])),
+])
+def test_similarity_stats_one_direction_has_no_between_class_term(z, labels):
+    # NaN, which the session record reports as null; no mean of an empty
+    # slice is taken (its RuntimeWarning is an error here)
+    sim_cls, sim_in = similarity_stats(sums_of(z, labels))
+    assert np.isnan(sim_cls)
+    assert np.isfinite(sim_in)
+
+
 def similarity_stats_per_row(z, labels):
     """The diagnostics from every row at once: cosines of class-mean
     directions, and of each unit row to its class's direction."""

@@ -594,7 +594,19 @@ def test_train_divergence_detected():
     p = params_fixture(6, 6, 8, seed=14)
     sched = dict(lr_max=1e200, epochs=3, warmup_steps=0, batch_size=24, seed=0,
                  tau=0.07)
-    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
+    with np.errstate(all="ignore"), pytest.raises(
+            TrainingDiverged, match=r"^step \d+: l2_normalize: non-finite row"):
+        train_projector(p, s, frozenset(), *planned(training_data()), **sched)
+
+
+def test_train_non_finite_loss_names_the_step():
+    # at tau = 1e-3, exp(sim / tau) of two near samples overflows
+    s = random_optimal_structure(3, 8, seed=13)
+    p = params_fixture(6, 6, 8, seed=14)
+    sched = dict(lr_max=0.1, epochs=3, warmup_steps=0, batch_size=24, seed=0,
+                 tau=1e-3)
+    with np.errstate(all="ignore"), pytest.raises(
+            TrainingDiverged, match=r"^step \d+: loss became (inf|nan)$"):
         train_projector(p, s, frozenset(), *planned(training_data()), **sched)
 
 

@@ -12,6 +12,7 @@ uncovered when that intersection is empty.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +40,15 @@ class AttributeTable:
 
 @dataclass(frozen=True)
 class AttributePool:
-    """Pooled attributes: names plus semantic and visual vectors per row."""
+    """Pooled attributes: names plus semantic and visual vectors per row.
+
+    ``visual`` is in units of ``unit``, a power of two; the calibration net
+    takes its feature inputs and gives its outputs in the same unit."""
 
     names: tuple[str, ...]
     semantic: np.ndarray  # (N_a, d_s)
     visual: np.ndarray    # (N_a, d_f)
+    unit: float = 1.0
 
     @property
     def size(self) -> int:
@@ -163,7 +168,14 @@ def build_pool(base_features: FeatureSet, table: AttributeTable,
             raise SchemaError(f"embedding for {attr!r} has dim {vec.shape[0]}, "
                               f"expected {d_s}")
         rows.append(vec)
-    return AttributePool(names=names, semantic=np.vstack(rows), visual=visual)
+    # unit: the power of two at or below the RMS row norm of ``visual``,
+    # taken on visual / 2**top, whose sum of squares can neither overflow
+    # nor vanish; features x 2**k give the same net inputs, bit for bit
+    top = math.frexp(np.abs(visual).max())[1]
+    rms = np.linalg.norm(np.ldexp(visual, -top)) / math.sqrt(len(names))
+    unit = math.ldexp(0.5, math.frexp(rms)[1] + top)
+    return AttributePool(names=names, semantic=np.vstack(rows),
+                         visual=visual / unit, unit=unit)
 
 
 def build_knowledge(class_names: list[str], embeddings: dict[str, np.ndarray],

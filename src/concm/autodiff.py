@@ -110,17 +110,24 @@ def _anchored_contrastive(args: list[np.ndarray], tau: float):
     inv_tau = 1.0 / tau
     sims = (z @ z.T) * inv_tau
     asims = (z @ cols) * inv_tau
-    e = np.exp(sims)
-    np.fill_diagonal(e, 0.0)
-    ea = np.exp(asims)
-    ea *= own
-    denom = e.sum(axis=1, keepdims=True) + ea.sum(axis=1, keepdims=True)
+    # row i of ``p``: the similarities to the other samples, then to the
+    # anchors, -inf off the denominator (the diagonal and the anchors not
+    # marked in ``own``), so exp gives 0 there.  Each row is taken relative
+    # to its largest entry, added back after the log: no exp overflows
+    p = np.empty((b, b + cols.shape[1]))
+    p[:, :b] = sims
+    np.fill_diagonal(p, -np.inf)
+    p[:, b:] = np.where(own > 0, asims, -np.inf)
+    shift = p.max(axis=1, keepdims=True)
+    p -= shift
+    np.exp(p, out=p)
+    denom = p.sum(axis=1, keepdims=True)
     pos_w, own_w = pos * inv_pos, own * inv_pos
-    per_sample = np.log(denom).ravel() - _row_dot(sims, pos_w) \
+    per_sample = (np.log(denom) + shift).ravel() - _row_dot(sims, pos_w) \
         - _row_dot(asims, own_w)
-    e /= denom
-    ea /= denom
-    return np.asarray(per_sample.mean()), (z, cols, e, ea, pos_w, own_w, inv_tau)
+    p /= denom
+    return np.asarray(per_sample.mean()), (z, cols, p[:, :b], p[:, b:], pos_w,
+                                           own_w, inv_tau)
 
 
 def _anchored_contrastive_grad(saved, g):

@@ -17,6 +17,11 @@ all base classes; ``calibrate`` builds it for the queried classes.
 Training is episodic on base classes: every episode draws K shots per
 class, and the network regresses the shot prototypes onto the exact base
 means with an MSE objective.
+
+The net works in the pool's unit (``AttributePool.unit``, a power of two):
+prototypes and means are divided by it on the way in and calibrated
+prototypes multiplied by it on the way out, so a run on features scaled
+by a power of two calibrates the same, bit for bit.
 """
 
 from __future__ import annotations
@@ -139,7 +144,7 @@ def calibrate(proto: Prototype, s_k: np.ndarray, knowledge: SemanticKnowledge,
     raises InvalidInput naming the weight."""
     pool = knowledge.pool
     names = np.atleast_1d(proto.class_name).tolist()
-    means = np.atleast_2d(proto.mean)
+    means = np.atleast_2d(proto.mean) / pool.unit
     s_k = np.atleast_2d(np.asarray(s_k, dtype=np.float64))
     got = [means.shape, s_k.shape, (params.d_f, params.d_s)]
     if got != [(len(names), pool.d_f), (len(names), pool.d_s), (pool.d_f, pool.d_s)]:
@@ -149,8 +154,8 @@ def calibrate(proto: Prototype, s_k: np.ndarray, knowledge: SemanticKnowledge,
     out = _calibration_nodes(tape, _register(tape, params), tape.constant(means),
                              s_k, _mask(knowledge, names), pool)
     tape.forward({})
-    return replace(proto, mean=tape.value(out).reshape(np.shape(proto.mean)),
-                   source="calibrated")
+    return replace(proto, mean=(tape.value(out) * pool.unit).reshape(
+        np.shape(proto.mean)), source="calibrated")
 
 
 def blend(raw: Prototype, calibrated: Prototype, alpha: float) -> Prototype:
@@ -238,13 +243,14 @@ def meta_train(base_features: FeatureSet, knowledge: SemanticKnowledge,
     tape = Tape()
     own = CalibrationParams(
         **{n: np.array(v, dtype=np.float64) for n, v in vars(params).items()})
-    means = np.array([features[r].mean(axis=0) for r in class_rows])
+    unit = knowledge.pool.unit
+    means = np.array([features[r].mean(axis=0) for r in class_rows]) / unit
     loss = _meta_loss(tape, own, knowledge, names, tape.input("p_meta"),
                       tape.constant(means))
     trace: list[float] = []
     for ep in range(episodes):
         gen = rng.stream(seed, "meta-episode", ep)
-        protos = features[_draw_shots(rows, shots, gen)].mean(axis=1)
+        protos = features[_draw_shots(rows, shots, gen)].mean(axis=1) / unit
         trace.append(sgd_step(tape, loss, {"p_meta": protos},
                               cosine_lr(ep, episodes, lr_max, warmup),
                               f"meta-training episode {ep}"))

@@ -41,8 +41,8 @@ from .errors import InvalidConfig, InvalidInput, ParseError, SchemaError
 class FeatureSet:
     """Labeled feature vectors; class_names[label] gives the class string.
 
-    Raises SchemaError for mismatched shapes or labels, and InvalidInput for
-    a non-finite value or a zero-norm row (naming the first such row)."""
+    Raises SchemaError for mismatched shapes or labels, and InvalidInput
+    naming the first row that ``bad_feature_row`` rejects."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -55,15 +55,8 @@ class FeatureSet:
             raise SchemaError("features must be (n, d) and labels (n,)")
         if self.features.shape[0] != self.labels.shape[0]:
             raise SchemaError("feature and label counts differ")
-        if not np.all(np.isfinite(self.features)):
-            raise InvalidInput("feature set contains non-finite values")
-        bad = zero_norm_rows(self.features)
-        if bad.size:
-            row = self.features[bad[0]]
-            raise InvalidInput(f"feature row {bad[0]} is " + (
-                "all zero" if not row.any() else "of overflowing norm"
-                if np.abs(row).max() > 1.0 else "zero-norm") +
-                ": it has no finite direction to project")
+        if bad := bad_feature_row(self.features):
+            raise InvalidInput(f"feature row {bad[0]}: {bad[1]}")
         n_classes = len(self.class_names)
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= n_classes):
             raise SchemaError("labels must index class_names")
@@ -85,6 +78,21 @@ class FeatureSet:
 
     def counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.n_classes)
+
+
+def bad_feature_row(features: np.ndarray) -> tuple[int, str] | None:
+    """(index, reason) of the first row of the 2-D ``features`` that holds a
+    non-finite value or is zero-norm (``zero_norm_rows``); None if none."""
+    finite = np.isfinite(features).all(axis=1)
+    rows = np.concatenate([np.flatnonzero(~finite), zero_norm_rows(features)])
+    if not rows.size:
+        return None
+    i = int(rows.min())
+    return i, ("non-finite value" if not finite[i] else
+               "all-zero feature row" if not features[i].any() else
+               "feature row norm overflows: sum(x * x) is inf"
+               if np.abs(features[i]).max() > 1.0 else
+               "zero-norm feature row: sqrt(sum(x * x)) < 1e-300")
 
 
 def read_lines(path, fh):
@@ -116,8 +124,7 @@ def read_numeric_csv(path, keys: tuple[str, ...], prefix: str,
         lines = read_lines(path, fh)
         header = next(lines, (1, ""))[1].split(",")
         dim = len(header) - n_keys
-        if header[:n_keys] != list(keys) or dim < 1 or \
-                header[n_keys:] != [f"{prefix}{i}" for i in range(dim)]:
+        if dim < 1 or header != [*keys, *(f"{prefix}{i}" for i in range(dim))]:
             raise ParseError(f"{path}:1: expected header '{','.join(keys)},"
                              f"{prefix}0,...,{prefix}<d-1>'")
         linenos: list[int] = []
@@ -186,34 +193,35 @@ def load_features(path) -> FeatureSet:
 
     features, linenos = read_numeric_csv(path, ("label", "class_name"), "f",
                                          check_keys)
-    bad = zero_norm_rows(features)
-    if bad.size:
-        row = features[bad[0]]
-        raise SchemaError(f"{path}:{linenos[bad[0]]}: " + (
-            "all-zero feature row" if not row.any() else
-            "feature row norm overflows: sum(x * x) is inf"
-            if np.abs(row).max() > 1.0 else
-            "zero-norm feature row: sqrt(sum(x * x)) < 1e-300"))
+    if bad := bad_feature_row(features):
+        raise SchemaError(f"{path}:{linenos[bad[0]]}: {bad[1]}")
     if len(names) != max(names) + 1:
         raise SchemaError(f"{path}: labels are not contiguous from 0")
     return FeatureSet(features=features, labels=np.array(labels, dtype=np.int64),
                       class_names=tuple(names[i] for i in range(len(names))))
 
 
+def write_numeric_csv(path, keys: tuple[str, ...], prefix: str, key_rows,
+                      values: np.ndarray) -> None:
+    """Write what ``read_numeric_csv`` reads, key fields raw and values as
+    repr() floats; a key field holding a comma, quote or line break raises
+    SchemaError, and nothing is written."""
+    for key, column in zip(keys, zip(*key_rows)):
+        bad = [f for f in dict.fromkeys(column) if any(c in f for c in ',"\r\n')]
+        if bad:
+            raise SchemaError(f"{path}: {key.replace('_', ' ')}s {bad!r} hold "
+                              "a comma, quote or line break")
+    lines = [",".join([*keys, *(f"{prefix}{i}" for i in range(values.shape[1]))])]
+    lines += [",".join([*fields, *map(repr, row.tolist())])
+              for fields, row in zip(key_rows, values)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def save_features(fs: FeatureSet, path) -> None:
-    """Write the feature CSV; class names are written raw, so a name must
-    hold no comma, quote or line break."""
-    bad = [n for n in fs.class_names if any(c in n for c in ',"\r\n')]
-    if bad:
-        raise SchemaError(f"{path}: class names {bad!r} hold a comma, quote "
-                          "or line break")
-    path = Path(path)
-    lines = ["label,class_name," + ",".join(f"f{i}" for i in range(fs.dim))]
-    for i in range(fs.n_samples):
-        label = int(fs.labels[i])
-        vals = ",".join(repr(float(x)) for x in fs.features[i])
-        lines.append(f"{label},{fs.class_names[label]},{vals}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the feature CSV (``write_numeric_csv``)."""
+    write_numeric_csv(path, ("label", "class_name"), "f",
+                      [(str(label), fs.class_names[label])
+                       for label in fs.labels.tolist()], fs.features)
 
 
 @dataclass

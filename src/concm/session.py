@@ -75,7 +75,7 @@ class SessionConfig:
     replay_per_class: int = 5
     seed: int = 0
     d_g: int = 512
-    d_hidden: int | None = None
+    d_hidden = None  # not a field (hidden width = d_f); perfbench reads it
 
     def validate(self) -> None:
         for name, low in _MINIMUM.items():
@@ -89,8 +89,6 @@ class SessionConfig:
             raise InvalidConfig("alpha must be in [0, 1]")
         if not (self.beta > 0.0 and self.tau > 0.0 and self.gamma > 0.0):
             raise InvalidConfig("beta, tau and gamma must be positive")
-        if self.d_hidden is not None and self.d_hidden < 1:
-            raise InvalidConfig("d_hidden must be >= 1 when set")
 
     @property
     def total_classes(self) -> int:
@@ -213,8 +211,7 @@ def run_base_session(config: SessionConfig, base: FeatureSet,
     repo = PrototypeRepository().extended(base.class_names,
                                           *class_statistics(base), exact=True)
 
-    d_hidden = config.d_hidden if config.d_hidden is not None else base.dim
-    theta_g = init_projector_params(base.dim, d_hidden, config.d_g,
+    theta_g = init_projector_params(base.dim, base.dim, config.d_g,
                                     seed=rng.derive_seed(config.seed, "projector"))
 
     init, structure, smr, theta_g = _fit(config, strategy, 0, repo, None,

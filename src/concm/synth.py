@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rng
 from .attributes import AttributeTable
-from .data import FeatureSet, save_features
+from .data import FeatureSet, save_features, write_numeric_csv
 from .errors import InvalidConfig
 
 
@@ -207,27 +207,19 @@ def write_benchmark(bench: GeneratedBenchmark, outdir) -> Path:
     outdir.mkdir(parents=True, exist_ok=True)
     cfg = bench.config
 
-    save_features(bench.train_sets[0], outdir / "base.csv")
-    session_files = []
-    for t in range(1, cfg.sessions + 1):
-        fname = f"session_{t:02d}.csv"
-        save_features(bench.train_sets[t], outdir / fname)
-        session_files.append(fname)
-    test_files = []
-    for t, ts in enumerate(bench.test_sets):
-        fname = f"test_{t:02d}.csv"
-        save_features(ts, outdir / fname)
-        test_files.append(fname)
+    session_files = [f"session_{t:02d}.csv" for t in range(1, cfg.sessions + 1)]
+    test_files = [f"test_{t:02d}.csv" for t in range(len(bench.test_sets))]
+    for fs, fname in zip(bench.train_sets + bench.test_sets,
+                         ["base.csv", *session_files, *test_files]):
+        save_features(fs, outdir / fname)
 
     (outdir / "attributes.json").write_text(
         json.dumps({"classes": bench.table.classes}, indent=2) + "\n",
         encoding="utf-8")
 
-    d_s = cfg.d_s
-    lines = ["name," + ",".join(f"s{i}" for i in range(d_s))]
-    for name, vec in bench.embeddings.items():
-        lines.append(name + "," + ",".join(repr(float(x)) for x in vec))
-    (outdir / "semantic.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_numeric_csv(outdir / "semantic.csv", ("name",), "s",
+                      [(name,) for name in bench.embeddings],
+                      np.array(list(bench.embeddings.values())))
 
     truth_obj = {
         "config": asdict(cfg),

@@ -162,20 +162,22 @@ FEATURE_FILES = ("base.csv", "session_01.csv", "session_02.csv",
          one_entry=False)
 @example(target="session_01.csv", line=0, mantissa=2.0, exponent=308,
          one_entry=False)
+@example(target="base.csv", line=0, mantissa=1.0, exponent=30, one_entry=False)
+@example(target="base.csv", line=0, mantissa=1.0, exponent=100, one_entry=False)
+@example(target="base.csv", line=0, mantissa=1.0, exponent=150, one_entry=False)
+@example(target="base.csv", line=0, mantissa=1.0, exponent=30, one_entry=True)
+@example(target="base.csv", line=0, mantissa=1.0, exponent=100, one_entry=True)
+@example(target="base.csv", line=0, mantissa=1.0, exponent=150, one_entry=True)
 def test_tiny_feature_row_runs_or_is_rejected_at_load(dataset, target, line,
                                                       mantissa, exponent,
                                                       one_entry):
     # a feature row scaled toward zero or toward overflow, in any feature
     # file and line: either the loader rejects it at path:line, as zero-norm
     # or, where the scaling itself overflows to inf, as non-finite, or the
-    # whole run completes; no session fails on it later.  A base row
-    # scaled by 1e30 loads but overflows meta-training, a scale defect that
-    # no load rule covers, so base rows stay at 1e10 and below
+    # whole run completes; no session fails on it later
     lines = (dataset / "data" / target).read_text().splitlines()
     at = 1 + line % (len(lines) - 1)
     fields = lines[at].split(",")
-    if target == "base.csv":
-        exponent = min(exponent, 10)
     scale = float(f"{mantissa!r}e{exponent}")
     row = [scale] + [0.0] * (len(fields) - 3) if one_entry \
         else [float(v) * scale for v in fields[2:]]
@@ -487,8 +489,10 @@ def test_truncated_json_exits_1_with_path_line_col(dataset, tmp_path, command,
 @pytest.mark.parametrize("key,value", [
     ("epochs_base", "30"), ("batch_size", 1), ("epochs_base", -1),
     ("n_aug_novel", 0), ("meta_shots", 0), ("warmup_steps", -1),
-    ("lr_projector", float("nan")), ("d_hidden", True), ("seed", 1.5),
-    ("lr_projector", -0.5), ("lr_calibration", -1.0)])
+    ("lr_projector", float("nan")), ("d_g", 64.5), ("seed", 1.5),
+    ("lr_projector", -0.5), ("lr_calibration", -1.0),
+    # no longer a config field: the projector's hidden width is d_f
+    ("d_hidden", True)])
 def test_bad_run_config_value_exits_1_before_loading(dataset, tmp_path, key,
                                                      value, capsys):
     cfg = json.loads((dataset / "run_cfg.json").read_text())

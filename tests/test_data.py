@@ -142,7 +142,7 @@ def test_feature_set_built_in_code_rejects_first_all_zero_row(data, n_rows, dim)
     signs = data.draw(hnp.arrays(np.bool_, (len(zero_rows), dim)))
     feats[zero_rows] = np.where(signs, -0.0, 0.0)
     with pytest.raises(InvalidInput,
-                       match=f"^feature row {zero_rows[0]} is all zero"):
+                       match=f"^feature row {zero_rows[0]}: all-zero feature row$"):
         FeatureSet(features=feats, labels=np.zeros(n_rows, dtype=np.int64),
                    class_names=("c",))
 
@@ -158,9 +158,31 @@ def test_row_whose_norm_overflows_rejected_with_line(tmp_path, scale):
     with pytest.raises(SchemaError,
                        match=r"o\.csv:3: feature row norm overflows"):
         load_features(p)
-    with pytest.raises(InvalidInput, match="^feature row 1 is of overflowing norm"):
+    with pytest.raises(InvalidInput,
+                       match="^feature row 1: feature row norm overflows"):
         FeatureSet(features=np.vstack([[1.0, 2.0], row]),
                    labels=np.array([0, 1]), class_names=("x", "y"))
+
+
+@pytest.mark.parametrize("row", [
+    [0.0, -0.0],     # all zero
+    [1e-170, 0.0],   # zero-norm: the square underflows to 0
+    [1e200, 1.0],    # the norm overflows
+    [1.0, np.inf],   # non-finite
+    [np.nan, 1.0]])
+def test_feature_set_and_loader_name_one_reason_per_bad_row(tmp_path, row):
+    # a row built in code and the same row read from a file fail for the
+    # same reason, named by row index and by path:line respectively
+    with pytest.raises(InvalidInput, match="^feature row 1: ") as built:
+        FeatureSet(features=np.array([[1.0, 2.0], row]), labels=np.array([0, 1]),
+                   class_names=("x", "y"))
+    reason = str(built.value).removeprefix("feature row 1: ")
+    p = tmp_path / "r.csv"
+    p.write_text("label,class_name,f0,f1\n0,x,1.0,2.0\n"
+                 f"1,y,{row[0]!r},{row[1]!r}\n")
+    with pytest.raises(SchemaError) as loaded:
+        load_features(p)
+    assert str(loaded.value) == f"{p}:3: {reason}"
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999", "NaN"])

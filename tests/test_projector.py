@@ -600,14 +600,28 @@ def test_train_divergence_detected():
 
 
 def test_train_non_finite_loss_names_the_step():
-    # at tau = 1e-3, exp(sim / tau) of two near samples overflows
+    # at tau = 1e-310, 1 / tau overflows to inf, and so do the similarities
     s = random_optimal_structure(3, 8, seed=13)
     p = params_fixture(6, 6, 8, seed=14)
     sched = dict(lr_max=0.1, epochs=3, warmup_steps=0, batch_size=24, seed=0,
-                 tau=1e-3)
+                 tau=1e-310)
     with np.errstate(all="ignore"), pytest.raises(
             TrainingDiverged, match=r"^step \d+: loss became (inf|nan)$"):
         train_projector(p, s, frozenset(), *planned(training_data()), **sched)
+
+
+@pytest.mark.parametrize("tau", [1e-3, 1e-5])
+def test_train_at_tiny_tau_keeps_a_finite_loss(tau):
+    # 1 / tau far above log(max float) = 709: each row's exponentials are
+    # taken relative to its largest similarity, so none overflows
+    s = random_optimal_structure(3, 8, seed=13)
+    p = params_fixture(6, 6, 8, seed=14)
+    sched = dict(lr_max=0.1, epochs=3, warmup_steps=0, batch_size=24, seed=0,
+                 tau=tau)
+    with np.errstate(over="raise"):
+        _, losses = train_projector(p, s, frozenset({2}),
+                                    *planned(training_data()), **sched)
+    assert losses and np.isfinite(losses).all()
 
 
 def test_pruned_backward_bitwise_equal_on_loss_graphs(unpruned_backward):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from concm import augment, rng, session
@@ -382,6 +382,32 @@ def test_base_set_at_a_tiny_scale_runs_every_session(inputs, scale):
                                   train_sets=[tiny, *inputs.train_sets[1:]]))
     assert [r.t for r in result.report.sessions] == [0, 1, 2]
     assert np.isfinite(result.state.repository.variances).all()
+
+
+@pytest.fixture(scope="module")
+def short_run(inputs):
+    """Inputs with a short schedule, and their report JSON."""
+    short = replace(inputs, config=tiny_cfg(epochs_base=3, epochs_incremental=2,
+                                            meta_episodes=10))
+    return short, report_to_json(run_pipeline(short).report)
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.integers(-60, 60))
+@example(k=-60)
+@example(k=60)
+def test_report_does_not_depend_on_a_power_of_two_feature_unit(short_run, k):
+    # the calibration net works in the pool's unit, a power of two taken
+    # from the features; the rest of the pipeline scales with the features
+    # or normalizes them, so features x 2**k give the same report bytes
+    short, expected = short_run
+
+    def scale(fs):
+        return FeatureSet(features=np.ldexp(fs.features, k), labels=fs.labels,
+                          class_names=fs.class_names)
+    scaled = replace(short, train_sets=[scale(fs) for fs in short.train_sets],
+                     test_sets=[scale(fs) for fs in short.test_sets])
+    assert report_to_json(run_pipeline(scaled).report) == expected
 
 
 def test_pipeline_holds_one_augmentation_epoch_at_a_time(inputs, monkeypatch):

@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass
-from typing import Optional
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -36,15 +36,17 @@ def ncm_classify(z: np.ndarray, structure: StructureMatrix) -> np.ndarray:
 
 @dataclass
 class SessionRecord:
-    t: int
+    # the report's JSON keys and CSV/table columns, in order; each annotation
+    # is load_report's rule; metadata replaces the table's header or 2 decimals
+    t: int = field(metadata={"header": "session"})
     top1: float
     bacc: Optional[float]
     nacc: Optional[float]
     hm: Optional[float]
     ber: Optional[float]
     smr: Optional[float] = None
-    sim_cls: Optional[float] = None
-    sim_in: Optional[float] = None
+    sim_cls: Optional[float] = field(default=None, metadata={"digits": 4})
+    sim_in: Optional[float] = field(default=None, metadata={"digits": 4})
 
 
 def harmonic_mean(bacc: float, nacc: float) -> float:
@@ -154,6 +156,7 @@ def similarity_stats(sums: ClassSums) -> tuple[float, float]:
 
 @dataclass
 class RunReport:
+    # a report file may leave out the fields that have a default
     sessions: list[SessionRecord]
     ahm: Optional[float]
     fa: float
@@ -161,14 +164,6 @@ class RunReport:
     base_acc: float
     strategy: str = "concm"
     seed: int = 0
-
-
-_RUN_FIGURES = ("ahm", "fa", "pd", "base_acc")
-_REQUIRED_RUN_FIELDS = ("sessions", *_RUN_FIGURES)
-_SESSION_FIELDS = ("t", "top1", "bacc", "nacc", "hm", "ber", "smr",
-                   "sim_cls", "sim_in")
-# figures that are never null; t is an int, every other figure a number
-_DEFINED_FIGURES = ("top1", "fa", "pd", "base_acc")
 
 
 def report_to_json(report: RunReport) -> str:
@@ -192,68 +187,72 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-def _check_figure(where: str, key: str, value) -> None:
-    """SchemaError at ``where`` unless ``value`` suits figure ``key``."""
-    if key == "t":
-        ok, want = type(value) is int, "an int"
-    elif key in _DEFINED_FIGURES:
-        ok, want = _is_finite_number(value), "a finite number"
-    else:
-        ok = value is None or _is_finite_number(value)
-        want = "a finite number or null"
-    if not ok:
-        raise SchemaError(f"{where} field {key!r} must be {want}, "
-                          f"got {value!r}")
+# what a figure's annotation asks of its JSON value, and how to say it
+_RULES = {int: (lambda v: type(v) is int, "an int"),
+          float: (_is_finite_number, "a finite number"),
+          Optional[float]: (lambda v: v is None or _is_finite_number(v),
+                            "a finite number or null")}
+
+
+def _figures(cls) -> list:
+    """(field, annotation) for each field of ``cls``, in order."""
+    hints = get_type_hints(cls)
+    return [(f, hints[f.name]) for f in fields(cls)]
+
+
+def _checked(where: str, obj: dict, f, rule):
+    """``obj``'s value of field ``f``; SchemaError at ``where`` if it is
+    missing or breaks the rule of the field's annotation ``rule``."""
+    if f.name not in obj:
+        raise SchemaError(f"{where} missing field {f.name!r}")
+    holds, want = _RULES.get(rule, (lambda v: True, None))
+    if not holds(obj[f.name]):
+        raise SchemaError(f"{where} field {f.name!r} must be {want}, "
+                          f"got {obj[f.name]!r}")
+    return obj[f.name]
 
 
 def _report_from_obj(obj, source) -> RunReport:
     if not isinstance(obj, dict):
         raise SchemaError(f"{source}: report must be a JSON object")
-    for key in _REQUIRED_RUN_FIELDS:
-        if key not in obj:
-            raise SchemaError(f"{source}: report missing field {key!r}")
+    run, record = _figures(RunReport), _figures(SessionRecord)
+    for f, _ in run:
+        if f.default is MISSING and f.name not in obj:
+            raise SchemaError(f"{source}: report missing field {f.name!r}")
     if not isinstance(obj["sessions"], list) \
             or not all(isinstance(rec, dict) for rec in obj["sessions"]):
         raise SchemaError(f"{source}: 'sessions' must be a list of objects")
-    sessions = []
-    for i, rec in enumerate(obj["sessions"]):
-        for key in _SESSION_FIELDS:
-            if key not in rec:
-                raise SchemaError(f"{source}: session record {i} missing "
-                                  f"field {key!r}")
-            _check_figure(f"{source}: session record {i}", key, rec[key])
-        sessions.append(SessionRecord(**{k: rec[k] for k in _SESSION_FIELDS}))
-    for key in _RUN_FIGURES:
-        _check_figure(f"{source}: report", key, obj[key])
-    return RunReport(sessions=sessions, ahm=obj["ahm"], fa=obj["fa"],
-                     pd=obj["pd"], base_acc=obj["base_acc"],
-                     strategy=obj.get("strategy", "concm"),
-                     seed=obj.get("seed", 0))
+    sessions = [SessionRecord(**{
+        f.name: _checked(f"{source}: session record {i}", rec, f, rule)
+        for f, rule in record})
+        for i, rec in enumerate(obj["sessions"])]
+    given = {f.name: _checked(f"{source}: report", obj, f, rule)
+             for f, rule in run if f.name in obj}
+    return RunReport(**dict(given, sessions=sessions))
 
 
 def report_to_csv(report: RunReport) -> str:
-    def cell(v):
-        return "" if v is None else repr(float(v))
-    lines = [",".join(_SESSION_FIELDS)]
-    for r in report.sessions:
-        rec = asdict(r)
-        lines.append(",".join(str(rec["t"]) if k == "t" else cell(rec[k])
-                              for k in _SESSION_FIELDS))
-    return "\n".join(lines) + "\n"
+    def cell(v, rule):
+        return str(v) if rule is int else "" if v is None else repr(float(v))
+    columns = _figures(SessionRecord)
+    lines = [[f.name for f, _ in columns]] + [
+        [cell(getattr(r, f.name), rule) for f, rule in columns]
+        for r in report.sessions]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def format_report_table(report: RunReport) -> str:
     """Human-readable session table plus the aggregate footer."""
-    headers = ("session", "top1", "bacc", "nacc", "hm", "ber", "smr",
-               "sim_cls", "sim_in")
+    columns = _figures(SessionRecord)
+    headers = [f.metadata.get("header", f.name) for f, _ in columns]
 
     def fmt(v, digits=2):
         return "-" if v is None or (isinstance(v, float) and np.isnan(v)) \
             else f"{v:.{digits}f}"
 
-    rows = [[str(r.t), fmt(r.top1), fmt(r.bacc), fmt(r.nacc), fmt(r.hm),
-             fmt(r.ber), fmt(r.smr), fmt(r.sim_cls, 4), fmt(r.sim_in, 4)]
-            for r in report.sessions]
+    rows = [[str(getattr(r, f.name)) if rule is int
+             else fmt(getattr(r, f.name), f.metadata.get("digits", 2))
+             for f, rule in columns] for r in report.sessions]
     widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
               for i, h in enumerate(headers)]
     out = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]

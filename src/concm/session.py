@@ -17,6 +17,7 @@ count, derived from the seed; ``frozen`` never trains the projector.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -89,6 +90,9 @@ class SessionConfig:
             raise InvalidConfig("alpha must be in [0, 1]")
         if not (self.beta > 0.0 and self.tau > 0.0 and self.gamma > 0.0):
             raise InvalidConfig("beta, tau and gamma must be positive")
+        if not math.isfinite(1.0 / self.tau):
+            raise InvalidConfig(f"tau = {self.tau} is too small: 1 / tau "
+                                "overflows")
 
     @property
     def total_classes(self) -> int:

@@ -83,10 +83,6 @@ class InitialStructure:
     historical: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
     @property
-    def dim(self) -> int:
-        return self.columns.shape[0]
-
-    @property
     def num_classes(self) -> int:
         return self.columns.shape[1]
 

@@ -11,6 +11,7 @@ import time
 import tracemalloc
 import warnings
 from pathlib import Path
+from typing import Optional, get_type_hints
 from unittest.mock import patch
 
 import numpy as np
@@ -23,7 +24,7 @@ from concm.autodiff import zero_norm_rows
 from concm.cli import _setup_logging, main
 from concm.data import load_config, load_features, load_manifest
 from concm.errors import SchemaError, ValidationError
-from concm.metrics import report_from_json
+from concm.metrics import RunReport, SessionRecord, report_from_json
 from concm.session import SessionConfig, load_inputs, run_pipeline
 from concm.synth import GenConfig
 
@@ -330,6 +331,55 @@ def test_report_figures_checked_at_load(tmp_path, capsys, record, field, value):
     assert err["message"].startswith(f"{p}: {where} field {field!r} must be")
 
 
+@pytest.fixture(scope="module")
+def run_outputs(dataset):
+    """A run's report.json object, report.csv text and printed table."""
+    out = dataset / "figures"
+    table = io.StringIO()
+    with contextlib.redirect_stdout(table):
+        assert main(["run", "--manifest",
+                     str(dataset / "data" / "manifest.json"), "--config",
+                     str(dataset / "run_cfg.json"), "--out", str(out)]) == 0
+    return (json.loads((out / "report.json").read_text()),
+            (out / "report.csv").read_text(), table.getvalue())
+
+
+# what each figure annotation asks for, and a value besides a string that
+# breaks it
+_RULE_AND_MISS = {int: ("an int", 1.0), float: ("a finite number", None),
+                  Optional[float]: ("a finite number or null", math.inf)}
+_SESSION_FIGURES = [f.name for f in dataclasses.fields(SessionRecord)]
+
+
+@pytest.mark.parametrize("cls,name", [
+    *((SessionRecord, name) for name in _SESSION_FIGURES),
+    *((RunReport, name) for name in ("ahm", "fa", "pd", "base_acc"))])
+def test_every_report_figure_is_written_and_checked(run_outputs, tmp_path,
+                                                    capsys, cls, name):
+    # a figure's field puts it in report.json and, for a session figure, in
+    # its place among the CSV and table columns; its annotation is the rule
+    # that `concm report` checks, and the rejection says that rule in full
+    obj, csv, table = run_outputs
+    if cls is RunReport:
+        assert name in obj
+    else:
+        assert all(name in rec for rec in obj["sessions"])
+        column = _SESSION_FIGURES.index(name)
+        assert csv.splitlines()[0].split(",")[column] == name
+        assert table.splitlines()[0].split()[column] == \
+            ("session" if name == "t" else name)
+    want, miss = _RULE_AND_MISS[get_type_hints(cls)[name]]
+    where = "report" if cls is RunReport else "session record 1"
+    p = tmp_path / "r.json"
+    for value in ("x", miss):
+        bad = report_obj()
+        (bad if cls is RunReport else bad["sessions"][1])[name] = value
+        p.write_text(json.dumps(bad))
+        assert main(["report", str(p)]) == 1
+        assert _error_message(capsys.readouterr().err) == \
+            f"{p}: {where} field {name!r} must be {want}, got {value!r}"
+
+
 def test_run_protocol_violation_is_runtime_error(dataset, tmp_path, capsys):
     # config declares 4 shots but the session files carry 5: detected while
     # executing, so the exit code is the runtime one
@@ -504,6 +554,28 @@ def test_bad_run_config_value_exits_1_before_loading(dataset, tmp_path, key,
     assert rc == 1
     message = _error_message(capsys.readouterr().err)
     assert message.startswith(f"{p}: ") and key in message
+
+
+def test_tau_whose_reciprocal_overflows_exits_1_before_training(dataset,
+                                                                tmp_path,
+                                                                capsys):
+    # 1 / 1e-310 is inf, so the projector's contrastive loss would be nan
+    # at its first step: the config file is rejected before any training
+    cfg = json.loads((dataset / "run_cfg.json").read_text())
+    cfg["tau"] = 1e-310
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    trained = []
+    with patch("concm.session.meta_train",
+               lambda *a, **k: trained.append("meta_train")), \
+            patch("concm.session.train_projector",
+                  lambda *a, **k: trained.append("train_projector")):
+        rc = main(["run", "--manifest", str(dataset / "data" / "manifest.json"),
+                   "--config", str(p), "--out", str(tmp_path / "o")])
+    assert trained == []
+    assert rc == 1
+    assert _error_message(capsys.readouterr().err) == \
+        f"{p}: tau = 1e-310 is too small: 1 / tau overflows"
 
 
 # Replacement tokens for one CSV field: malformed numbers, non-finite

@@ -275,6 +275,18 @@ def test_report_missing_field_named():
         report_from_json(broken)
 
 
+def test_report_cells_follow_the_annotation_not_the_value():
+    # an int figure is written as the int, however large; a float figure
+    # holding an int is written as a float
+    big = 10 ** 400
+    rec = SessionRecord(t=big, top1=80, bacc=0, nacc=None, hm=None, ber=None)
+    rep = RunReport(sessions=[rec], ahm=None, fa=80, pd=0, base_acc=80)
+    assert report_to_csv(rep).splitlines()[1] == \
+        ",".join([str(big), "80.0", "0.0"] + [""] * 6)
+    assert format_report_table(rep).splitlines()[1].split() == \
+        [str(big), "80.00", "0.00"] + ["-"] * 6
+
+
 def test_report_csv_and_table():
     rep = report_fixture()
     csv_text = report_to_csv(rep)

@@ -13,7 +13,7 @@ from concm import augment, rng, session
 from concm.attributes import AttributeTable
 from concm.data import FeatureSet
 from concm.errors import InvalidConfig, ProtocolViolation
-from concm.metrics import report_to_json
+from concm.metrics import report_from_json, report_to_json
 from concm.projector import init_projector_params, project
 from concm.session import (PipelineInputs, SessionConfig, run_base_session,
                            run_incremental_session, run_pipeline,
@@ -408,6 +408,47 @@ def test_report_does_not_depend_on_a_power_of_two_feature_unit(short_run, k):
     scaled = replace(short, train_sets=[scale(fs) for fs in short.train_sets],
                      test_sets=[scale(fs) for fs in short.test_sets])
     assert report_to_json(run_pipeline(scaled).report) == expected
+
+
+# The (low, high) extremes of each field that validate accepts, for the
+# tiny_gen benchmark: 6 base classes of 40 rows, 12 classes in all
+EXTREMES = dict(lr_projector=(0.0, 1e6), lr_calibration=(0.0, 1e6),
+                tau=(1e-5, 1e6), gamma=(1e-9, 1e9), beta=(1e-12, 1e12),
+                alpha=(0.0, 1.0), batch_size=(2, 3), replay_per_class=(0, 100),
+                warmup_steps=(0, 10 ** 6), meta_warmup=(0, 10 ** 6),
+                epochs_base=(0, 0), epochs_incremental=(0, 0),
+                meta_episodes=(0, 0), n_aug_base=(1, 1), n_aug_novel=(1, 1),
+                meta_shots=(1, 39), d_g=(13, 13))
+
+
+def _one_extreme(key):
+    low, high = EXTREMES[key]
+    values = st.floats(low, high) if isinstance(low, float) \
+        else st.integers(low, high)
+    return st.tuples(st.just(key), values)
+
+
+def _at_both_ends(test):
+    for key, ends in EXTREMES.items():
+        for value in sorted(set(ends)):
+            test = example(change=(key, value))(test)
+    return test
+
+
+@settings(max_examples=40, deadline=None)
+@given(change=st.sampled_from(sorted(EXTREMES)).flatmap(_one_extreme))
+@_at_both_ends
+def test_every_extreme_config_runs_to_a_finite_report(inputs, change):
+    # one field at a time at an extreme: the run ends in finite aggregates,
+    # and its report survives the JSON round trip byte for byte
+    key, value = change
+    config = tiny_cfg(**{"epochs_base": 1, "epochs_incremental": 1,
+                         "meta_episodes": 2, key: value})
+    report = run_pipeline(replace(inputs, config=config)).report
+    assert all(math.isfinite(v) for v in (report.ahm, report.fa, report.pd,
+                                          report.base_acc))
+    text = report_to_json(report)
+    assert report_to_json(report_from_json(text)) == text
 
 
 def test_pipeline_holds_one_augmentation_epoch_at_a_time(inputs, monkeypatch):

@@ -245,29 +245,55 @@ def read_json(path) -> object:
     return parse_json(Path(path).read_text(encoding="utf-8"), path)
 
 
+def _is_finite_number(value) -> bool:
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+# what a field's annotation asks of its value, and how to say it: the rule
+# of every config field and report figure
+RULES = {int: (lambda v: type(v) is int, "an int"),
+         float: (_is_finite_number, "a finite number"),
+         typing.Optional[float]: (lambda v: v is None or _is_finite_number(v),
+                                  "a finite number or null")}
+
+
+def annotated_fields(cls) -> list:
+    """(field, annotation) for each field of the dataclass ``cls``, in order."""
+    hints = typing.get_type_hints(cls)
+    return [(f, hints[f.name]) for f in fields(cls)]
+
+
+def check_fields(config, limits: dict) -> None:
+    """Check each field of the dataclass ``config`` against its annotation's
+    rule in RULES, then against its (low, high) in ``limits``, where None
+    leaves an end open; InvalidConfig names the first field that fails."""
+    for f, rule in annotated_fields(type(config)):
+        value = getattr(config, f.name)
+        holds, want = RULES[rule]
+        if not holds(value):
+            raise InvalidConfig(f"{f.name} must be {want}, got {value!r}")
+        low, high = limits.get(f.name, (None, None))
+        if low is not None and value < low or high is not None and value > high:
+            span = (f">= {low}" if high is None else f"<= {high}" if low is None
+                    else f"in [{low}, {high}]")
+            raise InvalidConfig(f"{f.name} = {value!r} must be {span}")
+
+
 def load_config(cls, path):
     """Read a config dataclass from JSON, checked before any work is done.
 
-    Keys must name fields of ``cls``; each value must have its field's
-    annotated type (an int passes for a float, and floats must be finite);
-    then ``validate()`` checks the ranges.  Every error names the file.
+    Keys must name fields of ``cls``; then ``validate()`` checks the values.
+    Every error names the file.
     """
     obj = read_json(path)
     if not isinstance(obj, dict):
         raise InvalidConfig(f"{path}: config must be a JSON object")
-    declared = {f.name: f for f in fields(cls)}
-    unknown = set(obj) - set(declared)
+    unknown = set(obj) - {f.name for f in fields(cls)}
     if unknown:
         raise InvalidConfig(f"{path}: unknown config keys: {sorted(unknown)}")
-    hints = typing.get_type_hints(cls)
-    for name, value in obj.items():
-        allowed = typing.get_args(hints[name]) or (hints[name],)
-        if float in allowed:
-            allowed += (int,)
-        if type(value) not in allowed or (type(value) is float
-                                          and not math.isfinite(value)):
-            raise InvalidConfig(f"{path}: {name} must be {declared[name].type}, "
-                                f"got {value!r}")
     config = cls(**obj)
     try:
         config.validate()

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import json
 import logging
-import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Optional, get_type_hints
+from dataclasses import MISSING, asdict, dataclass, field
+from typing import Optional
 
 import numpy as np
 
-from .data import parse_json, read_json
+from .data import RULES, annotated_fields, parse_json, read_json
 from .errors import SchemaError, ShapeError
 from .structure import StructureMatrix
 
@@ -180,32 +179,12 @@ def report_from_json(text: str) -> RunReport:
     return _report_from_obj(parse_json(text, "report"), "report")
 
 
-def _is_finite_number(value) -> bool:
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-# what a figure's annotation asks of its JSON value, and how to say it
-_RULES = {int: (lambda v: type(v) is int, "an int"),
-          float: (_is_finite_number, "a finite number"),
-          Optional[float]: (lambda v: v is None or _is_finite_number(v),
-                            "a finite number or null")}
-
-
-def _figures(cls) -> list:
-    """(field, annotation) for each field of ``cls``, in order."""
-    hints = get_type_hints(cls)
-    return [(f, hints[f.name]) for f in fields(cls)]
-
-
 def _checked(where: str, obj: dict, f, rule):
     """``obj``'s value of field ``f``; SchemaError at ``where`` if it is
     missing or breaks the rule of the field's annotation ``rule``."""
     if f.name not in obj:
         raise SchemaError(f"{where} missing field {f.name!r}")
-    holds, want = _RULES.get(rule, (lambda v: True, None))
+    holds, want = RULES.get(rule, (lambda v: True, None))
     if not holds(obj[f.name]):
         raise SchemaError(f"{where} field {f.name!r} must be {want}, "
                           f"got {obj[f.name]!r}")
@@ -215,7 +194,7 @@ def _checked(where: str, obj: dict, f, rule):
 def _report_from_obj(obj, source) -> RunReport:
     if not isinstance(obj, dict):
         raise SchemaError(f"{source}: report must be a JSON object")
-    run, record = _figures(RunReport), _figures(SessionRecord)
+    run, record = annotated_fields(RunReport), annotated_fields(SessionRecord)
     for f, _ in run:
         if f.default is MISSING and f.name not in obj:
             raise SchemaError(f"{source}: report missing field {f.name!r}")
@@ -234,7 +213,7 @@ def _report_from_obj(obj, source) -> RunReport:
 def report_to_csv(report: RunReport) -> str:
     def cell(v, rule):
         return str(v) if rule is int else "" if v is None else repr(float(v))
-    columns = _figures(SessionRecord)
+    columns = annotated_fields(SessionRecord)
     lines = [[f.name for f, _ in columns]] + [
         [cell(getattr(r, f.name), rule) for f, rule in columns]
         for r in report.sessions]
@@ -243,7 +222,7 @@ def report_to_csv(report: RunReport) -> str:
 
 def format_report_table(report: RunReport) -> str:
     """Human-readable session table plus the aggregate footer."""
-    columns = _figures(SessionRecord)
+    columns = annotated_fields(SessionRecord)
     headers = [f.metadata.get("header", f.name) for f, _ in columns]
 
     def fmt(v, digits=2):

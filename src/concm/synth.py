@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rng
 from .attributes import AttributeTable
-from .data import FeatureSet, save_features, write_numeric_csv
+from .data import FeatureSet, check_fields, save_features, write_numeric_csv
 from .errors import InvalidConfig
 
 
@@ -31,6 +31,13 @@ MAX_POOL_SIZE = 10_000
 # The generator holds every feature set, the pool and the embeddings in
 # memory before writing them as CSV text: 2**27 float64 values are 1 GiB.
 MAX_VALUES = 1 << 27
+# (low, high) of each ranged field, None for an open end; validate() also
+# caps the generated arrays together, before anything is allocated
+LIMITS = dict(base_classes=(2, MAX_VALUES), sessions=(0, MAX_VALUES),
+              way=(1, MAX_VALUES), shot=(1, MAX_VALUES), d_f=(1, MAX_VALUES),
+              d_s=(1, MAX_VALUES), pool_size=(1, MAX_POOL_SIZE),
+              attrs_per_class=(1, None), base_samples=(2, MAX_VALUES),
+              test_samples=(1, MAX_VALUES))
 
 
 @dataclass
@@ -51,15 +58,17 @@ class GenConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.base_classes < 2 or self.way < 1 or self.sessions < 0:
-            raise InvalidConfig("need >= 2 base classes and positive way")
-        if self.shot < 1 or self.base_samples < 2 or self.test_samples < 1:
-            raise InvalidConfig("sample counts out of range")
-        if self.attrs_per_class < 1 or self.attrs_per_class > self.pool_size:
-            raise InvalidConfig("attrs_per_class must lie in [1, pool_size]")
-        if self.pool_size > MAX_POOL_SIZE:
-            raise InvalidConfig(f"pool_size must be <= {MAX_POOL_SIZE}")
-        self._check_sizes()
+        check_fields(self, LIMITS)
+        if self.attrs_per_class > self.pool_size:
+            raise InvalidConfig(f"attrs_per_class = {self.attrs_per_class} must "
+                                f"be <= pool_size = {self.pool_size}")
+        rows = (self.base_classes * self.base_samples
+                + self.sessions * self.way * self.shot
+                + self.total_classes * self.test_samples + self.pool_size)
+        values = rows * self.d_f + (self.total_classes + self.pool_size) * self.d_s
+        if values > MAX_VALUES:
+            raise InvalidConfig(f"generated arrays would hold {values} values, "
+                                f"over the cap of {MAX_VALUES}")
         if self.pool_size > self.base_classes * self.attrs_per_class:
             raise InvalidConfig(
                 f"pool of {self.pool_size} attributes does not fit in "
@@ -72,25 +81,6 @@ class GenConfig:
                 f"distinct {self.attrs_per_class}-subsets")
         if self.noise <= 0:
             raise InvalidConfig("noise must be positive")
-
-    def _check_sizes(self) -> None:
-        """Reject a config whose generated arrays exceed MAX_VALUES values,
-        naming the field, before anything is allocated."""
-        sizes = {name: getattr(self, name) for name in (
-            "base_classes", "sessions", "way", "shot", "d_f", "d_s",
-            "base_samples", "test_samples")}
-        for name, value in sizes.items():
-            if value > MAX_VALUES:
-                raise InvalidConfig(f"{name} = {value} exceeds the generator's "
-                                    f"cap of {MAX_VALUES} values")
-        rows = (self.base_classes * self.base_samples
-                + self.sessions * self.way * self.shot
-                + self.total_classes * self.test_samples + self.pool_size)
-        values = rows * self.d_f + (self.total_classes + self.pool_size) * self.d_s
-        if values > MAX_VALUES:
-            named = ", ".join(f"{k} = {v}" for k, v in sizes.items())
-            raise InvalidConfig(f"generated arrays would hold {values} values, "
-                                f"over the cap of {MAX_VALUES} ({named})")
 
     @property
     def total_classes(self) -> int:

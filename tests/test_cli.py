@@ -542,15 +542,27 @@ def test_truncated_json_exits_1_with_path_line_col(dataset, tmp_path, command,
     ("lr_projector", float("nan")), ("d_g", 64.5), ("seed", 1.5),
     ("lr_projector", -0.5), ("lr_calibration", -1.0),
     # no longer a config field: the projector's hidden width is d_f
-    ("d_hidden", True)])
+    ("d_hidden", True),
+    # an int beyond the float range in a float field
+    pytest.param("tau", 10 ** 400, id="tau-10**400"),
+    pytest.param("lr_projector", 10 ** 400, id="lr_projector-10**400"),
+    # past the limits table's bounds: each would fail in the first steps
+    ("tau", 6e-309), ("tau", 1e-300), ("lr_projector", 1e300),
+    ("lr_calibration", 1e300)])
 def test_bad_run_config_value_exits_1_before_loading(dataset, tmp_path, key,
                                                      value, capsys):
     cfg = json.loads((dataset / "run_cfg.json").read_text())
     cfg[key] = value
     p = tmp_path / "c.json"
     p.write_text(json.dumps(cfg))
-    rc = main(["run", "--manifest", str(dataset / "data" / "manifest.json"),
-               "--config", str(p), "--out", str(tmp_path / "o")])
+    trained = []
+    with patch("concm.session.meta_train",
+               lambda *a, **k: trained.append("meta_train")), \
+            patch("concm.session.train_projector",
+                  lambda *a, **k: trained.append("train_projector")):
+        rc = main(["run", "--manifest", str(dataset / "data" / "manifest.json"),
+                   "--config", str(p), "--out", str(tmp_path / "o")])
+    assert trained == []
     assert rc == 1
     message = _error_message(capsys.readouterr().err)
     assert message.startswith(f"{p}: ") and key in message
@@ -560,7 +572,8 @@ def test_tau_whose_reciprocal_overflows_exits_1_before_training(dataset,
                                                                 tmp_path,
                                                                 capsys):
     # 1 / 1e-310 is inf, so the projector's contrastive loss would be nan
-    # at its first step: the config file is rejected before any training
+    # at its first step: the config file is rejected before any training,
+    # with the limits table's bound
     cfg = json.loads((dataset / "run_cfg.json").read_text())
     cfg["tau"] = 1e-310
     p = tmp_path / "c.json"
@@ -575,7 +588,17 @@ def test_tau_whose_reciprocal_overflows_exits_1_before_training(dataset,
     assert trained == []
     assert rc == 1
     assert _error_message(capsys.readouterr().err) == \
-        f"{p}: tau = 1e-310 is too small: 1 / tau overflows"
+        f"{p}: tau = 1e-310 must be >= 1e-30"
+
+
+def test_gen_float_field_beyond_float_range_exits_1_before_writing(tmp_path,
+                                                                   capsys):
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(dict(GEN_CFG, noise=10 ** 400)))
+    assert main(["gen", "--config", str(p), "--out", str(tmp_path / "g")]) == 1
+    assert not (tmp_path / "g").exists()
+    assert _error_message(capsys.readouterr().err).startswith(
+        f"{p}: noise must be a finite number, got 1000")
 
 
 # Replacement tokens for one CSV field: malformed numbers, non-finite
@@ -611,7 +634,7 @@ def _mutated_config(draw, obj: dict) -> str:
     elif kind == "set":
         key = draw(st.sampled_from(sorted(obj) + ["zzz"]))
         obj[key] = draw(st.one_of(
-            st.integers(-3, 3), st.integers(-2 ** 63, 2 ** 63), st.floats(),
+            st.integers(-3, 3), st.integers(-10 ** 400, 10 ** 400), st.floats(),
             st.text(max_size=3), st.none(), st.booleans(), st.just([1])))
     text = json.dumps(obj)
     if kind == "truncate":

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from concm import rng, session
@@ -359,6 +359,7 @@ def loss_value_and_z_grad(build, z):
 @given(seed=st.integers(0, 2 ** 32), present=st.sampled_from(["all", "some", "none"]),
        n_classes=st.integers(2, 6), per_class=st.integers(2, 5),
        tau=st.sampled_from([0.07, 0.5, 2.0]))
+@example(seed=310, present="none", n_classes=2, per_class=2, tau=0.07)
 def test_fused_losses_match_composed_graphs(seed, present, n_classes, per_class,
                                            tau):
     gen = rng.stream(seed, "fused")
@@ -380,7 +381,10 @@ def test_fused_losses_match_composed_graphs(seed, present, n_classes, per_class,
     for fused, composed in cases:
         got, got_grad = loss_value_and_z_grad(fused, z)
         want, want_grad = loss_value_and_z_grad(composed, z)
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+        # a loss near 0 is a difference of order-1 terms, so its rounding
+        # error is a few ulps of 1.0, not of itself (1.74e-4 at the example)
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=4 * np.finfo(np.float64).eps)
         np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12,
                                    atol=1e-12 * np.abs(want_grad).max())
 

@@ -1,6 +1,7 @@
 import logging
 import weakref
 from dataclasses import replace
+from typing import get_type_hints
 
 import math
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from concm import augment, rng, session
+from concm import augment, rng, session, synth
 from concm.attributes import AttributeTable
 from concm.data import FeatureSet
 from concm.errors import InvalidConfig, ProtocolViolation
@@ -224,6 +225,40 @@ def test_config_validation(tmp_path):
         SessionConfig.from_json(path)
 
 
+def _wrongly_typed(cls):
+    """(field, value) for each field of ``cls`` and a value its annotation
+    forbids: 2.5 and True for an int, an int beyond the float range for a
+    float."""
+    wrong = {int: {"2.5": 2.5, "True": True}, float: {"10**400": 10 ** 400}}
+    return [pytest.param(name, value, id=f"{name}-{label}")
+            for name, hint in get_type_hints(cls).items()
+            for label, value in wrong[hint].items()]
+
+
+@pytest.mark.parametrize("name,value", _wrongly_typed(SessionConfig))
+def test_session_config_built_in_code_is_checked_before_training(
+        inputs, monkeypatch, name, value):
+    # a config built in code gets the checks of a config file, in validate,
+    # before any meta-training episode
+    episodes = []
+    monkeypatch.setattr(session, "meta_train",
+                        lambda *a, **k: episodes.append(a))
+    with pytest.raises(InvalidConfig, match=f"^{name} must be "):
+        run_pipeline(replace(inputs, config=replace(inputs.config,
+                                                    **{name: value})))
+    assert episodes == []
+
+
+@pytest.mark.parametrize("name,value", _wrongly_typed(GenConfig))
+def test_gen_config_built_in_code_is_checked_before_generating(
+        monkeypatch, name, value):
+    drawn = []
+    monkeypatch.setattr(synth, "_unit_rows", lambda *a: drawn.append(a))
+    with pytest.raises(InvalidConfig, match=f"^{name} must be "):
+        generate_benchmark(replace(tiny_gen(), **{name: value}))
+    assert drawn == []
+
+
 def test_config_json_round_trip(tmp_path):
     import dataclasses
     import json
@@ -411,14 +446,19 @@ def test_report_does_not_depend_on_a_power_of_two_feature_unit(short_run, k):
 
 
 # The (low, high) extremes of each field that validate accepts, for the
-# tiny_gen benchmark: 6 base classes of 40 rows, 12 classes in all
-EXTREMES = dict(lr_projector=(0.0, 1e6), lr_calibration=(0.0, 1e6),
-                tau=(1e-5, 1e6), gamma=(1e-9, 1e9), beta=(1e-12, 1e12),
-                alpha=(0.0, 1.0), batch_size=(2, 3), replay_per_class=(0, 100),
-                warmup_steps=(0, 10 ** 6), meta_warmup=(0, 10 ** 6),
-                epochs_base=(0, 0), epochs_incremental=(0, 0),
-                meta_episodes=(0, 0), n_aug_base=(1, 1), n_aug_novel=(1, 1),
-                meta_shots=(1, 39), d_g=(13, 13))
+# tiny_gen benchmark: 6 base classes of 40 rows, 12 classes in all.  An end
+# that session.LIMITS bounds is taken from there (None here).
+_ENDS = dict(lr_projector=(None, None), lr_calibration=(None, None),
+             tau=(None, 1e6), gamma=(1e-9, 1e9), beta=(1e-12, 1e12),
+             alpha=(None, None), batch_size=(None, 3),
+             replay_per_class=(None, 100), warmup_steps=(None, 10 ** 6),
+             meta_warmup=(None, 10 ** 6), epochs_base=(None, 0),
+             epochs_incremental=(None, 0), meta_episodes=(None, 0),
+             n_aug_base=(None, 1), n_aug_novel=(None, 1),
+             meta_shots=(None, 39), d_g=(13, 13))
+EXTREMES = {key: tuple(bound if bound is not None else end for end, bound
+                       in zip(ends, session.LIMITS.get(key, (None, None))))
+            for key, ends in _ENDS.items()}
 
 
 def _one_extreme(key):

@@ -10,9 +10,8 @@ from .attributes import (AssociationMatrix, AttributePool, AttributeTable,
                          SemanticKnowledge, attribute_visual_prototypes,
                          build_knowledge, load_attribute_table,
                          load_semantic_embeddings)
-from .augment import (PrototypeRepository, class_statistics, epoch_labels,
-                      novel_covariance, sample_augmented, shot_variance,
-                      transfer_weights)
+from .augment import (PrototypeRepository, class_statistics, novel_covariance,
+                      sample_augmented, shot_variance, transfer_weights)
 from .autodiff import Tape, grad_check
 from .calibration import (CalibrationParams, Prototype, blend, calibrate,
                           init_calibration_params, meta_train)

@@ -125,56 +125,42 @@ def novel_covariance(shot_cov: np.ndarray, repo: PrototypeRepository,
     return beta * (shot_cov + (weights[..., None] * base).sum(axis=-2))
 
 
-def _layout(repo: PrototypeRepository, n_base: int, n_novel: int,
-            replay: dict[int, np.ndarray]) -> tuple[list[int], list[int]]:
-    """Class id and row count of each block of an epoch's full layout."""
-    if n_base < 1 or n_novel < 1:
-        raise InvalidConfig("sample counts must be >= 1")
-    if not len(repo):
-        raise MissingClass("cannot sample from an empty repository")
-    order = sorted(replay)
-    sizes = np.where(repo.exact, n_base, n_novel).tolist()
-    return ([*range(len(repo)), *order],
-            sizes + [replay[cid].shape[0] for cid in order])
-
-
-def epoch_labels(repo: PrototypeRepository, n_base: int, n_novel: int,
-                 replay: dict[int, np.ndarray] | None = None) -> np.ndarray:
-    """Class id of every row of an epoch's full layout: each class's draws
-    (``n_base`` per base class, ``n_novel`` per novel class) in repository
-    order, then the ``replay`` rows by ascending class id.  It is the same
-    for every epoch."""
-    ids, sizes = _layout(repo, n_base, n_novel, replay or {})
-    return np.repeat(np.array(ids, dtype=np.int64), sizes)
-
-
 class AugmentedEpoch:
     """One epoch's Gaussian draws, made batch by batch.
 
-    Row i of the epoch's full layout (``epoch_labels``) is a draw of its
-    class or, past the draws, a replay row.  ``rows(idx, out)`` writes rows
-    ``idx`` into ``out[:idx.size]`` and returns that view.  Class k keeps
-    one generator for the epoch, so its drawn slots get consecutive rows of
-    its stream in the order the calls reach them (within a call, in slot
-    order), whichever layout rows they name; a replay slot copies its
-    replay row.  Each run of equal-class slots is drawn straight into its
-    rows of ``out``, so a batch in ascending layout order (one run per
-    class) costs one draw per class; no row array of the epoch is held.
+    ``labels`` is the class id of every row of the epoch's full layout:
+    each class's draws (``n_base`` per base class, ``n_novel`` per novel
+    class) in repository order, then the ``replay`` rows by ascending class
+    id.  ``rows(idx, out)`` writes rows ``idx`` into ``out[:idx.size]`` and
+    returns that view.  Class k keeps one generator for the epoch, so its
+    drawn slots get consecutive rows of its stream in the order the calls
+    reach them (within a call, in slot order), whichever layout rows they
+    name; a replay slot copies its replay row.  Each run of equal-class
+    slots is drawn straight into its rows of ``out``, so a batch in
+    ascending layout order (one run per class) costs one draw per class; no
+    row array of the epoch is held.
     """
 
     def __init__(self, repo: PrototypeRepository, n_base: int, n_novel: int,
                  seed: int, epoch: int, replay: dict[int, np.ndarray]):
-        ids, sizes = _layout(repo, n_base, n_novel, replay)
-        classes = len(repo)
-        self._ends = np.cumsum(sizes[:classes])
+        if n_base < 1 or n_novel < 1:
+            raise InvalidConfig("sample counts must be >= 1")
+        if not len(repo):
+            raise MissingClass("cannot sample from an empty repository")
+        order = sorted(replay)
+        sizes = np.where(repo.exact, n_base, n_novel).tolist()
+        self._ends = np.cumsum(sizes)
         self._gens = [rng.stream(seed, "augment", epoch, cid)
-                      for cid in range(classes)]
+                      for cid in range(len(repo))]
         self._std = np.sqrt(repo.variances)
         self._mean = repo.means
         self._replay = np.concatenate(
-            [replay[cid] for cid in ids[classes:]]
+            [replay[cid] for cid in order]
             or [np.empty((0, self._mean.shape[1]))])
-        self.n_samples = sum(sizes)
+        self.labels = np.repeat(
+            np.array([*range(len(repo)), *order], dtype=np.int64),
+            sizes + [replay[cid].shape[0] for cid in order])
+        self.n_samples = self.labels.size
 
     def rows(self, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
         batch = out[:idx.size]
@@ -199,7 +185,7 @@ def sample_augmented(repo: PrototypeRepository, n_base: int, n_novel: int,
     """The sampler of one epoch's per-class Gaussian draws.
 
     Streams are keyed by (seed, epoch, class id), so classes are independent
-    and every epoch's resample is reproducible.  ``n_samples`` is the row
-    count of the epoch's full layout; rows are drawn only when asked for.
+    and every epoch's resample is reproducible.  ``labels`` gives the
+    epoch's full layout; rows are drawn only when asked for.
     """
     return AugmentedEpoch(repo, n_base, n_novel, seed, epoch, replay or {})

@@ -138,24 +138,32 @@ def _calibration_nodes(tape: Tape, pnodes: dict[str, int], protos: int,
 def calibrate(proto: Prototype, s_k: np.ndarray, knowledge: SemanticKnowledge,
               params: CalibrationParams) -> Prototype:
     """Calibrated prototype via encode, attribute aggregation, decode: one
-    calibration graph of the prototype's rows, row c of s_k the embedding
-    of class c, which reads the weights without copying them; one class is
-    the one-row case, and the mean keeps its shape.  A non-finite weight
-    raises InvalidInput naming the weight."""
+    calibration graph of the rows of the prototype's covered classes, row c
+    of s_k the embedding of class c, which reads the weights without
+    copying them.  An uncovered class (no associated pool attribute) keeps
+    its raw row, bit for bit.  One class is the one-row case, and the mean
+    keeps its shape.  A non-finite weight raises InvalidInput naming the
+    weight."""
     pool = knowledge.pool
     names = np.atleast_1d(proto.class_name).tolist()
-    means = np.atleast_2d(proto.mean) / pool.unit
+    raw = np.atleast_2d(proto.mean)
     s_k = np.atleast_2d(np.asarray(s_k, dtype=np.float64))
-    got = [means.shape, s_k.shape, (params.d_f, params.d_s)]
+    got = [raw.shape, s_k.shape, (params.d_f, params.d_s)]
     if got != [(len(names), pool.d_f), (len(names), pool.d_s), (pool.d_f, pool.d_s)]:
         raise ShapeError(f"{len(names)} classes: prototypes, embeddings and params "
                          f"{got} do not match the pool's d_f, d_s {pool.d_f, pool.d_s}")
-    tape = Tape()
-    out = _calibration_nodes(tape, _register(tape, params), tape.constant(means),
-                             s_k, _mask(knowledge, names), pool)
-    tape.forward({})
-    return replace(proto, mean=(tape.value(out) * pool.unit).reshape(
-        np.shape(proto.mean)), source="calibrated")
+    uncovered = knowledge.assoc.uncovered
+    rows = [c for c, name in enumerate(names) if name not in uncovered]
+    mean = np.array(raw, dtype=np.float64)
+    if rows:
+        tape = Tape()
+        out = _calibration_nodes(tape, _register(tape, params),
+                                 tape.constant(raw[rows] / pool.unit), s_k[rows],
+                                 _mask(knowledge, [names[c] for c in rows]), pool)
+        tape.forward({})
+        mean[rows] = tape.value(out) * pool.unit
+    return replace(proto, mean=mean.reshape(np.shape(proto.mean)),
+                   source="calibrated")
 
 
 def blend(raw: Prototype, calibrated: Prototype, alpha: float) -> Prototype:

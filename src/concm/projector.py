@@ -209,24 +209,25 @@ def _zero_norm_cause(features: np.ndarray, idx: np.ndarray) -> str:
 
 
 def train_projector(params: ProjectorParams, structure: StructureMatrix,
-                    anchored: frozenset[int], labels: np.ndarray, epoch_data,
+                    anchored: frozenset[int], epoch_data,
                     *, epochs: int, lr_max: float, warmup_steps: int,
                     batch_size: int, seed: int,
                     tau: float) -> tuple[ProjectorParams, list[float]]:
     """Optimize the projector against a structure, at a cosine learning
     rate that peaks at ``lr_max`` after ``warmup_steps`` steps.
 
-    ``labels`` are the class ids of the rows of one epoch's layout, the same
-    in every epoch (augmented samples are redrawn each epoch by the caller).
-    Each epoch's batches are planned from them (``plan_epoch``), and
     ``epoch_data(epoch)`` returns that epoch's source, once per epoch, in
-    order, after the previous source is dropped.  A step asks the source
-    for its batch: ``source.rows(idx, buf)`` writes the features of layout
-    rows ``idx``, in that order, into ``buf[:idx.size]`` and returns that
-    view.  ``buf`` is one (batch_size, d_f) array kept for the whole call,
-    so no step holds more than one batch of rows.  Returns the trained
-    float64 weights, a copy that shares no memory with ``params`` (which
-    are left as they were), and the per-epoch mean loss.
+    order, after the previous source is dropped (augmented samples are
+    redrawn each epoch by the caller).  ``source.labels`` are the class ids
+    of the rows of the epoch's layout; the epoch's batches are planned from
+    them (``plan_epoch``), and the schedule's length from epoch 0's.  A
+    step asks the source for its batch: ``source.rows(idx, buf)`` writes
+    the features of layout rows ``idx``, in that order, into
+    ``buf[:idx.size]`` and returns that view.  ``buf`` is one (batch_size,
+    d_f) array kept for the whole call, so no step holds more than one
+    batch of rows.  Returns the trained float64 weights, a copy that shares
+    no memory with ``params`` (which are left as they were), and the
+    per-epoch mean loss.
 
     The loss graph is built once per call, by the same builders that serve
     a single batch: the batch features (input ``x``) and the masks of
@@ -246,16 +247,16 @@ def train_projector(params: ProjectorParams, structure: StructureMatrix,
     loss = tape.add(build_matching_loss(tape, z, no_labels, structure),
                     build_contrastive_loss(tape, z, no_labels, structure,
                                            anchored, tau=tau))
-    y = np.asarray(labels, dtype=np.int64)
-    steps_per_epoch = max(1, math.ceil(y.size / batch_size))
-    total_steps = epochs * steps_per_epoch
     buf = np.empty((batch_size, params.d_f))
     step = 0
     trace: list[float] = []
     for epoch in range(epochs):
-        batches = plan_epoch(y, batch_size, seed, epoch, anchored)
         source = None  # drop the last epoch's source before making the next
         source = epoch_data(epoch)
+        y = np.asarray(source.labels, dtype=np.int64)
+        if epoch == 0:
+            total_steps = epochs * max(1, math.ceil(y.size / batch_size))
+        batches = plan_epoch(y, batch_size, seed, epoch, anchored)
         epoch_losses = []
         for idx in batches:
             feeds = batch_masks(y[idx], structure, anchored)

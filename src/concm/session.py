@@ -25,9 +25,8 @@ from . import rng
 from .attributes import (AttributeTable, SemanticKnowledge, build_knowledge,
                          build_pool, load_attribute_table,
                          load_semantic_embeddings)
-from .augment import (PrototypeRepository, class_statistics, epoch_labels,
-                      novel_covariance, sample_augmented, shot_variance,
-                      transfer_weights)
+from .augment import (PrototypeRepository, class_statistics, novel_covariance,
+                      sample_augmented, shot_variance, transfer_weights)
 from .calibration import (CalibrationParams, Prototype, blend, calibrate,
                           init_calibration_params, meta_train)
 from .data import (FeatureSet, Manifest, check_fields, load_config,
@@ -96,10 +95,6 @@ class SessionConfig:
     def total_classes(self) -> int:
         return self.base_classes + self.way * self.sessions
 
-    @classmethod
-    def from_json(cls, path) -> "SessionConfig":
-        return load_config(cls, path)
-
 
 @dataclass
 class SessionState:
@@ -156,13 +151,11 @@ def _fit(config: SessionConfig, strategy: str, t: int, repo: PrototypeRepository
     smr = structure_matching_rate(init, structure)
 
     if strategy != "frozen":
-        n_base, n_novel = config.n_aug_base, config.n_aug_novel
         seed = rng.derive_seed(config.seed, "augment", t)
         theta_g, _ = train_projector(
             theta_g, structure, anchored,
-            epoch_labels(repo, n_base, n_novel, replay),
-            lambda epoch: sample_augmented(repo, n_base, n_novel, seed, epoch,
-                                           replay),
+            lambda epoch: sample_augmented(repo, config.n_aug_base,
+                                           config.n_aug_novel, seed, epoch, replay),
             epochs=config.epochs_base if t == 0 else config.epochs_incremental,
             lr_max=config.lr_projector, warmup_steps=config.warmup_steps,
             batch_size=config.batch_size,
@@ -234,20 +227,14 @@ def run_incremental_session(state: SessionState, novel: FeatureSet,
     knowledge = build_knowledge(list(names), embeddings, table,
                                 state.knowledge.pool)
 
-    # the session's classes as rows: one calibration graph of the covered
-    # classes (an uncovered class keeps its raw row), one blend, one transfer
+    # the session's classes as rows: one calibration, one blend, one transfer
     offset = state.n_classes
     class_shots = [novel.class_features(k) for k in range(novel.n_classes)]
     raw = Prototype(np.arange(offset, offset + len(names)), names,
                     np.array([s.mean(axis=0) for s in class_shots]), "raw", config.shot)
-    rows = [c for c, n in enumerate(names) if n not in knowledge.assoc.uncovered]
-    calibrated = replace(raw, mean=raw.mean.copy())
-    if rows:
-        calibrated.mean[rows] = calibrate(
-            Prototype(raw.class_id[rows], tuple(names[c] for c in rows),
-                      raw.mean[rows], "raw", config.shot),
-            np.array([knowledge.class_semantic[names[c]] for c in rows]),
-            knowledge, state.theta_h).mean
+    calibrated = calibrate(
+        raw, np.array([knowledge.class_semantic[n] for n in names]), knowledge,
+        state.theta_h)
     means = blend(raw, calibrated, config.alpha).mean
     weights = transfer_weights(means, state.repository, config.gamma)
     repo = state.repository.extended(names, means, novel_covariance(
@@ -346,10 +333,6 @@ def load_inputs(manifest: Manifest, config: SessionConfig) -> PipelineInputs:
         if fs.dim != d_f:
             raise SchemaError(f"{path}:1: {fs.dim} features per row, "
                               f"{manifest.base} has {d_f}")
-    if test_sets and len(test_sets) != len(train_sets):
-        raise ProtocolViolation(
-            f"manifest lists {len(test_sets)} test files for "
-            f"{len(train_sets)} sessions")
     table = load_attribute_table(manifest.attributes)
     embeddings = load_semantic_embeddings(manifest.semantic)
     classes = dict.fromkeys(n for fs in train_sets + test_sets
@@ -368,9 +351,6 @@ def load_inputs(manifest: Manifest, config: SessionConfig) -> PipelineInputs:
     if missing:
         raise SchemaError(f"{manifest.semantic}: no embedding for the classes "
                           f"or base-class attributes {missing}")
-    if config.sessions != len(manifest.sessions):
-        raise InvalidConfig(f"config declares {config.sessions} sessions, "
-                            f"manifest lists {len(manifest.sessions)}")
     return PipelineInputs(config=config, train_sets=train_sets,
                           test_sets=test_sets, table=table,
                           embeddings=embeddings)
@@ -409,12 +389,21 @@ def run_pipeline(inputs: PipelineInputs, strategy: str = "concm",
     """Run the base session plus every incremental session and evaluate each.
 
     When the manifest carries no test files, evaluation falls back to the
-    accumulated training features.  Every session's protocol checks
-    (``check_session``, and that each evaluation set holds only classes
-    seen by its session) run before the base session trains.
+    accumulated training features.  The set counts (a training set per
+    session, and a test set per training set if there are any), then every
+    session's protocol checks (``check_session``, and that each evaluation
+    set holds only classes seen by its session) run before the base
+    session trains.
     """
     config = inputs.config if seed is None else replace(inputs.config, seed=seed)
     config.validate()
+    if config.sessions != len(inputs.train_sets) - 1:
+        raise InvalidConfig(f"config declares {config.sessions} sessions, the "
+                            f"inputs hold {len(inputs.train_sets) - 1} "
+                            "incremental training sets")
+    if inputs.test_sets and len(inputs.test_sets) != len(inputs.train_sets):
+        raise ProtocolViolation(f"{len(inputs.test_sets)} test sets for "
+                                f"{len(inputs.train_sets)} training sets")
     if not inputs.test_sets:
         logger.info("no test files in manifest; evaluating on training features")
     eval_pool = inputs.test_sets or inputs.train_sets
@@ -456,6 +445,6 @@ def run_from_files(manifest_path, config_path=None, strategy: str = "concm",
                    seed: int | None = None) -> RunResult:
     manifest = load_manifest(manifest_path)
     config = SessionConfig() if config_path is None \
-        else SessionConfig.from_json(config_path)
+        else load_config(SessionConfig, config_path)
     inputs = load_inputs(manifest, config)
     return run_pipeline(inputs, strategy=strategy, seed=seed)

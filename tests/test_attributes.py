@@ -7,7 +7,8 @@ from concm.attributes import (AttributeTable, attribute_visual_prototypes,
                               build_knowledge, build_pool, load_attribute_table,
                               load_semantic_embeddings)
 from concm.data import FeatureSet
-from concm.errors import MissingEmbedding, ParseError, SchemaError, UnknownClass
+from concm.errors import (EmptyAttribute, MissingEmbedding, ParseError,
+                          SchemaError, UnknownClass)
 
 
 def featureset(rows, labels, names):
@@ -114,6 +115,14 @@ def test_missing_embedding_raises():
     emb2 = embeddings_for(["a1", "a2", "A"])
     with pytest.raises(MissingEmbedding):
         build_knowledge(["A", "B"], emb2, table, build_pool(fs, table, emb2))
+
+
+def test_attribute_without_samples_raises():
+    # 'q' belongs only to class c, which has no base rows
+    fs = featureset(np.ones((4, 3)), [0, 0, 1, 1], ("a", "b", "c"))
+    table = AttributeTable({"a": ["p"], "b": ["p"], "c": ["q"]})
+    with pytest.raises(EmptyAttribute, match="'q' has no supporting samples"):
+        build_pool(fs, table, {"p": np.ones(2), "q": np.ones(2)})
 
 
 def test_semantic_csv_round_trip(tmp_path):

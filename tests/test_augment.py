@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from concm import rng
-from concm.augment import (PrototypeRepository, class_statistics, epoch_labels,
+from concm.augment import (PrototypeRepository, class_statistics,
                            novel_covariance, sample_augmented, shot_variance,
                            transfer_weights)
 from concm.autodiff import Tape, zero_norm_rows
@@ -168,11 +168,10 @@ def full_epoch(repo, counts, seed, epoch=0, replay=None):
     """Every row of an epoch, in class order (its full layout), asked for
     in one call, with the class id of each row as ``labels``; ``counts``
     are the draws per base and per novel class."""
-    labels = epoch_labels(repo, *counts, replay)
     aug = sample_augmented(repo, *counts, seed, epoch, replay)
-    out = np.empty((labels.size, repo.means.shape[1]))
-    return SimpleNamespace(features=aug.rows(np.arange(labels.size), out),
-                           labels=labels, n_samples=aug.n_samples)
+    out = np.empty((aug.n_samples, repo.means.shape[1]))
+    return SimpleNamespace(features=aug.rows(np.arange(aug.n_samples), out),
+                           labels=aug.labels, n_samples=aug.n_samples)
 
 
 def repo_fixture():
@@ -359,6 +358,35 @@ def test_replay_rows_follow_the_draws_by_class():
     assert fs.labels[n:].tolist() == [5] * 3 + [6] * 3 + [7] * 3
 
 
+@settings(max_examples=60, deadline=None)
+@given(exact=st.lists(st.booleans(), min_size=1, max_size=7),
+       base=st.integers(1, 9), novel=st.integers(1, 9),
+       replayed=st.dictionaries(st.integers(0, 6), st.integers(1, 5),
+                                max_size=4),
+       seed=st.integers(0, 2 ** 32), data=st.data())
+def test_every_row_belongs_to_the_class_of_its_label(exact, base, novel,
+                                                     replayed, seed, data):
+    # class k draws at its mean k (zero variance) and its replay rows hold
+    # k + 0.5: any slots, in any order, get rows of their label's class,
+    # and the replay rows fill the slots past the draws
+    n = len(exact)
+    repo = make_repo(np.repeat(np.arange(n, dtype=float)[:, None], 2, axis=1),
+                     np.zeros((n, 2)), exact)
+    replay = {c: np.full((k, 2), c + 0.5) for c, k in replayed.items()
+              if c < n}
+    aug = sample_augmented(repo, base, novel, seed, 1, replay)
+    drawn = base * sum(exact) + novel * (n - sum(exact))
+    assert aug.n_samples == aug.labels.size == drawn + sum(
+        r.shape[0] for r in replay.values())
+    idx = np.array(data.draw(st.permutations(range(aug.n_samples))),
+                   dtype=np.int64)
+    idx = idx[:data.draw(st.integers(1, idx.size))]
+    rows = aug.rows(idx, np.empty((idx.size, 2)))
+    assert (rows[:, 0] == rows[:, 1]).all()
+    assert np.floor(rows[:, 0]).tolist() == aug.labels[idx].tolist()
+    assert ((rows[:, 0] % 1 == 0.5) == (idx >= drawn)).all()
+
+
 def shuffled_plan(labels, batch_size, seed, epoch, anchored):
     """``plan_epoch`` with the slots of each batch in a seeded random order."""
     return [b[rng.stream(seed, "slots", epoch, i).permutation(b.size)]
@@ -404,7 +432,7 @@ def test_batches_draw_each_class_stream_in_slot_order(
     repo = random_repo(len(exact), d, seed=seed, exact=exact)
     replay = {c: rng.gaussian(rng.stream(c, "replay-rows"), (k, d))
               for c, k in replayed.items() if c < len(exact)}
-    labels = epoch_labels(repo, base, novel, replay)
+    labels = sample_augmented(repo, base, novel, seed, 0, replay).labels
     n = len(repo)
     fed = []
     forward = Tape.forward
@@ -418,7 +446,6 @@ def test_batches_draw_each_class_stream_in_slot_order(
             patch("concm.projector.plan_epoch", plan):
         train_projector(init_projector_params(d, 3, n + 2, seed=1),
                         random_optimal_structure(n + 1, n + 2, seed=2), anchored,
-                        labels,
                         lambda epoch: sample_augmented(repo, base, novel, seed,
                                                        epoch, replay),
                         epochs=epochs, lr_max=0.0, warmup_steps=0,
@@ -436,10 +463,9 @@ def test_epoch_with_replay_is_held_once(peak_bytes):
     # a time: drawing it allocates little beyond the buffer
     repo = random_repo(12, 64)
     replay = replay_buffer(range(9, 12), 64, k=5)
-    labels = epoch_labels(repo, 60, 30, replay)
-    idx = np.flatnonzero(labels >= 6)[::-3][:128]
-    assert (idx >= labels.size - 15).any()
     aug = sample_augmented(repo, 60, 30, 1, 2, replay)
+    idx = np.flatnonzero(aug.labels >= 6)[::-3][:128]
+    assert (idx >= aug.n_samples - 15).any()
     out = np.empty((128, 64))
     assert peak_bytes(lambda: aug.rows(idx, out)) < 1.25 * out.nbytes
     assert np.shares_memory(aug.rows(idx, out), out)
@@ -448,14 +474,10 @@ def test_epoch_with_replay_is_held_once(peak_bytes):
 @pytest.mark.parametrize("n_base,n_novel", [(0, 50), (100, 0)])
 def test_sampling_counts_below_one_rejected(n_base, n_novel):
     with pytest.raises(InvalidConfig, match="sample counts must be >= 1"):
-        epoch_labels(repo_fixture(), n_base, n_novel)
-    with pytest.raises(InvalidConfig, match="sample counts must be >= 1"):
         sample_augmented(repo_fixture(), n_base, n_novel, 0, 0)
 
 
 def test_sampling_empty_repository_rejected():
-    with pytest.raises(MissingClass):
-        epoch_labels(PrototypeRepository(), 100, 50)
     with pytest.raises(MissingClass):
         sample_augmented(PrototypeRepository(), 100, 50, 0, 0)
 

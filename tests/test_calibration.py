@@ -33,13 +33,32 @@ def knowledge_fixture(d_f=8, d_s=5, n_attr=4, classes=("x", "y"), seed=0,
     return SemanticKnowledge(pool=pool, class_semantic=sem, assoc=assoc)
 
 
-def test_all_masked_raises():
-    kn = knowledge_fixture(mask=np.zeros((4, 2)))
+def test_calibrate_keeps_uncovered_rows_raw():
+    # classes y and w share no pool attribute: their rows come back raw,
+    # bit for bit, and x and z as a call on x and z alone gives them
+    names = ("x", "y", "z", "w")
+    kn = knowledge_fixture(classes=names, mask=np.array(
+        [[1, 0, 0, 0], [1, 0, 1, 0], [0, 0, 1, 0], [1, 0, 0, 0]]))
     params = init_calibration_params(8, 5, seed=0)
-    proto = Prototype(0, "x", np.ones(8), "raw", 5)
-    with pytest.raises(AllMasked):
-        calibrate(proto, kn.class_semantic["x"], kn, params)
-    # the all-class graph names the empty class when it is built
+    means = np.random.default_rng(3).standard_normal((4, 8))
+    s_k = np.array([kn.class_semantic[n] for n in names])
+    out = calibrate(Prototype(np.arange(4), names, means, "raw", 5), s_k, kn,
+                    params)
+    covered = calibrate(Prototype(np.array([0, 2]), ("x", "z"), means[[0, 2]],
+                                  "raw", 5), s_k[[0, 2]], kn, params)
+    assert out.mean[[1, 3]].tobytes() == means[[1, 3]].tobytes()
+    assert out.mean[[0, 2]].tobytes() == covered.mean.tobytes()
+    assert not np.array_equal(covered.mean, means[[0, 2]])
+    # one uncovered class is the one-row case
+    one = calibrate(Prototype(1, "y", means[1], "raw", 5), s_k[1], kn, params)
+    assert one.mean.shape == (8,) and one.mean.tobytes() == means[1].tobytes()
+    assert one.source == out.source == "calibrated"
+
+
+def test_all_masked_raises():
+    # the all-class graph of meta-training names the empty class when it
+    # is built
+    params = init_calibration_params(8, 5, seed=0)
     kn = knowledge_fixture(mask=np.array([[1, 0], [1, 0], [0, 0], [1, 0]]))
     with pytest.raises(AllMasked, match="'y'"):
         build_meta_tape(params, kn, ["x", "y"])

@@ -183,7 +183,7 @@ def test_tiny_feature_row_runs_or_is_rejected_at_load(dataset, target, line,
     row = [scale] + [0.0] * (len(fields) - 3) if one_entry \
         else [float(v) * scale for v in fields[2:]]
     lines[at] = ",".join(fields[:2] + [repr(v) for v in row])
-    config = SessionConfig.from_json(dataset / "run_cfg.json")
+    config = load_config(SessionConfig, dataset / "run_cfg.json")
     config = dataclasses.replace(config, epochs_base=1, epochs_incremental=1,
                                  meta_episodes=2, n_aug_base=8, n_aug_novel=4)
     with tempfile.TemporaryDirectory() as tmp:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from concm import rng, session
-from concm.augment import PrototypeRepository, epoch_labels, sample_augmented
+from concm.augment import PrototypeRepository, sample_augmented
 from concm.autodiff import _STEP_CHUNK, Tape, grad_check
 from concm.errors import (DegenerateBatch, DegenerateInput, InvalidConfig,
                           InvalidInput, LabelOutOfRange, TrainingDiverged)
@@ -435,7 +435,7 @@ def test_training_tape_stays_small(monkeypatch):
                  tau=0.07)
     train_projector(params_fixture(6, 6, 8, seed=12),
                     random_optimal_structure(3, 8, seed=11), frozenset({1}),
-                    *planned(training_data()), **sched)
+                    planned(training_data()), **sched)
     assert len(built) == 1
     assert len(built[0]._nodes) <= 25
 
@@ -452,19 +452,20 @@ def training_data(seed=0, n=3, per=16, d=6):
 
 
 class Gathered:
-    """An epoch source over a whole epoch's rows, gathered batch by batch."""
+    """An epoch source over a whole epoch's rows and their labels, gathered
+    batch by batch."""
 
-    def __init__(self, x):
-        self.x = x
+    def __init__(self, x, labels):
+        self.x, self.labels = x, labels
 
     def rows(self, idx, out):
         return np.take(self.x, idx, axis=0, out=out[:idx.size])
 
 
 def planned(data):
-    """(labels, epoch_data) for train_projector from a source of whole
-    epochs: each batch's rows gathered in the order asked for."""
-    return data(0)[1], lambda epoch: Gathered(data(epoch)[0])
+    """The epoch_data of train_projector from a source of whole epochs:
+    each batch's rows gathered in the order asked for."""
+    return lambda epoch: Gathered(*data(epoch))
 
 
 def test_train_lr_zero_keeps_params():
@@ -472,7 +473,7 @@ def test_train_lr_zero_keeps_params():
     p = params_fixture(6, 6, 8, seed=12)
     sched = dict(lr_max=0.0, epochs=2, warmup_steps=0, batch_size=24, seed=0,
                  tau=0.07)
-    out, _ = train_projector(p, s, frozenset(), *planned(training_data()),
+    out, _ = train_projector(p, s, frozenset(), planned(training_data()),
                              **sched)
     for name in ("w1", "b1", "w2", "b2"):
         assert np.array_equal(getattr(out, name), getattr(p, name))
@@ -489,11 +490,11 @@ def test_train_returns_trained_float64_copies_and_keeps_its_input():
     for dtype in (np.float64, np.float32):
         p = ProjectorParams(**{n: v.astype(dtype) for n, v in vars(p64).items()})
         before = {n: v.tobytes() for n, v in vars(p).items()}
-        out, _ = train_projector(p, s, frozenset(), *planned(training_data()),
+        out, _ = train_projector(p, s, frozenset(), planned(training_data()),
                                  **sched)
         want, _ = train_projector(ProjectorParams(
             **{n: v.astype(np.float64) for n, v in vars(p).items()}),
-            s, frozenset(), *planned(training_data()), **sched)
+            s, frozenset(), planned(training_data()), **sched)
         for n, v in vars(p).items():
             got = getattr(out, n)
             assert v.tobytes() == before[n]
@@ -507,7 +508,7 @@ def test_train_loss_decreases():
     p = params_fixture(6, 6, 8, seed=13)
     sched = dict(lr_max=0.1, epochs=6, warmup_steps=2, batch_size=24, seed=0,
                  tau=0.07)
-    out, trace = train_projector(p, s, frozenset(), *planned(training_data()),
+    out, trace = train_projector(p, s, frozenset(), planned(training_data()),
                                  **sched)
     assert trace[-1] < trace[0]
 
@@ -528,14 +529,14 @@ def test_train_holds_one_epoch_at_a_time():
 
     def epoch_data(epoch):
         assert all(ref() is None for ref in alive), epoch
-        source = Tracked(data(epoch)[0])
+        source = Tracked(*data(epoch))
         alive.append(weakref.ref(source))
         return source
 
     sched = dict(lr_max=0.1, epochs=4, warmup_steps=0, batch_size=24, seed=0,
                  tau=0.07)
     train_projector(params_fixture(6, 6, 8, seed=12), s, frozenset(),
-                    data(0)[1], epoch_data, **sched)
+                    epoch_data, **sched)
     assert len(alive) == 4
     assert len(buffers) == 4 * 2
     assert all(out is buffers[0] for out in buffers)
@@ -557,10 +558,9 @@ def test_train_peak_grows_by_less_than_a_batch_with_the_epoch(peak_bytes):
                  seed=0, tau=0.07)
 
     def peak(per_class):
-        labels = epoch_labels(repo, per_class, 1)
         params = init_projector_params(d, 16, 9, seed=2)
         return peak_bytes(lambda: train_projector(
-            params, s, frozenset(), labels,
+            params, s, frozenset(),
             lambda epoch: sample_augmented(repo, per_class, 1, 5, epoch),
             **sched))
 
@@ -584,7 +584,6 @@ def test_train_peak_holds_one_gradient_set(peak_bytes):
                  seed=0, tau=0.07)
     peak = peak_bytes(lambda: train_projector(
         params, random_optimal_structure(8, d, seed=1), frozenset(),
-        epoch_labels(repo, 64, 1),
         lambda epoch: sample_augmented(repo, 64, 1, 5, epoch), **sched))
     weight_bytes = sum(getattr(params, n).nbytes for n in ("w1", "b1", "w2", "b2"))
     bound = 2 * weight_bytes + _STEP_CHUNK * 8 + 16 * batch_size * d * 8
@@ -600,7 +599,7 @@ def test_train_divergence_detected():
                  tau=0.07)
     with np.errstate(all="ignore"), pytest.raises(
             TrainingDiverged, match=r"^step \d+: l2_normalize: non-finite row"):
-        train_projector(p, s, frozenset(), *planned(training_data()), **sched)
+        train_projector(p, s, frozenset(), planned(training_data()), **sched)
 
 
 def test_train_non_finite_loss_names_the_step():
@@ -611,7 +610,7 @@ def test_train_non_finite_loss_names_the_step():
                  tau=1e-310)
     with np.errstate(all="ignore"), pytest.raises(
             TrainingDiverged, match=r"^step \d+: loss became (inf|nan)$"):
-        train_projector(p, s, frozenset(), *planned(training_data()), **sched)
+        train_projector(p, s, frozenset(), planned(training_data()), **sched)
 
 
 @pytest.mark.parametrize("tau", [1e-3, 1e-5])
@@ -624,7 +623,7 @@ def test_train_at_tiny_tau_keeps_a_finite_loss(tau):
                  tau=tau)
     with np.errstate(over="raise"):
         _, losses = train_projector(p, s, frozenset({2}),
-                                    *planned(training_data()), **sched)
+                                    planned(training_data()), **sched)
     assert losses and np.isfinite(losses).all()
 
 
@@ -747,7 +746,7 @@ def test_train_matches_tape_per_batch_reference(anchored):
     p = params_fixture(6, 6, 8, seed=24)
     sched = dict(lr_max=0.2, epochs=3, warmup_steps=2, batch_size=10, seed=5,
                  tau=0.1)
-    got, got_trace = train_projector(p, s, anchored, *planned(uneven_data()),
+    got, got_trace = train_projector(p, s, anchored, planned(uneven_data()),
                                      **sched)
     want, want_trace = reference_train(p, s, anchored, uneven_data(), **sched)
     assert got_trace == want_trace
@@ -771,7 +770,7 @@ def test_train_zero_norm_feature_row_names_cause_and_step():
                  tau=0.07)
     with pytest.raises(DegenerateInput, match=r"feature rows \[5\].*step 1"):
         train_projector(params_fixture(6, 6, 8), s, frozenset(),
-                        *planned(with_zero_row), **sched)
+                        planned(with_zero_row), **sched)
 
 
 def test_train_zero_norm_projection_names_cause():
@@ -781,7 +780,7 @@ def test_train_zero_norm_projection_names_cause():
     sched = dict(lr_max=0.1, epochs=1, warmup_steps=0, batch_size=48, seed=0,
                  tau=0.07)
     with pytest.raises(DegenerateInput, match="projected row.*step 0"):
-        train_projector(p, s, frozenset(), *planned(training_data()), **sched)
+        train_projector(p, s, frozenset(), planned(training_data()), **sched)
 
 
 def test_train_non_finite_parameter_names_it():
@@ -791,7 +790,7 @@ def test_train_non_finite_parameter_names_it():
     with np.errstate(all="ignore"), \
             pytest.raises(TrainingDiverged, match="step 0: param 'w1'"):
         train_projector(params_fixture(6, 6, 8), s, frozenset(),
-                        *planned(training_data()), **sched)
+                        planned(training_data()), **sched)
 
 
 def balanced_batches_loop(labels, batch_size, seed, epoch, anchored):

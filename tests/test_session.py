@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from concm import augment, rng, session, synth
 from concm.attributes import AttributeTable
-from concm.data import FeatureSet
+from concm.data import FeatureSet, load_config
 from concm.errors import InvalidConfig, ProtocolViolation
 from concm.metrics import report_from_json, report_to_json
 from concm.projector import init_projector_params, project
@@ -222,7 +222,7 @@ def test_config_validation(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"nonsense": 1}')
     with pytest.raises(InvalidConfig):
-        SessionConfig.from_json(path)
+        load_config(SessionConfig, path)
 
 
 def _wrongly_typed(cls):
@@ -265,7 +265,7 @@ def test_config_json_round_trip(tmp_path):
     cfg = tiny_cfg(alpha=0.75)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dataclasses.asdict(cfg)))
-    back = SessionConfig.from_json(path)
+    back = load_config(SessionConfig, path)
     assert back == cfg
 
 
@@ -274,6 +274,23 @@ def test_base_session_wrong_class_count(bench):
     with pytest.raises(ProtocolViolation):
         run_base_session(cfg, bench.train_sets[0], bench.table,
                          bench.embeddings)
+
+
+@pytest.mark.parametrize("sessions,n_tests,error", [
+    (1, 3, InvalidConfig),         # a training set left over
+    (3, 3, InvalidConfig),         # a session without a training set
+    (2, 2, ProtocolViolation),     # a training set without a test set
+    (2, 4, ProtocolViolation)])    # a test set left over
+def test_set_counts_are_checked_before_the_base_session(
+        inputs, monkeypatch, sessions, n_tests, error):
+    episodes = []
+    monkeypatch.setattr(session, "meta_train",
+                        lambda *a, **k: episodes.append(a))
+    tests = (inputs.test_sets * 2)[:n_tests]
+    with pytest.raises(error, match="sessions|test sets"):
+        run_pipeline(replace(inputs, test_sets=tests,
+                             config=replace(inputs.config, sessions=sessions)))
+    assert episodes == []
 
 
 def test_uncovered_novel_class_falls_back_to_raw_prototype(bench, base_state,
@@ -303,10 +320,10 @@ def test_uncovered_novel_class_falls_back_to_raw_prototype(bench, base_state,
     other_raw = novel.class_features(1).mean(axis=0)
     assert not np.allclose(state1.repository.means[7], other_raw)
 
-    # the covered classes share one calibrate call; the session's rows
-    # (one graph, one blend, one transfer) match the public one-row
-    # functions applied class by class
-    assert calls == [tuple(novel.class_names[1:])]
+    # the session's classes share one calibrate call; its rows (one graph,
+    # one blend, one transfer) match the public one-row functions applied
+    # class by class
+    assert calls == [tuple(novel.class_names)]
     kn = build_knowledge(list(novel.class_names), bench.embeddings,
                          AttributeTable(bare), base_state.knowledge.pool)
     cfg, repo = base_state.config, base_state.repository
@@ -314,8 +331,8 @@ def test_uncovered_novel_class_falls_back_to_raw_prototype(bench, base_state,
         shots = novel.class_features(local)
         raw = Prototype(len(repo) + local, name, shots.mean(axis=0), "raw",
                         shots.shape[0])
-        calibrated = raw if name == victim else calibrate(
-            raw, kn.class_semantic[name], kn, base_state.theta_h)
+        calibrated = calibrate(raw, kn.class_semantic[name], kn,
+                               base_state.theta_h)
         mean = blend(raw, calibrated, cfg.alpha).mean
         cov = augment.novel_covariance(
             augment.shot_variance(shots), repo,
@@ -614,7 +631,8 @@ def test_trainers_and_sampler_take_the_config_values(inputs, monkeypatch):
         assert kwargs == dict(epochs=epochs[t], lr_max=0.3, warmup_steps=3,
                               batch_size=40, seed=rng.derive_seed(7, "train", t),
                               tau=0.11)
-        assert np.bincount(args[3]).tolist() == rows[t]
     assert [args[1:5] for args, _ in calls["sample"]] == [
         (30, 20, rng.derive_seed(7, "augment", t), epoch)
         for t in range(3) for epoch in range(epochs[t])]
+    for t, (args, _) in enumerate(calls["train"]):
+        assert np.bincount(args[3](0).labels).tolist() == rows[t]

@@ -11,7 +11,7 @@ from .attributes import (AssociationMatrix, AttributePool, AttributeTable,
                          build_knowledge, load_attribute_table,
                          load_semantic_embeddings)
 from .augment import (PrototypeRepository, class_statistics, novel_covariance,
-                      sample_augmented, shot_variance, transfer_weights)
+                      sample_augmented, transfer_weights)
 from .autodiff import Tape, grad_check
 from .calibration import (CalibrationParams, Prototype, blend, calibrate,
                           init_calibration_params, meta_train)

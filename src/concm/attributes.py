@@ -122,35 +122,25 @@ def load_semantic_embeddings(path) -> dict[str, np.ndarray]:
     return dict(zip(names, values))
 
 
-def pool_attribute_names(base_features: FeatureSet, table: AttributeTable) -> tuple[str, ...]:
-    """Pooled attribute names in first-appearance order over base classes."""
-    seen: dict[str, None] = {}
-    for name in base_features.class_names:
-        for attr in table.attributes_for(name):
-            seen.setdefault(attr, None)
-    return tuple(seen)
-
-
 def attribute_visual_prototypes(base_features: FeatureSet,
                                 table: AttributeTable) -> tuple[tuple[str, ...], np.ndarray]:
-    """Visual prototype per pooled attribute: mean over all supporting samples.
+    """Pooled attribute names in first-appearance order over base classes,
+    and the visual prototype of each: the mean over all supporting samples.
 
     An attribute supported by several classes is averaged over the pooled
     raw samples of those classes, not over per-class means.
     """
-    names = pool_attribute_names(base_features, table)
-    owners: dict[str, list[int]] = {a: [] for a in names}
+    owners: dict[str, list[int]] = {}
     for label, cname in enumerate(base_features.class_names):
         for attr in table.attributes_for(cname):
-            if attr in owners:
-                owners[attr].append(label)
-    visual = np.zeros((len(names), base_features.dim))
-    for i, attr in enumerate(names):
-        mask = np.isin(base_features.labels, owners[attr])
+            owners.setdefault(attr, []).append(label)
+    visual = np.zeros((len(owners), base_features.dim))
+    for i, (attr, labels) in enumerate(owners.items()):
+        mask = np.isin(base_features.labels, labels)
         if not mask.any():
             raise EmptyAttribute(f"attribute {attr!r} has no supporting samples")
         visual[i] = base_features.features[mask].mean(axis=0)
-    return names, visual
+    return tuple(owners), visual
 
 
 def build_pool(base_features: FeatureSet, table: AttributeTable,

@@ -58,32 +58,21 @@ class PrototypeRepository:
         return len(self.names)
 
 
-def _population_variance(rows: np.ndarray) -> np.ndarray:
-    """Population variance per column, exactly 0 where every row is equal.
-
-    ``np.var`` leaves an ulp-sized variance on a constant column whose mean
-    rounds away from its value (three rows of 0.1 give 1.9e-34).
-    """
-    var = rows.var(axis=0)
-    var[(rows == rows[0]).all(axis=0)] = 0.0
-    return var
-
-
 def class_statistics(features: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
     """(means, variances), (n_classes, d) each: the exact per-class sample
-    mean and population (1/n) variance diagonal, row k for label k."""
+    mean and population (1/n) variance diagonal, row k for label k.  A
+    one-row class has variance 0; a class with no rows raises
+    InsufficientSamples."""
     rows = [features.class_features(k) for k in range(features.n_classes)]
     for name, r in zip(features.class_names, rows):
-        if r.shape[0] < 2:
-            raise InsufficientSamples(f"class {name!r} has {r.shape[0]} "
-                                      "samples; needs >= 2")
-    return (np.array([r.mean(axis=0) for r in rows]),
-            np.array([_population_variance(r) for r in rows]))
-
-
-def shot_variance(shots: np.ndarray) -> np.ndarray:
-    """Population variance of the K shots; zero vector for K = 1."""
-    return _population_variance(np.asarray(shots, dtype=np.float64))
+        if not r.shape[0]:
+            raise InsufficientSamples(f"class {name!r} has no samples")
+    variances = np.array([r.var(axis=0) for r in rows])
+    # exactly 0 where every row is equal: np.var leaves an ulp-sized variance
+    # on a constant column whose mean rounds away from its value (three rows
+    # of 0.1 give 1.9e-34)
+    variances[np.array([(r == r[0]).all(axis=0) for r in rows], dtype=bool)] = 0.0
+    return np.array([r.mean(axis=0) for r in rows]), variances
 
 
 def transfer_weights(prototype: np.ndarray, repo: PrototypeRepository,

@@ -24,10 +24,10 @@ Elementwise binary ops take operands of equal shape, except that add also
 takes a (1, n) row as its second operand against an (m, n) matrix: the
 bias of a linear layer.  Every other pairing is a ShapeError.
 
-A row is zero-norm when sqrt(sum(x * x)) < MIN_NORM or sum(x * x)
-overflows to +inf; l2_normalize rejects it (DegenerateInput, or InvalidInput
-when the row holds a non-finite entry), and ``zero_norm_rows`` applies the
-same test to feature rows.
+A row is zero-norm when its norm sqrt(sum(x * x)), taken by ``row_norms``,
+is < MIN_NORM or +inf; l2_normalize rejects it (DegenerateInput, or
+InvalidInput when the row holds a non-finite entry), and ``zero_norm_rows``
+applies the same test to feature rows.
 """
 
 from __future__ import annotations
@@ -53,13 +53,25 @@ def _as_value(x, what: str = "value") -> np.ndarray:
 MIN_NORM = 1e-300
 
 
-def zero_norm_rows(x: np.ndarray) -> np.ndarray:
-    """Indices of the rows of the 2-D ``x`` that l2_normalize rejects:
-    sqrt(sum(x * x)) < MIN_NORM, which holds exactly when every square
-    underflows to 0, or sum(x * x) = +inf, which holds when some square or
-    the sum overflows.  Either way the row has no finite direction."""
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """sqrt(sum(x * x)) of each row of the 2-D ``x`` as a (rows, 1) column,
+    +inf where the sum overflows: the norm l2_normalize divides by.  The
+    squares are formed about _STEP_CHUNK entries (whole rows) at a time."""
+    n = np.empty((x.shape[0], 1))
+    step = max(1, _STEP_CHUNK // max(1, x.shape[1]))
     with np.errstate(over="ignore"):
-        n = np.sqrt(np.einsum("ij,ij->i", x, x))
+        for i in range(0, x.shape[0], step):
+            part = x[i:i + step]
+            np.sqrt((part * part).sum(axis=1, keepdims=True), out=n[i:i + step])
+    return n
+
+
+def zero_norm_rows(x: np.ndarray) -> np.ndarray:
+    """Indices of the rows of the 2-D ``x`` that l2_normalize rejects: a
+    ``row_norms`` value < MIN_NORM, which holds exactly when every square
+    underflows to 0, or +inf, which holds when some square or the sum
+    overflows.  Either way the row has no finite direction."""
+    n = row_norms(x)
     return np.flatnonzero((n < MIN_NORM) | (n == np.inf))
 
 
@@ -148,9 +160,9 @@ _FUSED = {
 }
 
 
-# entries of lr * g that Tape.update_param forms at a time: 256 KiB, so
-# the buffer stays in cache and no weight-sized temporary (2 MB for a
-# 512 x 512 weight) is made
+# entries of lr * g that Tape.update_param forms at a time, and of x * x
+# that row_norms does: 256 KiB, so the buffer stays in cache and no
+# weight-sized (2 MB for a 512 x 512 weight) or file-sized temporary is made
 _STEP_CHUNK = 32768
 
 
@@ -365,11 +377,9 @@ class Tape:
             return e / e.sum(axis=1, keepdims=True)
         if op == "l2_normalize":
             x = a[0]
-            with np.errstate(over="ignore"):
-                n = np.sqrt((x * x).sum(axis=1, keepdims=True))
-            bad = (n < MIN_NORM) | (n == np.inf)
-            if bad.any():
-                rows = np.flatnonzero(bad).tolist()
+            n = row_norms(x)
+            rows = np.flatnonzero((n < MIN_NORM) | (n == np.inf)).tolist()
+            if rows:
                 if not np.isfinite(x[rows]).all():
                     raise InvalidInput(f"l2_normalize: non-finite row(s) {rows}")
                 raise DegenerateInput(f"l2_normalize: zero-norm row(s) {rows}",
@@ -458,9 +468,8 @@ class Tape:
             dot = (g * out).sum(axis=1, keepdims=True)
             return (out * (g - dot),)
         if op == "l2_normalize":
-            n = np.sqrt((ins[0] * ins[0]).sum(axis=1, keepdims=True))
             dot = (g * out).sum(axis=1, keepdims=True)
-            return ((g - out * dot) / n,)
+            return ((g - out * dot) / row_norms(ins[0]),)
         if op == "mean":
             return (np.broadcast_to(g / ins[0].size, ins[0].shape).copy(),)
         if op == "scale":

@@ -34,6 +34,7 @@ import numpy as np
 
 from . import rng
 from .attributes import AttributePool, SemanticKnowledge
+from .augment import class_statistics
 from .autodiff import Tape
 from .data import FeatureSet
 from .errors import AllMasked, InsufficientSamples, InvalidConfig, ShapeError
@@ -239,11 +240,10 @@ def meta_train(base_features: FeatureSet, knowledge: SemanticKnowledge,
     names = list(base_features.class_names)
     features = base_features.features
     rows = _class_rows(base_features.labels, len(names))
-    class_rows = [r[r >= 0] for r in rows]
-    for name, r in zip(names, class_rows):
-        if r.size <= shots:
+    for name, count in zip(names, base_features.counts()):
+        if count <= shots:
             raise InsufficientSamples(
-                f"class {name!r} has {r.size} samples; needs > {shots}")
+                f"class {name!r} has {count} samples; needs > {shots}")
 
     # the tape trains in place the float64 copy of the weights it returns;
     # the episode's shot prototypes are the (C, d_f) input ``p_meta``; the
@@ -252,7 +252,7 @@ def meta_train(base_features: FeatureSet, knowledge: SemanticKnowledge,
     own = CalibrationParams(
         **{n: np.array(v, dtype=np.float64) for n, v in vars(params).items()})
     unit = knowledge.pool.unit
-    means = np.array([features[r].mean(axis=0) for r in class_rows]) / unit
+    means = class_statistics(base_features)[0] / unit
     loss = _meta_loss(tape, own, knowledge, names, tape.input("p_meta"),
                       tape.constant(means))
     trace: list[float] = []

@@ -113,11 +113,11 @@ def read_numeric_csv(path, keys: tuple[str, ...], prefix: str,
 
     The header is ``keys`` then ``<prefix>0,...,<prefix>{d-1}`` with d >= 1.
     The file is read once, line by line: Python checks each row's field
-    count and passes its key fields to ``check_keys(lineno, fields)``, and
-    numpy's C parser converts the value text straight into the array, so no
-    per-value Python object exists.  A malformed or non-finite value is an
-    error at path:line; so are the field count and whatever ``check_keys``
-    raises.
+    count and key fields (no quote, then ``check_keys(lineno, fields)``),
+    and numpy's C parser converts the value text straight into the array,
+    so no per-value Python object exists.  A malformed or non-finite value
+    is an error at path:line; so are the field count, a quote in a key
+    field and whatever ``check_keys`` raises.
     """
     n_keys = len(keys)
     with open(path, "rb") as fh:
@@ -141,6 +141,10 @@ def read_numeric_csv(path, keys: tuple[str, ...], prefix: str,
                 values = fields.pop()
                 if not values:  # numpy would skip it as a blank line
                     raise ParseError(f"{path}:{lineno}: empty value")
+                for key, text in zip(keys, fields):
+                    if '"' in text:
+                        raise ParseError(f"{path}:{lineno}: quote in "
+                                         f"{key.replace('_', ' ')}")
                 check_keys(lineno, fields)
                 linenos.append(lineno)
                 yield values
@@ -183,8 +187,6 @@ def load_features(path) -> FeatureSet:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if label < 0:
             raise SchemaError(f"{path}:{lineno}: negative label")
-        if '"' in name:
-            raise ParseError(f"{path}:{lineno}: quote in class name")
         known = names.setdefault(label, name)
         if known != name:
             raise SchemaError(f"{path}:{lineno}: label {label} maps to "

@@ -26,7 +26,7 @@ from .attributes import (AttributeTable, SemanticKnowledge, build_knowledge,
                          build_pool, load_attribute_table,
                          load_semantic_embeddings)
 from .augment import (PrototypeRepository, class_statistics, novel_covariance,
-                      sample_augmented, shot_variance, transfer_weights)
+                      sample_augmented, transfer_weights)
 from .calibration import (CalibrationParams, Prototype, blend, calibrate,
                           init_calibration_params, meta_train)
 from .data import (FeatureSet, Manifest, check_fields, load_config,
@@ -229,17 +229,16 @@ def run_incremental_session(state: SessionState, novel: FeatureSet,
 
     # the session's classes as rows: one calibration, one blend, one transfer
     offset = state.n_classes
-    class_shots = [novel.class_features(k) for k in range(novel.n_classes)]
-    raw = Prototype(np.arange(offset, offset + len(names)), names,
-                    np.array([s.mean(axis=0) for s in class_shots]), "raw", config.shot)
+    centres, shot_cov = class_statistics(novel)
+    raw = Prototype(np.arange(offset, offset + len(names)), names, centres,
+                    "raw", config.shot)
     calibrated = calibrate(
         raw, np.array([knowledge.class_semantic[n] for n in names]), knowledge,
         state.theta_h)
     means = blend(raw, calibrated, config.alpha).mean
     weights = transfer_weights(means, state.repository, config.gamma)
     repo = state.repository.extended(names, means, novel_covariance(
-        np.array([shot_variance(s) for s in class_shots]), state.repository,
-        weights, config.beta), exact=False)
+        shot_cov, state.repository, weights, config.beta), exact=False)
 
     init, structure, smr, theta_g = _fit(
         config, state.strategy, t, repo, state.structure, state.theta_g,
@@ -248,10 +247,11 @@ def run_incremental_session(state: SessionState, novel: FeatureSet,
     new_replay = dict(state.replay)
     if config.replay_per_class > 0:
         # the rows nearest the class centre, in file order
-        for cid, shots in enumerate(class_shots, start=offset):
-            dist = np.linalg.norm(shots - shots.mean(axis=0), axis=1)
+        for k, centre in enumerate(centres):
+            shots = novel.class_features(k)
+            dist = np.linalg.norm(shots - centre, axis=1)
             keep = np.argsort(dist, kind="stable")[:config.replay_per_class]
-            new_replay[cid] = shots[np.sort(keep)]
+            new_replay[offset + k] = shots[np.sort(keep)]
 
     return SessionState(t=t, config=config, strategy=state.strategy,
                         repository=repo, structure=structure, initial=init,

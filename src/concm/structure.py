@@ -108,6 +108,20 @@ def initial_structure(prev: StructureMatrix | None,
                             historical=np.arange(n) < n - new_columns.shape[1])
 
 
+def _check_size(n: int, d: int) -> None:
+    """An ETF needs n >= 2 classes (else InvalidInput), then d > n."""
+    if n < 2:
+        raise InvalidInput(f"need at least 2 classes, got {n}")
+    if d <= n:
+        raise DimensionTooSmall(f"structure dim {d} must exceed class count {n}")
+
+
+def _simplex_etf(q: np.ndarray) -> np.ndarray:
+    """sqrt(n / (n - 1)) Q M, the ETF of the column-orthonormal d x n Q."""
+    n = q.shape[1]
+    return np.sqrt(n / (n - 1.0)) * (q @ centering(n))
+
+
 def nearest_optimal_structure(init: InitialStructure) -> StructureMatrix:
     """ETF closest to the initial structure in summed column inner products.
 
@@ -116,28 +130,21 @@ def nearest_optimal_structure(init: InitialStructure) -> StructureMatrix:
     always satisfies the ETF Gram condition; among all such structures it
     maximizes trace(init^T target).
 
-    Raises DimensionTooSmall unless dim > num_classes >= 2.  A centered
-    matrix of rank < N-1 (duplicate columns) is flagged in the result; the
-    update is still an ETF of maximal trace, since W V^T has orthonormal
-    columns whatever null-space basis the SVD picks.
+    Raises InvalidInput for N < 2, then DimensionTooSmall unless dim > N.
+    A centered matrix of rank < N-1 (duplicate columns) is flagged in the
+    result; the update is still an ETF of maximal trace, since W V^T has
+    orthonormal columns whatever null-space basis the SVD picks.
     """
     cols = as_matrix(init.columns, "initial structure")
     d, n = cols.shape
-    if n < 2:
-        raise InvalidInput(f"need at least 2 classes, got {n}")
-    if d <= n:
-        raise DimensionTooSmall(f"structure dim {d} must exceed class count {n}")
-    m = centering(n)
-    centered = cols @ m
-    w, lam, v = svd_compact(centered)
+    _check_size(n, d)
+    w, lam, v = svd_compact(cols @ centering(n))
     # relative to the input's scale: the centered matrix may be all rounding
     deficient = bool(np.sum(lam > 1e-10 * np.linalg.norm(cols)) < n - 1)
     if deficient:
         logger.warning("centered initial structure is rank deficient")
-    u = w @ v.T
-    scale = np.sqrt(n / (n - 1.0))
-    out = scale * (u @ m)
-    structure = StructureMatrix(columns=out, class_ids=init.class_ids,
+    structure = StructureMatrix(columns=_simplex_etf(w @ v.T),
+                                class_ids=init.class_ids,
                                 rank_deficient=deficient)
     dev = geometric_optimality_deviation(structure)
     if dev > 1e-8:
@@ -176,12 +183,8 @@ def structure_matching_rate(init: InitialStructure | StructureMatrix,
 
 def random_optimal_structure(n: int, d_g: int, seed: int) -> StructureMatrix:
     """Seeded random ETF: QR of a Gaussian matrix fed through the ETF map."""
-    if d_g <= n:
-        raise DimensionTooSmall(f"structure dim {d_g} must exceed class count {n}")
-    if n < 2:
-        raise InvalidInput(f"need at least 2 classes, got {n}")
+    _check_size(n, d_g)
     g = rng.gaussian(rng.stream(seed, "random-structure", n, d_g), (d_g, n))
     q, r = np.linalg.qr(g)
     q = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    cols = np.sqrt(n / (n - 1.0)) * (q @ centering(n))
-    return StructureMatrix(columns=cols, class_ids=tuple(range(n)))
+    return StructureMatrix(columns=_simplex_etf(q), class_ids=tuple(range(n)))

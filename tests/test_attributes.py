@@ -157,3 +157,12 @@ def test_semantic_csv_takes_the_feature_csv_number_grammar(tmp_path, token):
                  encoding="utf-8")
     with pytest.raises(ParseError, match=r"s\.csv:4: "):
         load_semantic_embeddings(p)
+
+
+def test_semantic_csv_quoted_name_rejected_with_line(tmp_path):
+    # "beak" with its quotes would load as a name no class or attribute
+    # has; the writer refuses a quote in a key field, and so does the reader
+    p = tmp_path / "s.csv"
+    p.write_text('name,s0,s1\nwing,2.0,3.5\n"beak",0.5,-1.25\n')
+    with pytest.raises(ParseError, match=r"s\.csv:3: quote in name$"):
+        load_semantic_embeddings(p)

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from concm import rng
 from concm.augment import (PrototypeRepository, class_statistics,
-                           novel_covariance, sample_augmented, shot_variance,
-                           transfer_weights)
+                           novel_covariance, sample_augmented, transfer_weights)
 from concm.autodiff import Tape, zero_norm_rows
 from concm.data import FeatureSet
 from concm.errors import (DegenerateInput, InsufficientSamples, InvalidConfig,
@@ -44,15 +43,30 @@ def test_statistics_recover_planted_covariance():
     assert np.all(np.abs(variances - true_cov) <= 0.1 * true_cov)
 
 
+def shot_statistics(shots):
+    """class_statistics of one class of the given rows: (mean, variance)."""
+    fs = FeatureSet(features=shots, labels=np.zeros(len(shots), dtype=int),
+                    class_names=("shots",))
+    return tuple(stat[0] for stat in class_statistics(fs))
+
+
 def test_insufficient_samples():
+    # a one-row class is accepted; a class with no rows is not
     fs = FeatureSet(features=np.ones((1, 2)), labels=np.array([0]),
-                    class_names=("c",))
-    with pytest.raises(InsufficientSamples):
+                    class_names=("c", "d"))
+    with pytest.raises(InsufficientSamples, match="class 'd' has no samples"):
         class_statistics(fs)
+    means, variances = class_statistics(
+        FeatureSet(features=fs.features, labels=fs.labels, class_names=("c",)))
+    assert means.tobytes() == fs.features.tobytes()
+    assert variances.tobytes() == np.zeros((1, 2)).tobytes()
 
 
 def test_shot_variance_single_shot_is_zero():
-    np.testing.assert_array_equal(shot_variance(np.ones((1, 4))), np.zeros(4))
+    shot = np.array([[0.1, -2.5, 3e-5, 7.0]])
+    mean, variance = shot_statistics(shot)
+    assert mean.tobytes() == shot[0].tobytes()
+    assert variance.tobytes() == np.zeros(4).tobytes()
 
 
 def make_repo(means, variances, exact):
@@ -290,7 +304,7 @@ def test_zero_variance_dimensions_draw_the_class_mean(columns, n_base, per_class
     shot_rows = np.repeat(rows(1), shots, axis=0) if duplicate_shots else rows(shots)
     mean = shot_rows.mean(axis=0)
     assume(np.linalg.norm(mean) > 1e-9)
-    shot_cov = shot_variance(shot_rows)
+    shot_cov = shot_statistics(shot_rows)[1]
     zero = const | duplicate_shots
     assert shot_cov[zero].tobytes() == np.zeros(zero.sum()).tobytes()
     weights = transfer_weights(mean, repo, gamma=16.0)
@@ -317,7 +331,7 @@ def test_one_shot_session_statistics_and_draws_are_finite(d, n_base, scale,
                             for _ in range(n_base)]), [True] * n_base)
     shot = rng.gaussian(gen, (1, d)) * scale
     assume(np.linalg.norm(shot) > 1e-9)
-    shot_cov = shot_variance(shot)
+    shot_cov = shot_statistics(shot)[1]
     assert shot_cov.tobytes() == np.zeros(d).tobytes()
     weights = transfer_weights(shot[0], repo, gamma)
     cov = novel_covariance(shot_cov, repo, weights, beta)

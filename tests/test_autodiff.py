@@ -1,9 +1,12 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from concm.autodiff import Tape, grad_check
+from concm.autodiff import Tape, grad_check, row_norms, zero_norm_rows
 from concm.errors import DegenerateInput, InvalidInput, OrderError, ShapeError
 from reference_graphs import ReferenceTape
 
@@ -208,6 +211,49 @@ def test_l2_normalize_zero_row_is_degenerate_input():
     t.l2_normalize(t.constant(np.array([[1.0, 0.0], [0.0, 0.0]])))
     with pytest.raises(DegenerateInput, match=r"row\(s\) \[1\]"):
         t.forward({})
+
+
+@st.composite
+def edge_band_rows(draw):
+    """Rows of d entries near one of the two edges of the zero-norm test:
+    sqrt(DBL_MAX / d) (1 +- 1e-14), where the sum of squares may overflow,
+    or sqrt(smallest subnormal) (1 +- 0.5), where every square may
+    underflow to 0."""
+    d = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        overflow = draw(st.booleans())
+        edge = math.sqrt(np.finfo(np.float64).max / d) if overflow \
+            else math.sqrt(np.finfo(np.float64).smallest_subnormal)
+        rel = st.floats(-1e-14, 1e-14) if overflow else st.floats(-0.5, 0.5)
+        rows.append([edge * (1.0 + draw(rel)) * draw(st.sampled_from([1, -1]))
+                     for _ in range(d)])
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=edge_band_rows())
+@example(rows=[[7.741001517595169e+153, 7.741001517595126e+153,
+                7.741001517595176e+153]])
+def test_zero_norm_rows_names_the_rows_l2_normalize_rejects(rows):
+    # one norm for both: a row that passes the loader's test is never
+    # rejected by the projector, and no row the projector takes is refused
+    x = np.array(rows)
+    t = Tape()
+    t.l2_normalize(t.constant(x))
+    try:
+        t.forward({})
+        rejected = []
+    except DegenerateInput as exc:
+        rejected = exc.rows
+    assert zero_norm_rows(x).tolist() == rejected
+
+
+def test_row_norms_in_blocks_equal_one_pass():
+    # more rows than one block holds: the blocks keep one pass's arithmetic
+    x = np.random.default_rng(3).standard_normal((5000, 16)) * 1e3
+    assert row_norms(x).tobytes() == \
+        np.sqrt((x * x).sum(axis=1, keepdims=True)).tobytes()
 
 
 def sigmoid_reference(x):

@@ -25,6 +25,7 @@ from concm.cli import _setup_logging, main
 from concm.data import load_config, load_features, load_manifest
 from concm.errors import SchemaError, ValidationError
 from concm.metrics import RunReport, SessionRecord, report_from_json
+from concm.calibration import meta_train
 from concm.session import SessionConfig, load_inputs, run_pipeline
 from concm.synth import GenConfig
 
@@ -222,6 +223,46 @@ def test_run_all_zero_feature_row_is_validation_error(dataset, tmp_path, kind,
                "--out", str(tmp_path / "o")])
     assert rc == 1
     assert f"{target.name}:4: all-zero feature row" in capsys.readouterr().err
+
+
+# entries near sqrt(DBL_MAX / 8): np.einsum's sum of their squares stays
+# finite while (x * x).sum's overflows to +inf
+DRIFTED_ROW = [4.740375954054591e+153, 4.7403759540545835e+153,
+               4.740375954054593e+153, 4.740375954054574e+153,
+               4.740375954054573e+153, 4.740375954054599e+153,
+               4.7403759540546e+153, 4.740375954054591e+153]
+
+
+def test_row_at_the_edge_of_overflow_exits_1_at_load(tmp_path, capsys):
+    # the loader and the projector take one row norm, so a base row whose
+    # sum of squares overflows fails at load, before any meta-training
+    # episode, rather than as a zero-norm projected row after it
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps(dict(
+        base_classes=4, sessions=1, way=2, shot=2, d_f=8, d_s=6, pool_size=6,
+        attrs_per_class=2, base_samples=6, test_samples=3)))
+    data = tmp_path / "data"
+    assert main(["gen", "--config", str(gen), "--out", str(data)]) == 0
+    base = data / "base.csv"
+    lines = base.read_text().splitlines()
+    lines[1:] = [",".join(line.split(",")[:2] + [repr(v) for v in DRIFTED_ROW])
+                 if line.startswith("0,") else line for line in lines[1:]]
+    base.write_text("\n".join(lines) + "\n")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(dict(
+        base_classes=4, sessions=1, way=2, shot=2, d_g=8, batch_size=8,
+        epochs_base=1, epochs_incremental=1, meta_episodes=2, meta_shots=2,
+        n_aug_base=4, n_aug_novel=3)))
+    episodes = []
+    with patch("concm.session.meta_train",
+               lambda *a, **k: episodes.append(k["episodes"]) or
+               meta_train(*a, **k)):
+        rc = main(["run", "--manifest", str(data / "manifest.json"),
+                   "--config", str(config), "--out", str(tmp_path / "o")])
+    assert episodes == []
+    assert rc == 1
+    assert _error_message(capsys.readouterr().err).startswith(
+        f"{base}:2: feature row norm overflows")
 
 
 @pytest.mark.parametrize("target", ["test_02.csv", "semantic.csv"])

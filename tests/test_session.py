@@ -335,7 +335,8 @@ def test_uncovered_novel_class_falls_back_to_raw_prototype(bench, base_state,
                                base_state.theta_h)
         mean = blend(raw, calibrated, cfg.alpha).mean
         cov = augment.novel_covariance(
-            augment.shot_variance(shots), repo,
+            augment.class_statistics(FeatureSet(
+                shots, np.zeros(len(shots), dtype=int), (name,)))[1][0], repo,
             augment.transfer_weights(mean, repo, cfg.gamma), cfg.beta)
         assert state1.repository.names[raw.class_id] == name
         np.testing.assert_allclose(state1.repository.means[raw.class_id], mean,

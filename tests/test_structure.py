@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concm import rng
-from concm.errors import DimensionTooSmall, ShapeError
+from concm.errors import DimensionTooSmall, InvalidInput, ShapeError
 from concm.structure import (InitialStructure, StructureMatrix, centering,
                              geometric_optimality_deviation, initial_structure,
                              nearest_optimal_structure, random_optimal_structure,
@@ -164,6 +164,18 @@ def test_dimension_too_small():
         nearest_optimal_structure(init)
     with pytest.raises(DimensionTooSmall):
         random_optimal_structure(5, 5, seed=0)
+
+
+@pytest.mark.parametrize("n,d,error", [
+    (1, 1, InvalidInput), (1, 4, InvalidInput),
+    (3, 3, DimensionTooSmall), (4, 2, DimensionTooSmall)])
+def test_both_structure_functions_apply_one_size_rule(n, d, error):
+    # fewer than 2 classes is checked before the dimension, in both
+    with pytest.raises(error) as nearest:
+        nearest_optimal_structure(random_init(0, d, n))
+    with pytest.raises(error) as rand:
+        random_optimal_structure(n, d, seed=0)
+    assert type(nearest.value) is type(rand.value) is error
 
 
 def test_deviation_of_random_unit_columns_is_large():
